@@ -1,4 +1,4 @@
-"""Command-line surface: scale, train, evaluate, experiment, benchmark.
+"""Command-line surface: scale, train, evaluate, experiment.
 
 Configuration comes from an optional JSON file (flat keys mirroring
 RunConfig) with command-line flags taking precedence.  The effective,
@@ -14,10 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
-import statistics
 import sys
-import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -33,8 +30,7 @@ from .evaluation import (
     format_report,
     run_experiment,
 )
-from .network import backward, forward, load_network, new_network, save_network
-from .parallel import NeuronPool
+from .network import load_network, new_network, save_network
 from .trainer import DivergenceError, TrainConfig, train, write_history_csv
 
 EXIT_OK = 0
@@ -79,10 +75,6 @@ class RunConfig:
     max_epochs: int = 5000
     target_sse: float = 0.01
     seed: int = 0
-    workers: int | None = None
-
-    def resolved_workers(self) -> int:
-        return self.workers if self.workers is not None else (os.cpu_count() or 1)
 
     def train_config(self) -> TrainConfig:
         try:
@@ -95,7 +87,6 @@ class RunConfig:
                 max_epochs=self.max_epochs,
                 target_sse=self.target_sse,
                 seed=self.seed,
-                workers=self.resolved_workers(),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -117,7 +108,6 @@ class RunConfig:
             "max_epochs": self.max_epochs,
             "target_sse": self.target_sse,
             "seed": self.seed,
-            "workers": self.resolved_workers(),
         }
 
 
@@ -200,10 +190,6 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
         overrides["out"] = args.out
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
-        overrides["workers"] = args.workers
     if getattr(args, "layers", None) is not None:
         sizes = _parse_layer_list(args.layers, "--layers")
         if len(sizes) < 2:
@@ -310,12 +296,9 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
     scaler = load_scaler(args.scaler)
     dataset = _load_and_impute(config)
 
-    features = scaler.transform_rows(dataset.features)
-    out_of_range = int(
-        sum(scaler.transform(row).out_of_range.any() for row in dataset.features)
-    )
-    with NeuronPool(config.resolved_workers()) as pool:
-        metrics = evaluate(network, features, dataset.labels, pool)
+    scaled = scaler.transform(dataset.features)
+    out_of_range = int(scaled.out_of_range.any(axis=1).sum())
+    metrics = evaluate(network, scaled.values, dataset.labels)
 
     print(f"samples: {metrics.n_test}")
     if out_of_range:
@@ -367,61 +350,6 @@ def cmd_experiment(config: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_benchmark(args: argparse.Namespace) -> int:
-    """Time forward+backward on a synthetic wide network per worker count
-    and verify the results do not depend on the thread count."""
-    if args.width < 1:
-        raise ConfigError("--width must be >= 1")
-    worker_counts = _parse_layer_list(args.workers, "--workers")
-    if args.reps < 1:
-        raise ConfigError("--reps must be >= 1")
-
-    sizes = (64, args.width, args.width, 4)
-    network = new_network(sizes, args.seed)
-    rng = np.random.default_rng(args.seed)
-    samples = rng.uniform(0.0, 1.0, size=(args.samples, sizes[0]))
-    targets = rng.uniform(0.0, 1.0, size=(args.samples, sizes[-1]))
-
-    print(
-        f"net {list(sizes)}  samples {args.samples}  reps {args.reps}  "
-        f"workers {list(worker_counts)}"
-    )
-    medians = {}
-    fingerprints = {}
-    for workers in worker_counts:
-        times = []
-        with NeuronPool(workers) as pool:
-            for _ in range(args.reps):
-                started = time.perf_counter()
-                outputs = []
-                grads = []
-                for x, t in zip(samples, targets):
-                    acts = forward(network, x, pool)
-                    g = backward(network, acts, t, pool)
-                    outputs.append(acts[-1])
-                    grads.append(g.weights[0][0, 0])
-                times.append(time.perf_counter() - started)
-        medians[workers] = statistics.median(times)
-        fingerprints[workers] = (np.array(outputs), np.array(grads))
-
-    baseline = medians.get(1, medians[worker_counts[0]])
-    print(f"{'workers':>8}  {'median_s':>10}  {'speedup':>8}")
-    for workers in worker_counts:
-        print(
-            f"{workers:>8}  {medians[workers]:>10.4f}  "
-            f"{baseline / medians[workers]:>8.2f}"
-        )
-
-    reference = fingerprints[worker_counts[0]]
-    identical = all(
-        np.array_equal(fingerprints[w][0], reference[0])
-        and np.array_equal(fingerprints[w][1], reference[1])
-        for w in worker_counts
-    )
-    print(f"outputs identical across worker counts: {'yes' if identical else 'NO'}")
-    return EXIT_OK if identical else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heartnet",
@@ -435,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-        p.add_argument("--workers", type=int, help="worker threads (default: all cores)")
         p.add_argument(
             "--impute",
             choices=["drop", "median"],
@@ -474,22 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_exp.add_argument("--binary", action="store_true", help="add the binary-efficiency column")
 
-    p_bench = sub.add_parser(
-        "benchmark", help="per-neuron threading benchmark on a synthetic network"
-    )
-    p_bench.add_argument("--width", type=int, default=256, help="hidden-layer width")
-    p_bench.add_argument(
-        "--workers", default="1,2,4", help="comma-separated worker counts to time"
-    )
-    p_bench.add_argument("--reps", type=int, default=3, help="repetitions per worker count")
-    p_bench.add_argument("--samples", type=int, default=8, help="synthetic samples per rep")
-    p_bench.add_argument("--seed", type=int, default=0, help="RNG seed")
     return parser
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "benchmark":
-        return cmd_benchmark(args)
     config = merge_config(args)
     if args.command == "scale":
         return cmd_scale(config)

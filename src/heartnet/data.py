@@ -287,8 +287,9 @@ def impute(dataset: Dataset, policy: str = IMPUTE_MEDIAN_MODE) -> Dataset:
 
 
 class ScaledRow(NamedTuple):
-    """Scaled feature vector plus per-column flags for inputs that fell
-    outside the fitted [min, max] range (extrapolated, not clipped)."""
+    """Scaled feature values, one row or a matrix of rows, plus per-cell
+    flags for inputs that fell outside the fitted [min, max] range
+    (extrapolated, not clipped)."""
 
     values: np.ndarray
     out_of_range: np.ndarray
@@ -346,22 +347,23 @@ class Scaler:
         return tuple(c.name for c in self.columns if c.degenerate)
 
     def transform(self, features) -> ScaledRow:
+        """Scale one row of ``n_columns`` values or an (n, n_columns)
+        matrix, flagging every cell outside the fitted range."""
         x = np.asarray(features, dtype=np.float64)
-        if x.shape != (self.n_columns,):
+        if x.ndim not in (1, 2):
+            raise ValidationError(f"expected a row or a matrix of features, got shape {x.shape}")
+        if x.shape[-1] != self.n_columns:
             raise ValidationError(
-                f"expected {self.n_columns} features, got shape {x.shape}"
+                f"scaler has {self.n_columns} columns but the input has {x.shape[-1]}"
             )
         values = (x - self._mins) / self._deltas
-        values[self._degenerate] = 0.0
+        values[..., self._degenerate] = 0.0
         out_of_range = (x < self._mins) | (x > self._maxs)
         return ScaledRow(values, out_of_range)
 
     def transform_rows(self, features) -> np.ndarray:
         """Scale a (n, n_columns) matrix; out-of-range flags are dropped."""
-        x = np.asarray(features, dtype=np.float64)
-        values = (x - self._mins) / self._deltas
-        values[:, self._degenerate] = 0.0
-        return values
+        return self.transform(features).values
 
     def inverse_transform(self, scaled) -> np.ndarray:
         y = np.asarray(scaled, dtype=np.float64)
@@ -436,15 +438,26 @@ def encode_labels(labels) -> np.ndarray:
     return _CLASS_CODES[arr.astype(np.int64)]
 
 
+def decode_outputs(outputs) -> np.ndarray:
+    """Class labels of an (n, 2) matrix of output rows: threshold each
+    output neuron at 0.5 (ties round up) and invert the class code.  A
+    non-finite output has no class and is rejected."""
+    out = np.asarray(outputs, dtype=np.float64)
+    if out.ndim != 2 or out.shape[1] != 2:
+        raise ValidationError(f"expected rows of 2 output values, got shape {out.shape}")
+    if not np.isfinite(out).all():
+        bad = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
+        raise ValidationError(f"non-finite network output in row {bad}: {out[bad].tolist()}")
+    bits = (out >= 0.5).astype(np.int64)
+    return 2 * bits[:, 0] + bits[:, 1]
+
+
 def decode_output(output) -> int:
-    """Threshold each output neuron at 0.5 (ties round up) and invert the
-    class code."""
+    """:func:`decode_outputs` for a single output vector."""
     out = np.asarray(output, dtype=np.float64)
     if out.shape != (2,):
         raise ValidationError(f"expected 2 output values, got shape {out.shape}")
-    high = 1 if out[0] >= 0.5 else 0
-    low = 1 if out[1] >= 0.5 else 0
-    return 2 * high + low
+    return int(decode_outputs(out[None, :])[0])
 
 
 def split(dataset: Dataset, n_train: int, n_test: int, seed: int) -> tuple[Dataset, Dataset]:

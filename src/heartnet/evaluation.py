@@ -12,8 +12,7 @@ import numpy as np
 
 from . import data as hdata
 from .data import Dataset, ValidationError, encode_labels, fit_scaler
-from .network import Network, forward, new_network
-from .parallel import NeuronPool
+from .network import Network, forward_rows, new_network
 from .trainer import TrainConfig, train
 
 ARCH_SINGLE = "single"  # inputs wired straight to the output neurons
@@ -62,8 +61,9 @@ class Metrics:
         return 100.0 * float(correct) / float(self.n_test)
 
 
-def evaluate(network: Network, features, labels, pool: NeuronPool | None = None) -> Metrics:
-    """Predict every test sample and tally efficiency and confusion."""
+def evaluate(network: Network, features, labels) -> Metrics:
+    """Predict every test sample in one whole-matrix forward pass and
+    tally efficiency and confusion."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if x.shape[0] == 0:
@@ -71,10 +71,9 @@ def evaluate(network: Network, features, labels, pool: NeuronPool | None = None)
     if x.shape[0] != y.shape[0]:
         raise ValueError("features and labels disagree on sample count")
 
+    predicted = hdata.decode_outputs(forward_rows(network, x))
     confusion = np.zeros((hdata.N_CLASSES, hdata.N_CLASSES), dtype=np.int64)
-    for row, true_label in zip(x, y):
-        predicted = hdata.decode_output(forward(network, row, pool)[-1])
-        confusion[true_label, predicted] += 1
+    np.add.at(confusion, (y, predicted), 1)
     n_test = int(y.shape[0])
     n_correct = int(np.trace(confusion))
     return Metrics(
@@ -164,8 +163,7 @@ def run_experiment(
             sizes = architecture_layer_sizes(architecture, n_features, hidden_sizes)
             net = new_network(sizes, config.seed)
             history = train(net, train_x, train_t, config)
-            with NeuronPool(config.workers) as pool:
-                metrics = evaluate(net, test_x, test_set.labels, pool)
+            metrics = evaluate(net, test_x, test_set.labels)
             cells.append(
                 ExperimentCell(
                     requested_train=requested_train,

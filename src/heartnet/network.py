@@ -1,24 +1,26 @@
 """Dense feedforward network: representation, forward sweep, hand-derived
 backpropagation, and JSON persistence.
 
-Every weighted sum is one ``np.dot`` call per neuron, whether run inline
-or on a :class:`~heartnet.parallel.NeuronPool`, so forward and backward
-results are bit-identical for any worker count.  Gradients are taken of
-half the sum of squared errors, which gives the output delta its clean
-``(o - t) * o * (1 - o)`` form; training history still reports raw SSE.
+Every weight and bias lives in one flat float64 buffer,
+:attr:`Network.params`, laid out ``W0, b0, W1, b1, ...`` with each
+``W`` row-major; ``weights[l]`` and ``biases[l]`` are views of it.
+Gradients and the trainer's momentum state use the same layout, so a
+training step or an epoch snapshot is one array operation.  Each layer
+of a forward or backward sweep is one matrix-vector product.  Gradients
+are taken of half the sum of squared errors, which gives the output
+delta its clean ``(o - t) * o * (1 - o)`` form; training history still
+reports raw SSE.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .data import FormatError, decode_output
-from .parallel import NeuronPool
 
 LOGISTIC_SIGMOID = "logistic-sigmoid"
 MODEL_FORMAT_VERSION = 1
@@ -30,23 +32,64 @@ DEFAULT_MAX_LAYERS = 5
 INIT_WEIGHT_RANGE = 0.5  # initial weights drawn uniformly from +/- this
 
 
-def sigmoid(x: float) -> float:
-    """Logistic transfer function 1 / (1 + e^-x), safe for any magnitude."""
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    t = math.exp(x)
-    return t / (1.0 + t)
+def sigmoid(x):
+    """Logistic transfer function 1 / (1 + e^-x), elementwise on a scalar
+    or an array.
+
+    Below x of about -709, e^-x overflows to inf and the result is exactly
+    0.0.  numpy reports that overflow as a RuntimeWarning unless it runs
+    under ``np.errstate(over="ignore")``; :func:`forward_rows`,
+    :func:`predict` and :func:`heartnet.trainer.train` enter that state
+    once per call.
+    """
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _views(flat: np.ndarray, weights, biases) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Views of ``flat`` shaped like ``weights`` and ``biases``, laid out
+    ``W0, b0, W1, b1, ...``."""
+    weight_views = []
+    bias_views = []
+    start = 0
+    for w, b in zip(weights, biases):
+        stop = start + w.size
+        weight_views.append(flat[start:stop].reshape(w.shape))
+        start, stop = stop, stop + b.size
+        bias_views.append(flat[start:stop])
+        start = stop
+    return weight_views, bias_views
+
+
+def pack_layers(weights, biases) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Copy per-layer weight and bias arrays into one new flat float64
+    buffer; returns the buffer and the per-layer views of it."""
+    weights = [np.asarray(w, dtype=np.float64) for w in weights]
+    biases = [np.asarray(b, dtype=np.float64) for b in biases]
+    flat = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)), dtype=np.float64)
+    weight_views, bias_views = _views(flat, weights, biases)
+    for view, values in zip(weight_views + bias_views, weights + biases):
+        view[...] = values
+    return flat, weight_views, bias_views
 
 
 @dataclass
 class Network:
-    """Ordered dense layers; ``weights[l]`` has shape (out, in)."""
+    """Ordered dense layers; ``weights[l]`` has shape (out, in).
+
+    Construction copies the given arrays into :attr:`params`; afterwards
+    ``weights`` and ``biases`` are views of it, so writing into either
+    writes the other.
+    """
 
     layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activation: str = LOGISTIC_SIGMOID
     seed: int | None = None
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.params, self.weights, self.biases = pack_layers(self.weights, self.biases)
 
     @property
     def n_layers(self) -> int:
@@ -55,13 +98,13 @@ class Network:
 
     @property
     def n_parameters(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def copy(self) -> "Network":
         return Network(
             layer_sizes=self.layer_sizes,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
+            weights=self.weights,
+            biases=self.biases,
             activation=self.activation,
             seed=self.seed,
         )
@@ -70,11 +113,22 @@ class Network:
 @dataclass
 class Gradients:
     """Loss gradients shaped exactly like the network, plus the per-layer
-    delta vectors they were built from."""
+    delta vectors they were built from.
+
+    ``flat`` holds every gradient laid out like :attr:`Network.params`,
+    with ``weights`` and ``biases`` as views of it.  Given no ``flat``,
+    construction copies the arrays into a new one; :func:`backward` passes
+    the buffer its views already point into.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     deltas: list[np.ndarray]
+    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.flat is None:
+            self.flat, self.weights, self.biases = pack_layers(self.weights, self.biases)
 
 
 def _validate_layer_sizes(layer_sizes, max_layers: int) -> tuple[int, ...]:
@@ -105,7 +159,7 @@ def new_network(layer_sizes, seed: int, max_layers: int = DEFAULT_MAX_LAYERS) ->
     return Network(layer_sizes=sizes, weights=weights, biases=biases, seed=seed)
 
 
-def forward(network: Network, features, pool: NeuronPool | None = None) -> list[np.ndarray]:
+def forward(network: Network, features) -> list[np.ndarray]:
     """Run one input through every layer; returns the activation vector of
     each layer, index 0 being the input itself."""
     x = np.ascontiguousarray(features, dtype=np.float64)
@@ -114,23 +168,24 @@ def forward(network: Network, features, pool: NeuronPool | None = None) -> list[
             f"input must have shape ({network.layer_sizes[0]},), got {x.shape}"
         )
     activations = [x]
-    prev = x
     for layer_weights, layer_biases in zip(network.weights, network.biases):
-        out = np.empty(layer_weights.shape[0], dtype=np.float64)
-
-        def weigh_neurons(lo: int, hi: int, w=layer_weights, b=layer_biases, a=prev, out=out):
-            # One dot per neuron keeps the reduction order independent of
-            # how neurons are distributed over workers.
-            for i in range(lo, hi):
-                out[i] = sigmoid(b[i] + np.dot(w[i], a))
-
-        if pool is None:
-            weigh_neurons(0, out.shape[0])
-        else:
-            pool.run(out.shape[0], weigh_neurons)
-        activations.append(out)
-        prev = out
+        x = sigmoid(layer_weights @ x + layer_biases)
+        activations.append(x)
     return activations
+
+
+def forward_rows(network: Network, rows) -> np.ndarray:
+    """Output layer for every row of an (n, inputs) matrix: one
+    matrix-matrix product per layer over all rows at once."""
+    a = np.asarray(rows, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != network.layer_sizes[0]:
+        raise ValueError(
+            f"inputs must have shape (n, {network.layer_sizes[0]}), got {a.shape}"
+        )
+    with np.errstate(over="ignore"):
+        for layer_weights, layer_biases in zip(network.weights, network.biases):
+            a = sigmoid(a @ layer_weights.T + layer_biases)
+    return a
 
 
 def sse(output, target) -> float:
@@ -143,12 +198,7 @@ def sse(output, target) -> float:
     return float(np.dot(err, err))
 
 
-def backward(
-    network: Network,
-    activations: list[np.ndarray],
-    target,
-    pool: NeuronPool | None = None,
-) -> Gradients:
+def backward(network: Network, activations: list[np.ndarray], target) -> Gradients:
     """Backpropagate the output error through the layers.
 
     The output delta is ``(o - t) * o * (1 - o)``; each hidden delta is
@@ -167,36 +217,26 @@ def backward(
     if tgt.shape != activations[-1].shape:
         raise ValueError(f"target shape {tgt.shape} does not match output layer")
 
+    flat = np.empty_like(network.params)
+    weight_grads, bias_grads = _views(flat, network.weights, network.biases)
     deltas: list[np.ndarray] = [np.empty(0)] * network.n_layers
     out = activations[-1]
-    deltas[-1] = (out - tgt) * out * (1.0 - out)
-
-    for layer in range(network.n_layers - 2, -1, -1):
-        act = activations[layer + 1]
-        next_weights = network.weights[layer + 1]
-        next_delta = deltas[layer + 1]
-        delta = np.empty(act.shape[0], dtype=np.float64)
-
-        def weigh_deltas(lo: int, hi: int, w=next_weights, nd=next_delta, a=act, out=delta):
-            for j in range(lo, hi):
-                out[j] = np.dot(w[:, j], nd) * a[j] * (1.0 - a[j])
-
-        if pool is None:
-            weigh_deltas(0, delta.shape[0])
-        else:
-            pool.run(delta.shape[0], weigh_deltas)
+    delta = (out - tgt) * out * (1.0 - out)
+    for layer in range(network.n_layers - 1, -1, -1):
         deltas[layer] = delta
+        below = activations[layer]
+        np.multiply(delta[:, None], below, out=weight_grads[layer])
+        bias_grads[layer][:] = delta
+        if layer:
+            delta = (network.weights[layer].T @ delta) * below * (1.0 - below)
+    return Gradients(weights=weight_grads, biases=bias_grads, deltas=deltas, flat=flat)
 
-    weight_grads = [
-        np.outer(deltas[layer], activations[layer]) for layer in range(network.n_layers)
-    ]
-    bias_grads = [d.copy() for d in deltas]
-    return Gradients(weights=weight_grads, biases=bias_grads, deltas=deltas)
 
-
-def predict(network: Network, features, pool: NeuronPool | None = None) -> int:
+def predict(network: Network, features) -> int:
     """Forward sweep followed by class-code decoding of the output layer."""
-    return decode_output(forward(network, features, pool)[-1])
+    with np.errstate(over="ignore"):
+        output = forward(network, features)[-1]
+    return decode_output(output)
 
 
 def network_to_dict(network: Network) -> dict:

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .data import ValidationError
-from .network import Gradients, Network, backward, forward, sse
-from .parallel import NeuronPool
+from .network import Gradients, Network, backward, forward, pack_layers, sse
 
 PER_SAMPLE = "per_sample"
 BATCH = "batch"
@@ -45,7 +44,6 @@ class TrainConfig:
     max_epochs: int = 5000
     target_sse: float = 0.01
     seed: int = 0
-    workers: int = 1
     update_mode: str = PER_SAMPLE
 
     def __post_init__(self):
@@ -63,18 +61,24 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.target_sse < 0:
             raise ValueError("target_sse must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.update_mode not in (PER_SAMPLE, BATCH):
             raise ValueError(f"unknown update_mode {self.update_mode!r}")
 
 
 @dataclass
 class Velocity:
-    """Previous update step per weight and bias (momentum state)."""
+    """Previous update step per weight and bias (momentum state).
+
+    ``flat`` holds every step laid out like :attr:`Network.params`;
+    ``weights`` and ``biases`` are views of it.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat, self.weights, self.biases = pack_layers(self.weights, self.biases)
 
     @classmethod
     def zeros(cls, network: Network) -> "Velocity":
@@ -84,10 +88,7 @@ class Velocity:
         )
 
     def copy(self) -> "Velocity":
-        return Velocity(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return Velocity(weights=self.weights, biases=self.biases)
 
 
 @dataclass(frozen=True)
@@ -136,18 +137,14 @@ def apply_update(
     lr: float,
     momentum: float,
 ) -> None:
-    """Apply one momentum step in place: step = -lr*g + momentum*previous
-    step, for every weight and bias; velocity keeps the new step."""
+    """Apply one momentum step in place: step = momentum*previous step -
+    lr*g, for every weight and bias; velocity keeps the new step."""
     _check_shapes(network, gradients)
     _check_shapes(network, velocity)
-    for w, gw, vw in zip(network.weights, gradients.weights, velocity.weights):
-        step = momentum * vw - lr * gw
-        w += step
-        vw[:] = step
-    for b, gb, vb in zip(network.biases, gradients.biases, velocity.biases):
-        step = momentum * vb - lr * gb
-        b += step
-        vb[:] = step
+    step = velocity.flat
+    step *= momentum
+    step -= lr * gradients.flat
+    network.params += step
 
 
 def adapt_learning_rate(
@@ -174,7 +171,6 @@ def train_epoch(
     lr: float,
     config: TrainConfig,
     order: np.ndarray | None = None,
-    pool: NeuronPool | None = None,
 ) -> float:
     """One presentation of the training set; returns the epoch SSE.
 
@@ -194,24 +190,21 @@ def train_epoch(
         if order is None:
             order = np.random.default_rng(config.seed).permutation(n)
         for idx in order:
-            activations = forward(network, inputs[idx], pool)
+            activations = forward(network, inputs[idx])
             total += sse(activations[-1], targets[idx])
-            grads = backward(network, activations, targets[idx], pool)
+            grads = backward(network, activations, targets[idx])
             apply_update(network, grads, velocity, lr, config.momentum)
         return total
 
     summed: Gradients | None = None
     for idx in range(n):  # fixed index order keeps the reduction deterministic
-        activations = forward(network, inputs[idx], pool)
+        activations = forward(network, inputs[idx])
         total += sse(activations[-1], targets[idx])
-        grads = backward(network, activations, targets[idx], pool)
+        grads = backward(network, activations, targets[idx])
         if summed is None:
             summed = grads
         else:
-            for acc, g in zip(summed.weights, grads.weights):
-                acc += g
-            for acc, g in zip(summed.biases, grads.biases):
-                acc += g
+            summed.flat += grads.flat
     assert summed is not None
     apply_update(network, summed, velocity, lr, config.momentum)
     return total
@@ -228,8 +221,10 @@ def train(
     The network is updated in place.  Rejected epochs restore weights,
     biases, and velocity bit-exactly and still appear in the history with
     ``accepted=False``.  The first epoch has no baseline and is always
-    accepted.  Fully reproducible from (config, seed) for any worker
-    count.
+    accepted.  Fully reproducible from (config, seed): the same inputs
+    give bit-identical weights and history.  Runs under
+    ``np.errstate(over="ignore")``, so a saturated sigmoid gives exactly 0.0
+    without a RuntimeWarning.
     """
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     t = np.ascontiguousarray(targets, dtype=np.float64)
@@ -250,14 +245,13 @@ def train(
     prev_sse = math.inf
     records: list[EpochRecord] = []
 
-    with NeuronPool(config.workers) as pool:
+    with np.errstate(over="ignore"):
         for epoch in range(1, config.max_epochs + 1):
             order = rng.permutation(x.shape[0]) if config.update_mode == PER_SAMPLE else None
-            saved_weights = [w.copy() for w in network.weights]
-            saved_biases = [b.copy() for b in network.biases]
-            saved_velocity = velocity.copy()
+            saved_params = network.params.copy()
+            saved_velocity = velocity.flat.copy()
 
-            epoch_sse = train_epoch(network, x, t, velocity, lr, config, order, pool)
+            epoch_sse = train_epoch(network, x, t, velocity, lr, config, order)
             if not math.isfinite(epoch_sse):
                 raise DivergenceError(epoch)
 
@@ -266,11 +260,8 @@ def train(
             if accepted:
                 prev_sse = epoch_sse
             else:
-                for w, saved in zip(network.weights, saved_weights):
-                    w[:] = saved
-                for b, saved in zip(network.biases, saved_biases):
-                    b[:] = saved
-                velocity = saved_velocity
+                network.params[:] = saved_params
+                velocity.flat[:] = saved_velocity
             lr = next_lr
             if accepted and epoch_sse <= config.target_sse:
                 break

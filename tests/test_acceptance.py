@@ -28,8 +28,14 @@ from heartnet.evaluation import (
     run_experiment,
 )
 from heartnet.network import backward, forward, new_network, sse
-from heartnet.parallel import NeuronPool
-from heartnet.trainer import TrainConfig, adapt_learning_rate, train, write_history_csv
+from heartnet.trainer import (
+    BATCH,
+    PER_SAMPLE,
+    TrainConfig,
+    adapt_learning_rate,
+    train,
+    write_history_csv,
+)
 
 TREND_SEEDS = (0, 1, 2, 3, 4)
 TREND_EPOCHS = 120
@@ -108,52 +114,35 @@ def test_gradient_oracle():
     )
 
 
-def test_parallel_determinism():
-    """forward, backward, and a full 50-epoch training run are
-    bit-identical for worker counts 1, 2, and 8."""
+def test_same_seed_determinism():
+    """A 50-epoch run of a 13-96-2 net, repeated with the same seed, gives
+    bit-identical weights and history in both update modes."""
     started = time.perf_counter()
     ds = heart_features().subset(np.arange(60))
     scaler = fit_scaler(ds)
     x = scaler.transform_rows(ds.features)
     t = encode_labels(ds.labels)
 
-    # single-pass check on a layer wide enough to actually fan out
-    probe_net = new_network((13, 96, 2), 7)
-    probe_x = x[0]
-    probe_t = t[0]
-    base_acts = forward(probe_net, probe_x)
-    base_grads = backward(probe_net, base_acts, probe_t)
-    passes_ok = True
-    for workers in (1, 2, 8):
-        with NeuronPool(workers) as pool:
-            acts = forward(probe_net, probe_x, pool)
-            grads = backward(probe_net, acts, probe_t, pool)
-        passes_ok &= all(np.array_equal(a, b) for a, b in zip(base_acts, acts))
-        passes_ok &= all(np.array_equal(a, b) for a, b in zip(base_grads.weights, grads.weights))
-        passes_ok &= all(np.array_equal(a, b) for a, b in zip(base_grads.biases, grads.biases))
-
-    results = {}
-    for workers in (1, 2, 8):
-        net = new_network((13, 96, 2), 3)
-        hist = train(
-            net, x, t, TrainConfig(max_epochs=50, target_sse=0.0, seed=3, workers=workers)
-        )
-        results[workers] = (net, hist)
-    base_net, base_hist = results[1]
-    train_ok = True
-    for workers in (2, 8):
-        net, hist = results[workers]
-        train_ok &= all(np.array_equal(a, b) for a, b in zip(base_net.weights, net.weights))
-        train_ok &= all(np.array_equal(a, b) for a, b in zip(base_net.biases, net.biases))
-        train_ok &= hist == base_hist
+    identical = True
+    for mode in (PER_SAMPLE, BATCH):
+        cfg = TrainConfig(max_epochs=50, target_sse=0.0, seed=3, update_mode=mode)
+        runs = []
+        for _ in range(2):
+            net = new_network((13, 96, 2), 3)
+            runs.append((net, train(net, x, t, cfg)))
+        (net_a, hist_a), (net_b, hist_b) = runs
+        identical &= all(np.array_equal(a, b) for a, b in zip(net_a.weights, net_b.weights))
+        identical &= all(np.array_equal(a, b) for a, b in zip(net_a.biases, net_b.biases))
+        identical &= hist_a == hist_b and hist_a.epochs_run == 50
 
     elapsed = time.perf_counter() - started
     report(
-        "parallel-determinism",
-        passes_ok and train_ok,
+        "same-seed-determinism",
+        identical,
         elapsed,
         30.0,
-        "bit-identical weights and history for workers {1, 2, 8} over 50 epochs",
+        "bit-identical weights and history for two same-seed runs over 50 epochs, "
+        "per-sample and batch",
     )
 
 

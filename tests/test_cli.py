@@ -28,7 +28,7 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 def quick_config(tmp_path, **extra):
-    payload = {"max_epochs": 4, "target_sse": 0.0, "workers": 1}
+    payload = {"max_epochs": 4, "target_sse": 0.0}
     payload.update(extra)
     return write_config(tmp_path, payload)
 
@@ -57,7 +57,6 @@ class TestConfigPlumbing:
             data = None
             out = None
             seed = 8
-            workers = 2
             layers = "13,6,2"
             impute = "drop"
             labels = "strict"
@@ -68,7 +67,6 @@ class TestConfigPlumbing:
         assert merged.layer_sizes == (13, 6, 2)
         assert merged.imputation == "drop_rows"
         assert merged.label_policy == "strict"
-        assert merged.workers == 2
 
     def test_bad_layers_flag(self, tmp_path):
         class Args:
@@ -76,7 +74,6 @@ class TestConfigPlumbing:
             data = None
             out = None
             seed = None
-            workers = None
             layers = "13,two,2"
             impute = None
             labels = None
@@ -85,7 +82,7 @@ class TestConfigPlumbing:
             merge_config(Args())
 
     def test_round_trip_through_json(self):
-        cfg = RunConfig(data="d.csv", out="runs", seed=5, workers=2)
+        cfg = RunConfig(data="d.csv", out="runs", seed=5)
         payload = cfg.to_json_dict()
         assert set(payload) <= {f for f in RunConfig.__dataclass_fields__}
         json.dumps(payload)
@@ -102,6 +99,9 @@ class TestUsageErrors:
     def test_missing_required_setting(self, tmp_path, capsys):
         assert main(["train", "--data", FIXTURE]) == EXIT_USAGE
         assert "out" in capsys.readouterr().err
+        # no fallback to the bundled fixture: --data is required too
+        assert main(["train", "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert "missing required setting 'data'" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_code(self, tmp_path):
         path = write_config(tmp_path, {"nope": 1})
@@ -112,7 +112,7 @@ class TestUsageErrors:
 class TestScale:
     def test_writes_scaler_and_scaled_table(self, tmp_path, capsys):
         out = tmp_path / "out"
-        assert main(["scale", "--data", FIXTURE, "--out", str(out), "--workers", "1"]) == EXIT_OK
+        assert main(["scale", "--data", FIXTURE, "--out", str(out)]) == EXIT_OK
         assert (out / "scaler.json").exists()
         assert (out / "effective_config.json").exists()
         with (out / "scaled.csv").open(encoding="utf-8") as handle:
@@ -183,7 +183,7 @@ class TestEvaluate:
     def test_prints_efficiency_and_confusion(self, trained, capsys):
         code = main(["evaluate", "--model", str(trained / "model.json"),
                      "--scaler", str(trained / "scaler.json"),
-                     "--data", FIXTURE, "--workers", "1"])
+                     "--data", FIXTURE])
         assert code == EXIT_OK
         printed = capsys.readouterr().out
         assert "efficiency:" in printed
@@ -193,19 +193,39 @@ class TestEvaluate:
     def test_binary_flag_adds_line(self, trained, capsys):
         main(["evaluate", "--model", str(trained / "model.json"),
               "--scaler", str(trained / "scaler.json"),
-              "--data", FIXTURE, "--binary", "--workers", "1"])
+              "--data", FIXTURE, "--binary"])
         assert "binary efficiency" in capsys.readouterr().out
 
     def test_json_out(self, trained, tmp_path):
         dest = tmp_path / "metrics.json"
         main(["evaluate", "--model", str(trained / "model.json"),
               "--scaler", str(trained / "scaler.json"),
-              "--data", FIXTURE, "--json-out", str(dest), "--workers", "1"])
+              "--data", FIXTURE, "--json-out", str(dest)])
         payload = json.loads(dest.read_text(encoding="utf-8"))
         assert set(payload) == {
             "n_test", "n_correct", "efficiency_pct", "binary_efficiency_pct", "confusion",
         }
         assert payload["n_test"] == 303
+
+    def test_scaler_column_count_mismatch_is_data_error(self, trained, tmp_path, capsys):
+        scaler = json.loads((trained / "scaler.json").read_text(encoding="utf-8"))
+        scaler.pop("Thal")
+        short = tmp_path / "scaler12.json"
+        short.write_text(json.dumps(scaler), encoding="utf-8")
+        code = main(["evaluate", "--model", str(trained / "model.json"),
+                     "--scaler", str(short), "--data", FIXTURE])
+        assert code == EXIT_DATA
+        assert "scaler has 12 columns but the input has 13" in capsys.readouterr().err
+
+    def test_nan_model_output_is_data_error(self, trained, tmp_path, capsys):
+        model = json.loads((trained / "model.json").read_text(encoding="utf-8"))
+        model["biases"][-1] = [float("nan"), float("nan")]
+        bad = tmp_path / "nan_model.json"
+        bad.write_text(json.dumps(model), encoding="utf-8")  # written as NaN
+        code = main(["evaluate", "--model", str(bad),
+                     "--scaler", str(trained / "scaler.json"), "--data", FIXTURE])
+        assert code == EXIT_DATA
+        assert "non-finite network output" in capsys.readouterr().err
 
     def test_corrupt_model_is_data_error(self, trained, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -219,7 +239,7 @@ class TestExperiment:
     def config(self, tmp_path):
         return write_config(
             tmp_path,
-            {"max_epochs": 2, "target_sse": 0.0, "workers": 1,
+            {"max_epochs": 2, "target_sse": 0.0,
              "splits": [[20, 40], [30, 30]]},
         )
 
@@ -239,21 +259,3 @@ class TestExperiment:
         main(["experiment", "--config", cfg, "--data", FIXTURE, "--out", str(out_a)])
         main(["experiment", "--config", cfg, "--data", FIXTURE, "--out", str(out_b)])
         assert (out_a / "report.csv").read_bytes() == (out_b / "report.csv").read_bytes()
-
-
-class TestBenchmark:
-    def test_reports_determinism_line(self, capsys):
-        code = main(["benchmark", "--width", "16", "--workers", "1,2",
-                     "--reps", "1", "--samples", "2"])
-        assert code == EXIT_OK
-        printed = capsys.readouterr().out
-        assert "outputs identical across worker counts: yes" in printed
-        assert "speedup" in printed
-
-    def test_single_worker_speedup_is_one(self, capsys):
-        main(["benchmark", "--width", "8", "--workers", "1", "--reps", "1", "--samples", "1"])
-        lines = [l for l in capsys.readouterr().out.splitlines() if l.strip().startswith("1 ")]
-        assert lines and lines[0].split()[-1] == "1.00"
-
-    def test_bad_width(self, capsys):
-        assert main(["benchmark", "--width", "0"]) == EXIT_USAGE

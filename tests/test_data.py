@@ -13,6 +13,7 @@ from heartnet.data import (
     ValidationError,
     bundled_fixture_path,
     decode_output,
+    decode_outputs,
     encode_class,
     encode_labels,
     fit_scaler,
@@ -244,6 +245,25 @@ class TestScaler:
         with pytest.raises(FormatError, match="Age"):
             load_scaler(path)
 
+    def test_matrix_matches_row_by_row(self):
+        ds, scaler = self.fixture_scaler()
+        shifted = ds.features * 1.1  # pushes some cells past the fitted max
+        scaled = scaler.transform(shifted)
+        for i, row in enumerate(shifted):
+            single = scaler.transform(row)
+            np.testing.assert_array_equal(scaled.values[i], single.values)
+            np.testing.assert_array_equal(scaled.out_of_range[i], single.out_of_range)
+        assert scaled.out_of_range.any()
+        np.testing.assert_array_equal(scaler.transform_rows(shifted), scaled.values)
+
+    def test_column_count_checked(self):
+        ds, _ = self.fixture_scaler()
+        short = Scaler(tuple(hdata.ColumnScale(f"c{j}", 0.0, 1.0) for j in range(12)))
+        with pytest.raises(ValidationError, match="scaler has 12 columns but the input has 13"):
+            short.transform_rows(ds.features)
+        with pytest.raises(ValidationError, match="12 columns but the input has 13"):
+            short.transform(ds.features[0])
+
     def test_negative_delta_rejected(self):
         with pytest.raises(ValidationError, match="delta"):
             Scaler((hdata.ColumnScale("Age", 77.0, 29.0),))
@@ -279,6 +299,20 @@ class TestClassCodes:
     def test_decode_shape_check(self):
         with pytest.raises(ValidationError):
             decode_output([0.1, 0.2, 0.3])
+
+    def test_non_finite_output_has_no_class(self):
+        for bad in ([np.nan, np.nan], [0.7, np.nan], [np.inf, 0.2]):
+            with pytest.raises(ValidationError, match="non-finite"):
+                decode_output(bad)
+        with pytest.raises(ValidationError, match="non-finite network output in row 1"):
+            decode_outputs([[0.1, 0.9], [np.nan, 0.3], [0.6, 0.6]])
+
+    def test_rows_match_single_decode(self):
+        outputs = np.random.default_rng(2).uniform(0, 1, (50, 2))
+        outputs[0] = [0.5, 0.5]  # ties round up
+        np.testing.assert_array_equal(
+            decode_outputs(outputs), [decode_output(row) for row in outputs]
+        )
 
 
 class TestSplit:

@@ -10,6 +10,8 @@ from heartnet.data import (
     ValidationError,
     bundled_fixture_path,
     decode_output,
+    encode_labels,
+    fit_scaler,
     impute,
     load_dataset,
 )
@@ -25,8 +27,8 @@ from heartnet.evaluation import (
     format_report,
     run_experiment,
 )
-from heartnet.network import forward, new_network
-from heartnet.trainer import TrainConfig
+from heartnet.network import forward, new_network, predict
+from heartnet.trainer import TrainConfig, train
 
 
 def small_dataset(n=60):
@@ -59,8 +61,6 @@ class TestEvaluate:
     def test_matches_independent_tally(self):
         ds = small_dataset()
         net = new_network((13, 8, 2), 2)
-        from heartnet.data import fit_scaler
-
         scaler = fit_scaler(ds)
         x = scaler.transform_rows(ds.features)
         metrics = evaluate(net, x, ds.labels)
@@ -75,6 +75,25 @@ class TestEvaluate:
             100.0 * metrics.n_correct / len(ds)
         )
         assert metrics.confusion.sum() == metrics.n_test == len(ds)
+
+    def test_matches_per_row_predict_on_fixture(self):
+        ds = impute(load_dataset(bundled_fixture_path()))
+        x = fit_scaler(ds).transform_rows(ds.features)
+        net = new_network((13, 8, 2), 7)
+        train(net, x, encode_labels(ds.labels), TrainConfig(max_epochs=5, target_sse=0.0))
+        metrics = evaluate(net, x, ds.labels)
+
+        confusion = np.zeros((4, 4), dtype=int)
+        for row, true in zip(x, ds.labels):
+            confusion[true, predict(net, row)] += 1
+        np.testing.assert_array_equal(metrics.confusion, confusion)
+        assert metrics.n_test == len(ds) == 303
+
+    def test_non_finite_output_rejected(self):
+        net = new_network((13, 2), 0)
+        net.biases[0][:] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            evaluate(net, np.zeros((3, 13)), np.zeros(3, dtype=int))
 
     def test_empty_test_set(self):
         net = new_network((13, 2), 0)

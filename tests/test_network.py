@@ -6,7 +6,7 @@ are derived from.
 """
 
 import json
-import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from heartnet.network import (
     Network,
     backward,
     forward,
+    forward_rows,
     load_network,
     network_from_dict,
     network_to_dict,
@@ -26,7 +27,6 @@ from heartnet.network import (
     sigmoid,
     sse,
 )
-from heartnet.parallel import NeuronPool
 
 SIGMOID_1 = 0.7310585786300049  # 1/(1+e^-1) to double precision
 
@@ -63,22 +63,53 @@ def fd_gradients(network, x, target, step=1e-6):
 class TestSigmoid:
     def test_zero(self):
         assert sigmoid(0.0) == 0.5
+        np.testing.assert_array_equal(sigmoid(np.zeros(3)), np.full(3, 0.5))
 
     def test_one(self):
         assert sigmoid(1.0) == pytest.approx(SIGMOID_1, abs=1e-15)
+        assert sigmoid(np.array([1.0, -1.0]))[0] == pytest.approx(SIGMOID_1, abs=1e-15)
 
     def test_saturation_negative(self):
-        v = sigmoid(-1000.0)
-        assert 0.0 <= v <= 1e-300
-        assert math.isfinite(v)
+        # e^1000 overflows to inf, so the result is exactly 0.0; train,
+        # evaluate and predict silence that overflow the same way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                scalar = sigmoid(-1000.0)
+                vector = sigmoid(np.array([-1000.0, -800.0]))
+        assert scalar == 0.0
+        np.testing.assert_array_equal(vector, [0.0, 0.0])
 
     def test_saturation_positive(self):
-        v = sigmoid(1000.0)
-        assert v == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = sigmoid(1000.0)
+            vector = sigmoid(np.array([1000.0, 800.0]))
+        assert scalar == 1.0
+        np.testing.assert_array_equal(vector, [1.0, 1.0])
 
     def test_symmetry(self):
-        for x in (-7.3, -0.5, 0.2, 4.4):
-            assert sigmoid(-x) == pytest.approx(1.0 - sigmoid(x), abs=1e-15)
+        x = np.array([-7.3, -0.5, 0.2, 4.4])
+        np.testing.assert_allclose(sigmoid(-x), 1.0 - sigmoid(x), rtol=0, atol=1e-15)
+        for v in x:
+            assert sigmoid(-v) == pytest.approx(1.0 - sigmoid(v), abs=1e-15)
+
+    def test_vector_matches_scalar(self):
+        x = np.random.default_rng(0).uniform(-20, 20, 50)
+        np.testing.assert_array_equal(sigmoid(x), [sigmoid(v) for v in x])
+
+    def test_saturated_network_warns_nowhere(self):
+        # |z| ~ 1000 in every layer: outputs pin to exactly 0.0 or 1.0 and
+        # no RuntimeWarning leaves predict or forward_rows
+        net = new_network((3, 2), 0)
+        net.weights[0][:] = 0.0
+        net.biases[0][:] = [-1000.0, 1000.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outputs = forward_rows(net, np.zeros((4, 3)))
+            label = predict(net, np.zeros(3))
+        np.testing.assert_array_equal(outputs, np.tile([0.0, 1.0], (4, 1)))
+        assert label == 1
 
 
 class TestNewNetwork:
@@ -148,16 +179,13 @@ class TestForward:
         with pytest.raises(ValueError, match="shape"):
             forward(net, np.zeros(12))
 
-    def test_worker_count_invariance(self):
-        # wide layer so chunks really go to threads
-        net = new_network((13, 96, 2), 7)
-        x = np.random.default_rng(0).uniform(0, 1, 13)
-        base = forward(net, x)
-        for workers in (2, 8):
-            with NeuronPool(workers) as pool:
-                acts = forward(net, x, pool)
-            for a, b in zip(base, acts):
-                np.testing.assert_array_equal(a, b)
+    def test_rows_match_per_sample_forward(self):
+        net = new_network((13, 8, 2), 4)
+        rows = np.random.default_rng(4).uniform(0, 1, (30, 13))
+        expected = np.array([forward(net, row)[-1] for row in rows])
+        np.testing.assert_allclose(forward_rows(net, rows), expected, rtol=1e-14, atol=0)
+        with pytest.raises(ValueError, match="shape"):
+            forward_rows(net, rows[:, :12])
 
 
 class TestSse:
@@ -233,21 +261,6 @@ class TestBackward:
         acts = forward(net, np.zeros(3))
         with pytest.raises(ValueError):
             backward(net, acts[:-1], np.zeros(2))
-
-    def test_worker_count_invariance(self):
-        net = new_network((13, 96, 2), 9)
-        rng = np.random.default_rng(2)
-        x = rng.uniform(0, 1, 13)
-        target = np.array([1.0, 0.0])
-        base = backward(net, forward(net, x), target)
-        for workers in (2, 8):
-            with NeuronPool(workers) as pool:
-                acts = forward(net, x, pool)
-                grads = backward(net, acts, target, pool)
-            for a, b in zip(base.weights, grads.weights):
-                np.testing.assert_array_equal(a, b)
-            for a, b in zip(base.biases, grads.biases):
-                np.testing.assert_array_equal(a, b)
 
 
 class TestPredict:

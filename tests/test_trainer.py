@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from heartnet.data import ValidationError
-from heartnet.network import new_network
+from heartnet.network import load_network, new_network, save_network
 from heartnet.trainer import (
     BATCH,
     DivergenceError,
@@ -54,7 +54,6 @@ class TestTrainConfig:
             {"max_sse_rise": -0.01},
             {"max_epochs": 0},
             {"target_sse": -1.0},
-            {"workers": 0},
             {"update_mode": "online"},
         ],
     )
@@ -72,13 +71,15 @@ class TestApplyUpdate:
             b[:] = 0.25
         return net
 
-    def grads_of(self, net, value):
+    def grads_from(self, weights, biases):
         from heartnet.network import Gradients
 
-        return Gradients(
-            weights=[np.full_like(w, value) for w in net.weights],
-            biases=[np.full_like(b, value) for b in net.biases],
-            deltas=[],
+        return Gradients(weights=weights, biases=biases, deltas=[])
+
+    def grads_of(self, net, value):
+        return self.grads_from(
+            [np.full_like(w, value) for w in net.weights],
+            [np.full_like(b, value) for b in net.biases],
         )
 
     def test_plain_descent(self):
@@ -108,6 +109,32 @@ class TestApplyUpdate:
         apply_update(net, g, velocity, lr=1.0, momentum=0.5)
         step = net.weights[0] - before
         np.testing.assert_allclose(step, -0.1 - 0.05, rtol=1e-15)
+
+    def test_flat_step_matches_per_array_reference(self):
+        # the flat in-place update rounds exactly like the per-array
+        # formula step = momentum*v - lr*g, so every step is bit-identical
+        rng = np.random.default_rng(12)
+        net = new_network((5, 4, 3), 12)
+        ref_w = [w.copy() for w in net.weights]
+        ref_b = [b.copy() for b in net.biases]
+        ref_vw = [np.zeros_like(w) for w in ref_w]
+        ref_vb = [np.zeros_like(b) for b in ref_b]
+        velocity = Velocity.zeros(net)
+        for _ in range(6):
+            lr = rng.uniform(0.01, 2.0)
+            momentum = rng.uniform(0.0, 0.99)
+            gw = [rng.normal(size=w.shape) for w in ref_w]
+            gb = [rng.normal(size=b.shape) for b in ref_b]
+            apply_update(net, self.grads_from(gw, gb), velocity, lr, momentum)
+            for params, grads, steps in ((ref_w, gw, ref_vw), (ref_b, gb, ref_vb)):
+                for p, g, v in zip(params, grads, steps):
+                    step = momentum * v - lr * g
+                    p += step
+                    v[:] = step
+            for got, want in zip(net.weights + net.biases, ref_w + ref_b):
+                np.testing.assert_array_equal(got, want)
+            for got, want in zip(velocity.weights + velocity.biases, ref_vw + ref_vb):
+                np.testing.assert_array_equal(got, want)
 
     def test_shape_mismatch(self):
         net = self.setup_net()
@@ -354,16 +381,38 @@ class TestTrain:
         for a, b in zip(net_a.weights, net_b.weights):
             np.testing.assert_array_equal(a, b)
 
-    def test_worker_count_invariance(self):
+    def test_wide_layer_seed_determinism(self):
         x, t = self.heart_like(n=12, seed=3)
-        nets = {}
-        for workers in (1, 2):
-            cfg = TrainConfig(max_epochs=5, target_sse=0.0, workers=workers)
+        cfg = TrainConfig(max_epochs=5, target_sse=0.0)
+        runs = []
+        for _ in range(2):
             net = new_network((13, 96, 2), 6)
-            train(net, x, t, cfg)
-            nets[workers] = net
-        for a, b in zip(nets[1].weights, nets[2].weights):
-            np.testing.assert_array_equal(a, b)
+            runs.append((net, train(net, x, t, cfg)))
+        (net_a, hist_a), (net_b, hist_b) = runs
+        assert hist_a == hist_b
+        np.testing.assert_array_equal(net_a.params, net_b.params)
+
+    def test_weights_stay_views_of_params(self, tmp_path):
+        def assert_views(net):
+            for arr in net.weights + net.biases:
+                assert np.shares_memory(arr, net.params)
+            net.params[0] += 1.0  # a write through params shows in weights[0]
+            assert net.weights[0].flat[0] == net.params[0]
+            net.params[0] -= 1.0
+
+        x, t = self.heart_like()
+        net = new_network((13, 8, 2), 1)
+        assert_views(net)
+        copied = net.copy()
+        assert_views(copied)
+        assert not np.shares_memory(copied.params, net.params)
+        save_network(net, tmp_path / "model.json")
+        assert_views(load_network(tmp_path / "model.json"))
+
+        cfg = TrainConfig(initial_lr=1.2, max_sse_rise=0.0, max_epochs=12, target_sse=0.0)
+        history = train(net, x, t, cfg)
+        assert not all(r.accepted for r in history.records)  # a rollback ran
+        assert_views(net)
 
     def test_input_validation(self):
         net = new_network((13, 8, 2), 0)
