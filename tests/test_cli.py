@@ -259,3 +259,13 @@ class TestExperiment:
         main(["experiment", "--config", cfg, "--data", FIXTURE, "--out", str(out_a)])
         main(["experiment", "--config", cfg, "--data", FIXTURE, "--out", str(out_b)])
         assert (out_a / "report.csv").read_bytes() == (out_b / "report.csv").read_bytes()
+
+
+class TestBenchmark:
+    """The ``benchmark`` subcommand timed the per-neuron thread pool and went
+    with it; ``perfbench/`` measures the program now. Its old invocations
+    must end in a usage error, not a crash."""
+
+    def test_bad_width(self, capsys):
+        assert main(["benchmark", "--width", "0"]) == EXIT_USAGE
+        assert "invalid choice: 'benchmark'" in capsys.readouterr().err

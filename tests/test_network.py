@@ -187,6 +187,21 @@ class TestForward:
         with pytest.raises(ValueError, match="shape"):
             forward_rows(net, rows[:, :12])
 
+    def test_worker_count_invariance(self, under_blas_threads):
+        # a layer wide enough that a threaded BLAS can split its products
+        runs = under_blas_threads("""
+            import hashlib
+            import numpy as np
+            from heartnet.network import forward, forward_rows, new_network
+            net = new_network((13, 1024, 2), 7)
+            rows = np.random.default_rng(0).uniform(0, 1, (303, 13))
+            for out in (*forward(net, rows[0]), forward_rows(net, rows)):
+                print(hashlib.sha256(out.tobytes()).hexdigest())
+        """)
+        first, *rest = runs.values()
+        assert len(first) == 4
+        assert all(lines == first for lines in rest)
+
 
 class TestSse:
     def test_zero_error(self):
@@ -261,6 +276,21 @@ class TestBackward:
         acts = forward(net, np.zeros(3))
         with pytest.raises(ValueError):
             backward(net, acts[:-1], np.zeros(2))
+
+    def test_worker_count_invariance(self, under_blas_threads):
+        runs = under_blas_threads("""
+            import hashlib
+            import numpy as np
+            from heartnet.network import backward, forward, new_network
+            net = new_network((13, 1024, 2), 9)
+            x = np.random.default_rng(2).uniform(0, 1, 13)
+            grads = backward(net, forward(net, x), np.array([1.0, 0.0]))
+            for out in (grads.flat, *grads.deltas):
+                print(hashlib.sha256(out.tobytes()).hexdigest())
+        """)
+        first, *rest = runs.values()
+        assert len(first) == 3
+        assert all(lines == first for lines in rest)
 
 
 class TestPredict:

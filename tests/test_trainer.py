@@ -54,6 +54,7 @@ class TestTrainConfig:
             {"max_sse_rise": -0.01},
             {"max_epochs": 0},
             {"target_sse": -1.0},
+            {"initial_lr": -0.1},
             {"update_mode": "online"},
         ],
     )
@@ -391,6 +392,27 @@ class TestTrain:
         (net_a, hist_a), (net_b, hist_b) = runs
         assert hist_a == hist_b
         np.testing.assert_array_equal(net_a.params, net_b.params)
+
+    def test_worker_count_invariance(self, under_blas_threads):
+        runs = under_blas_threads("""
+            import hashlib
+            import numpy as np
+            from heartnet.network import new_network
+            from heartnet.trainer import BATCH, PER_SAMPLE, TrainConfig, train
+            rng = np.random.default_rng(3)
+            x = rng.uniform(0, 1, (12, 13))
+            labels = rng.integers(0, 4, 12)
+            t = np.column_stack([labels // 2, labels % 2]).astype(float)
+            for mode in (PER_SAMPLE, BATCH):
+                net = new_network((13, 1024, 2), 6)
+                cfg = TrainConfig(max_epochs=5, target_sse=0.0, update_mode=mode)
+                hist = train(net, x, t, cfg)
+                print(hashlib.sha256(net.params.tobytes()).hexdigest())
+                print(repr(hist))
+        """)
+        first, *rest = runs.values()
+        assert len(first) == 4
+        assert all(lines == first for lines in rest)
 
     def test_weights_stay_views_of_params(self, tmp_path):
         def assert_views(net):
