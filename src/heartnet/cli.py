@@ -136,6 +136,29 @@ def _parse_splits(value) -> tuple[tuple[int, int], ...]:
     return splits
 
 
+_INTEGER_KEYS = ("max_epochs", "seed")
+_NUMBER_KEYS = (
+    "initial_lr", "momentum", "lr_increase", "lr_decrease", "max_sse_rise", "target_sse",
+)
+_PATH_KEYS = ("data", "out")
+
+
+def _check_types(payload: dict, path) -> None:
+    """Reject a scalar config value of the wrong JSON type.  ``true`` and
+    ``false`` are not numbers here, although Python counts bool as int."""
+    for key, value in payload.items():
+        if key in _INTEGER_KEYS:
+            ok, wanted = type(value) is int, "an integer"
+        elif key in _NUMBER_KEYS:
+            ok, wanted = type(value) in (int, float), "a number"
+        elif key in _PATH_KEYS:
+            ok, wanted = value is None or isinstance(value, str), "a path string or null"
+        else:
+            continue
+        if not ok:
+            raise ConfigError(f"{path}: {key} must be {wanted}, got {value!r}")
+
+
 def load_run_config(path) -> RunConfig:
     """Read a flat JSON config; unknown keys are rejected outright."""
     try:
@@ -148,10 +171,11 @@ def load_run_config(path) -> RunConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
 
+    _check_types(payload, path)
     kwargs = dict(payload)
-    if kwargs.get("imputation") is not None:
+    if "imputation" in kwargs:
         kwargs["imputation"] = _normalize_impute(kwargs["imputation"])
-    if kwargs.get("label_policy") is not None:
+    if "label_policy" in kwargs:
         kwargs["label_policy"] = _normalize_labels(kwargs["label_policy"])
     if kwargs.get("layer_sizes") is not None:
         kwargs["layer_sizes"] = _parse_layer_list(kwargs["layer_sizes"], "layer_sizes")
@@ -241,7 +265,7 @@ def cmd_scale(config: RunConfig) -> int:
     scaler = hdata.fit_scaler(dataset)
     save_scaler(scaler, out_dir / "scaler.json")
 
-    scaled = scaler.transform_rows(dataset.features)
+    scaled = scaler.transform(dataset.features).values
     with (out_dir / "scaled.csv").open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow([col.name for col in dataset.schema] + ["label"])
@@ -269,7 +293,7 @@ def cmd_train(config: RunConfig) -> int:
         raise ConfigError(f"last layer size {sizes[-1]} != 2 output neurons")
 
     scaler = hdata.fit_scaler(dataset)
-    inputs = scaler.transform_rows(dataset.features)
+    inputs = scaler.transform(dataset.features).values
     targets = hdata.encode_labels(dataset.labels)
 
     network = new_network(sizes, config.seed)
@@ -296,6 +320,7 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
     scaler = load_scaler(args.scaler)
     dataset = _load_and_impute(config)
 
+    scaler.check_columns(dataset.schema)
     scaled = scaler.transform(dataset.features)
     out_of_range = int(scaled.out_of_range.any(axis=1).sum())
     metrics = evaluate(network, scaled.values, dataset.labels)

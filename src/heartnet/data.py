@@ -346,6 +346,20 @@ class Scaler:
     def degenerate_columns(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns if c.degenerate)
 
+    def check_columns(self, schema) -> None:
+        """Raise unless the scaler's columns are ``schema``'s columns, by
+        name and in order; the message names the first one that differs."""
+        for position, (col, expected) in enumerate(zip(self.columns, schema), start=1):
+            if col.name != expected.name:
+                raise ValidationError(
+                    f"scaler column {position} is {col.name!r} but the data has "
+                    f"{expected.name!r} there"
+                )
+        if self.n_columns != len(schema):
+            raise ValidationError(
+                f"scaler has {self.n_columns} columns but the input has {len(schema)}"
+            )
+
     def transform(self, features) -> ScaledRow:
         """Scale one row of ``n_columns`` values or an (n, n_columns)
         matrix, flagging every cell outside the fitted range."""
@@ -360,10 +374,6 @@ class Scaler:
         values[..., self._degenerate] = 0.0
         out_of_range = (x < self._mins) | (x > self._maxs)
         return ScaledRow(values, out_of_range)
-
-    def transform_rows(self, features) -> np.ndarray:
-        """Scale a (n, n_columns) matrix; out-of-range flags are dropped."""
-        return self.transform(features).values
 
     def inverse_transform(self, scaled) -> np.ndarray:
         y = np.asarray(scaled, dtype=np.float64)

@@ -4,7 +4,6 @@ experiment grid over train/test split sizes."""
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,7 +11,7 @@ import numpy as np
 
 from . import data as hdata
 from .data import Dataset, ValidationError, encode_labels, fit_scaler
-from .network import Network, forward_rows, new_network
+from .network import Network, forward, new_network
 from .trainer import TrainConfig, train
 
 ARCH_SINGLE = "single"  # inputs wired straight to the output neurons
@@ -71,7 +70,9 @@ def evaluate(network: Network, features, labels) -> Metrics:
     if x.shape[0] != y.shape[0]:
         raise ValueError("features and labels disagree on sample count")
 
-    predicted = hdata.decode_outputs(forward_rows(network, x))
+    with np.errstate(over="ignore"):
+        outputs = forward(network, x)[-1]
+    predicted = hdata.decode_outputs(outputs)
     confusion = np.zeros((hdata.N_CLASSES, hdata.N_CLASSES), dtype=np.int64)
     np.add.at(confusion, (y, predicted), 1)
     n_test = int(y.shape[0])
@@ -155,9 +156,9 @@ def run_experiment(
         n_train, n_test = fit_split_sizes(len(dataset), requested_train, requested_test)
         train_set, test_set = hdata.split(dataset, n_train, n_test, config.seed)
         scaler = fit_scaler(train_set)
-        train_x = scaler.transform_rows(train_set.features)
+        train_x = scaler.transform(train_set.features).values
         train_t = encode_labels(train_set.labels)
-        test_x = scaler.transform_rows(test_set.features)
+        test_x = scaler.transform(test_set.features).values
 
         for architecture in architectures:
             sizes = architecture_layer_sizes(architecture, n_features, hidden_sizes)
@@ -206,20 +207,6 @@ def export_report(report: ExperimentReport, path) -> None:
                     cell.epochs_run,
                 ]
             )
-
-
-def export_confusions(report: ExperimentReport, path) -> None:
-    """Optional per-cell confusion matrices as JSON."""
-    payload = [
-        {
-            "n_train": cell.n_train,
-            "n_test": cell.n_test,
-            "architecture": cell.architecture,
-            "confusion": [list(row) for row in cell.confusion],
-        }
-        for cell in report.cells
-    ]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def format_report(report: ExperimentReport, binary: bool = False) -> str:

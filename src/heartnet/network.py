@@ -6,7 +6,7 @@ Every weight and bias lives in one flat float64 buffer,
 ``W`` row-major; ``weights[l]`` and ``biases[l]`` are views of it.
 Gradients and the trainer's momentum state use the same layout, so a
 training step or an epoch snapshot is one array operation.  Each layer
-of a forward or backward sweep is one matrix-vector product.  Gradients
+of a forward or backward sweep is one matrix product.  Gradients
 are taken of half the sum of squared errors, which gives the output
 delta its clean ``(o - t) * o * (1 - o)`` form; training history still
 reports raw SSE.
@@ -38,9 +38,9 @@ def sigmoid(x):
 
     Below x of about -709, e^-x overflows to inf and the result is exactly
     0.0.  numpy reports that overflow as a RuntimeWarning unless it runs
-    under ``np.errstate(over="ignore")``; :func:`forward_rows`,
-    :func:`predict` and :func:`heartnet.trainer.train` enter that state
-    once per call.
+    under ``np.errstate(over="ignore")``; :func:`predict`,
+    :func:`heartnet.evaluation.evaluate` and :func:`heartnet.trainer.train`
+    enter that state once per call.
     """
     return 1.0 / (1.0 + np.exp(-x))
 
@@ -160,32 +160,20 @@ def new_network(layer_sizes, seed: int, max_layers: int = DEFAULT_MAX_LAYERS) ->
 
 
 def forward(network: Network, features) -> list[np.ndarray]:
-    """Run one input through every layer; returns the activation vector of
-    each layer, index 0 being the input itself."""
+    """Run one input row of shape (inputs,), or every row of an
+    (n, inputs) matrix, through every layer; returns each layer's
+    activations, index 0 being the input itself."""
     x = np.ascontiguousarray(features, dtype=np.float64)
-    if x.shape != (network.layer_sizes[0],):
+    n_inputs = network.layer_sizes[0]
+    if x.ndim not in (1, 2) or x.shape[-1] != n_inputs:
         raise ValueError(
-            f"input must have shape ({network.layer_sizes[0]},), got {x.shape}"
+            f"input must have shape ({n_inputs},) or (n, {n_inputs}), got {x.shape}"
         )
     activations = [x]
     for layer_weights, layer_biases in zip(network.weights, network.biases):
-        x = sigmoid(layer_weights @ x + layer_biases)
+        x = sigmoid(x @ layer_weights.T + layer_biases)
         activations.append(x)
     return activations
-
-
-def forward_rows(network: Network, rows) -> np.ndarray:
-    """Output layer for every row of an (n, inputs) matrix: one
-    matrix-matrix product per layer over all rows at once."""
-    a = np.asarray(rows, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != network.layer_sizes[0]:
-        raise ValueError(
-            f"inputs must have shape (n, {network.layer_sizes[0]}), got {a.shape}"
-        )
-    with np.errstate(over="ignore"):
-        for layer_weights, layer_biases in zip(network.weights, network.biases):
-            a = sigmoid(a @ layer_weights.T + layer_biases)
-    return a
 
 
 def sse(output, target) -> float:
@@ -267,11 +255,19 @@ def network_from_dict(payload: dict, source: str = "model") -> Network:
         seed = payload.get("seed")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{source}: malformed model payload ({exc})") from None
+    if activation != LOGISTIC_SIGMOID:
+        raise FormatError(
+            f"{source}: activation {activation!r} is not supported "
+            f"(expected {LOGISTIC_SIGMOID!r})"
+        )
     if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
         raise FormatError(f"{source}: layer count does not match layer_sizes")
     for idx, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         if weights[idx].shape != (n_out, n_in) or biases[idx].shape != (n_out,):
             raise FormatError(f"{source}: weight shapes do not match layer_sizes")
+        for kind, values in (("weights", weights[idx]), ("biases", biases[idx])):
+            if not np.isfinite(values).all():
+                raise FormatError(f"{source}: non-finite {kind} in layer {idx + 1}")
     return Network(
         layer_sizes=sizes,
         weights=weights,

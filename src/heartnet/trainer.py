@@ -20,9 +20,6 @@ import numpy as np
 from .data import ValidationError
 from .network import Gradients, Network, backward, forward, pack_layers, sse
 
-PER_SAMPLE = "per_sample"
-BATCH = "batch"
-
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite SSE."""
@@ -44,25 +41,23 @@ class TrainConfig:
     max_epochs: int = 5000
     target_sse: float = 0.01
     seed: int = 0
-    update_mode: str = PER_SAMPLE
 
     def __post_init__(self):
-        if self.initial_lr <= 0:
+        # each bound is written so that NaN fails it
+        if not self.initial_lr > 0:
             raise ValueError("initial_lr must be > 0")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.lr_increase <= 1:
+        if not self.lr_increase > 1:
             raise ValueError("lr_increase must be > 1")
         if not 0 < self.lr_decrease < 1:
             raise ValueError("lr_decrease must lie in (0, 1)")
-        if self.max_sse_rise < 0:
+        if not self.max_sse_rise >= 0:
             raise ValueError("max_sse_rise must be >= 0")
-        if self.max_epochs < 1:
+        if not self.max_epochs >= 1:
             raise ValueError("max_epochs must be >= 1")
-        if self.target_sse < 0:
+        if not self.target_sse >= 0:
             raise ValueError("target_sse must be >= 0")
-        if self.update_mode not in (PER_SAMPLE, BATCH):
-            raise ValueError(f"unknown update_mode {self.update_mode!r}")
 
 
 @dataclass
@@ -170,14 +165,13 @@ def train_epoch(
     velocity: Velocity,
     lr: float,
     config: TrainConfig,
-    order: np.ndarray | None = None,
+    order: np.ndarray,
 ) -> float:
     """One presentation of the training set; returns the epoch SSE.
 
-    In per_sample mode the weights move after every sample (presented in
-    ``order``, by default a shuffle seeded from the config); each sample's
-    SSE uses the weights in effect when it was presented.  In batch mode
-    gradients are summed over all samples in index order and applied once.
+    The samples are presented in ``order`` and the weights move after
+    every one; each sample's SSE uses the weights in effect when it was
+    presented.
     """
     n = inputs.shape[0]
     if n == 0:
@@ -186,27 +180,11 @@ def train_epoch(
         raise ValueError("inputs and targets disagree on sample count")
 
     total = 0.0
-    if config.update_mode == PER_SAMPLE:
-        if order is None:
-            order = np.random.default_rng(config.seed).permutation(n)
-        for idx in order:
-            activations = forward(network, inputs[idx])
-            total += sse(activations[-1], targets[idx])
-            grads = backward(network, activations, targets[idx])
-            apply_update(network, grads, velocity, lr, config.momentum)
-        return total
-
-    summed: Gradients | None = None
-    for idx in range(n):  # fixed index order keeps the reduction deterministic
+    for idx in order:
         activations = forward(network, inputs[idx])
         total += sse(activations[-1], targets[idx])
         grads = backward(network, activations, targets[idx])
-        if summed is None:
-            summed = grads
-        else:
-            summed.flat += grads.flat
-    assert summed is not None
-    apply_update(network, summed, velocity, lr, config.momentum)
+        apply_update(network, grads, velocity, lr, config.momentum)
     return total
 
 
@@ -223,8 +201,9 @@ def train(
     ``accepted=False``.  The first epoch has no baseline and is always
     accepted.  Fully reproducible from (config, seed): the same inputs
     give bit-identical weights and history.  Runs under
-    ``np.errstate(over="ignore")``, so a saturated sigmoid gives exactly 0.0
-    without a RuntimeWarning.
+    ``np.errstate(over="ignore", invalid="ignore")``: a saturated sigmoid
+    gives exactly 0.0 without a RuntimeWarning, and a NaN from a
+    non-finite weight surfaces as :class:`DivergenceError` alone.
     """
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     t = np.ascontiguousarray(targets, dtype=np.float64)
@@ -245,9 +224,9 @@ def train(
     prev_sse = math.inf
     records: list[EpochRecord] = []
 
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.max_epochs + 1):
-            order = rng.permutation(x.shape[0]) if config.update_mode == PER_SAMPLE else None
+            order = rng.permutation(x.shape[0])
             saved_params = network.params.copy()
             saved_velocity = velocity.flat.copy()
 

@@ -29,8 +29,6 @@ from heartnet.evaluation import (
 )
 from heartnet.network import backward, forward, new_network, sse
 from heartnet.trainer import (
-    BATCH,
-    PER_SAMPLE,
     TrainConfig,
     adapt_learning_rate,
     train,
@@ -116,24 +114,22 @@ def test_gradient_oracle():
 
 def test_same_seed_determinism():
     """A 50-epoch run of a 13-96-2 net, repeated with the same seed, gives
-    bit-identical weights and history in both update modes."""
+    bit-identical weights and history."""
     started = time.perf_counter()
     ds = heart_features().subset(np.arange(60))
     scaler = fit_scaler(ds)
-    x = scaler.transform_rows(ds.features)
+    x = scaler.transform(ds.features).values
     t = encode_labels(ds.labels)
 
-    identical = True
-    for mode in (PER_SAMPLE, BATCH):
-        cfg = TrainConfig(max_epochs=50, target_sse=0.0, seed=3, update_mode=mode)
-        runs = []
-        for _ in range(2):
-            net = new_network((13, 96, 2), 3)
-            runs.append((net, train(net, x, t, cfg)))
-        (net_a, hist_a), (net_b, hist_b) = runs
-        identical &= all(np.array_equal(a, b) for a, b in zip(net_a.weights, net_b.weights))
-        identical &= all(np.array_equal(a, b) for a, b in zip(net_a.biases, net_b.biases))
-        identical &= hist_a == hist_b and hist_a.epochs_run == 50
+    cfg = TrainConfig(max_epochs=50, target_sse=0.0, seed=3)
+    runs = []
+    for _ in range(2):
+        net = new_network((13, 96, 2), 3)
+        runs.append((net, train(net, x, t, cfg)))
+    (net_a, hist_a), (net_b, hist_b) = runs
+    identical = all(np.array_equal(a, b) for a, b in zip(net_a.weights, net_b.weights))
+    identical &= all(np.array_equal(a, b) for a, b in zip(net_a.biases, net_b.biases))
+    identical &= hist_a == hist_b and hist_a.epochs_run == 50
 
     elapsed = time.perf_counter() - started
     report(
@@ -141,15 +137,14 @@ def test_same_seed_determinism():
         identical,
         elapsed,
         30.0,
-        "bit-identical weights and history for two same-seed runs over 50 epochs, "
-        "per-sample and batch",
+        "bit-identical weights and history for two same-seed runs over 50 epochs",
     )
 
 
 def test_parallel_determinism(under_blas_threads):
     """Training runs in parallel where BLAS splits the batched products over
-    threads. forward, backward and a 50-epoch run of a 13-96-2 net, per-sample
-    and batch, are bit-identical for 1 and 2 BLAS threads."""
+    threads. forward, backward and a 50-epoch run of a 13-96-2 net are
+    bit-identical for 1 and 2 BLAS threads."""
     started = time.perf_counter()
     runs = under_blas_threads("""
         import hashlib
@@ -157,13 +152,13 @@ def test_parallel_determinism(under_blas_threads):
         from heartnet.data import bundled_fixture_path, encode_labels, fit_scaler
         from heartnet.data import impute, load_dataset
         from heartnet.network import backward, forward, new_network
-        from heartnet.trainer import BATCH, PER_SAMPLE, TrainConfig, train
+        from heartnet.trainer import TrainConfig, train
 
         def digest(array):
             print(hashlib.sha256(array.tobytes()).hexdigest())
 
         ds = impute(load_dataset(bundled_fixture_path())).subset(np.arange(60))
-        x = fit_scaler(ds).transform_rows(ds.features)
+        x = fit_scaler(ds).transform(ds.features).values
         t = encode_labels(ds.labels)
 
         # a layer wide enough that a threaded BLAS can split its products
@@ -172,15 +167,13 @@ def test_parallel_determinism(under_blas_threads):
         digest(acts[-1])
         digest(backward(probe, acts, t[0]).flat)
 
-        for mode in (PER_SAMPLE, BATCH):
-            net = new_network((13, 96, 2), 3)
-            cfg = TrainConfig(max_epochs=50, target_sse=0.0, seed=3, update_mode=mode)
-            hist = train(net, x, t, cfg)
-            digest(net.params)
-            print(hist.epochs_run, repr(hist))
+        net = new_network((13, 96, 2), 3)
+        hist = train(net, x, t, TrainConfig(max_epochs=50, target_sse=0.0, seed=3))
+        digest(net.params)
+        print(hist.epochs_run, repr(hist))
     """)
     first, *rest = runs.values()
-    identical = len(first) == 6 and all(lines == first for lines in rest)
+    identical = len(first) == 4 and all(lines == first for lines in rest)
     elapsed = time.perf_counter() - started
     report(
         "parallel-determinism",
@@ -188,7 +181,7 @@ def test_parallel_determinism(under_blas_threads):
         elapsed,
         30.0,
         f"bit-identical passes, weights and history for BLAS threads {sorted(runs)} "
-        "over 50 epochs, per-sample and batch",
+        "over 50 epochs",
     )
 
 
@@ -198,7 +191,7 @@ def test_scaler_properties():
     started = time.perf_counter()
     ds = heart_features()
     scaler = fit_scaler(ds)
-    scaled = scaler.transform_rows(ds.features)
+    scaled = scaler.transform(ds.features).values
     in_unit = bool((scaled >= 0.0).all() and (scaled <= 1.0).all())
 
     worst = 0.0
@@ -343,7 +336,7 @@ def test_history_export(tmp_path):
     started = time.perf_counter()
     ds = heart_features().subset(np.arange(80))
     scaler = fit_scaler(ds)
-    x = scaler.transform_rows(ds.features)
+    x = scaler.transform(ds.features).values
     t = encode_labels(ds.labels)
     net = new_network((13, 8, 2), 5)
     history = train(net, x, t, TrainConfig(max_epochs=30, target_sse=0.0, seed=5))

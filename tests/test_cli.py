@@ -108,6 +108,33 @@ class TestUsageErrors:
         code = main(["train", "--config", path, "--data", FIXTURE, "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
 
+    def test_nan_setting_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"initial_lr": float("nan")})  # written as NaN
+        code = main(["train", "--config", path, "--data", FIXTURE, "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "initial_lr must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"initial_lr": "0.1"}, "initial_lr"),
+            ({"max_epochs": "3"}, "max_epochs"),
+            ({"max_epochs": 2.5}, "max_epochs"),
+            ({"max_epochs": True}, "max_epochs"),
+            ({"seed": "x"}, "seed"),
+            ({"target_sse": None}, "target_sse"),
+            ({"momentum": False}, "momentum"),
+            ({"data": 5}, "data"),
+            ({"imputation": None}, "imputation"),
+        ],
+    )
+    def test_wrong_type_is_config_error(self, tmp_path, capsys, payload, key):
+        path = write_config(tmp_path, payload)
+        code = main(["train", "--config", path, "--data", FIXTURE, "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+
 
 class TestScale:
     def test_writes_scaler_and_scaled_table(self, tmp_path, capsys):
@@ -225,7 +252,30 @@ class TestEvaluate:
         code = main(["evaluate", "--model", str(bad),
                      "--scaler", str(trained / "scaler.json"), "--data", FIXTURE])
         assert code == EXIT_DATA
-        assert "non-finite network output" in capsys.readouterr().err
+        assert "non-finite biases in layer 2" in capsys.readouterr().err
+
+    def test_unknown_activation_is_data_error(self, trained, tmp_path, capsys):
+        model = json.loads((trained / "model.json").read_text(encoding="utf-8"))
+        model["activation"] = "relu"
+        bad = tmp_path / "relu_model.json"
+        bad.write_text(json.dumps(model), encoding="utf-8")
+        code = main(["evaluate", "--model", str(bad),
+                     "--scaler", str(trained / "scaler.json"), "--data", FIXTURE])
+        assert code == EXIT_DATA
+        assert "activation 'relu' is not supported" in capsys.readouterr().err
+
+    def test_scaler_column_order_mismatch_is_data_error(self, trained, tmp_path, capsys):
+        scaler = json.loads((trained / "scaler.json").read_text(encoding="utf-8"))
+        names = list(scaler)
+        names[0], names[3] = names[3], names[0]  # Age <-> Trestbps
+        swapped = tmp_path / "swapped.json"
+        swapped.write_text(json.dumps({name: scaler[name] for name in names}), encoding="utf-8")
+        code = main(["evaluate", "--model", str(trained / "model.json"),
+                     "--scaler", str(swapped), "--data", FIXTURE])
+        assert code == EXIT_DATA
+        assert "scaler column 1 is 'Trestbps' but the data has 'Age' there" in (
+            capsys.readouterr().err
+        )
 
     def test_corrupt_model_is_data_error(self, trained, tmp_path, capsys):
         bad = tmp_path / "bad.json"

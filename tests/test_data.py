@@ -193,7 +193,7 @@ class TestScaler:
 
     def test_unit_interval_on_fit_data(self):
         ds, scaler = self.fixture_scaler()
-        scaled = scaler.transform_rows(ds.features)
+        scaled = scaler.transform(ds.features).values
         assert scaled.min() >= 0.0 and scaled.max() <= 1.0
 
     def test_round_trip(self):
@@ -254,13 +254,12 @@ class TestScaler:
             np.testing.assert_array_equal(scaled.values[i], single.values)
             np.testing.assert_array_equal(scaled.out_of_range[i], single.out_of_range)
         assert scaled.out_of_range.any()
-        np.testing.assert_array_equal(scaler.transform_rows(shifted), scaled.values)
 
     def test_column_count_checked(self):
         ds, _ = self.fixture_scaler()
         short = Scaler(tuple(hdata.ColumnScale(f"c{j}", 0.0, 1.0) for j in range(12)))
         with pytest.raises(ValidationError, match="scaler has 12 columns but the input has 13"):
-            short.transform_rows(ds.features)
+            short.transform(ds.features)
         with pytest.raises(ValidationError, match="12 columns but the input has 13"):
             short.transform(ds.features[0])
 

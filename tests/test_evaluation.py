@@ -62,7 +62,7 @@ class TestEvaluate:
         ds = small_dataset()
         net = new_network((13, 8, 2), 2)
         scaler = fit_scaler(ds)
-        x = scaler.transform_rows(ds.features)
+        x = scaler.transform(ds.features).values
         metrics = evaluate(net, x, ds.labels)
 
         confusion = np.zeros((4, 4), dtype=int)
@@ -78,7 +78,7 @@ class TestEvaluate:
 
     def test_matches_per_row_predict_on_fixture(self):
         ds = impute(load_dataset(bundled_fixture_path()))
-        x = fit_scaler(ds).transform_rows(ds.features)
+        x = fit_scaler(ds).transform(ds.features).values
         net = new_network((13, 8, 2), 7)
         train(net, x, encode_labels(ds.labels), TrainConfig(max_epochs=5, target_sse=0.0))
         metrics = evaluate(net, x, ds.labels)

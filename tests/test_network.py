@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from heartnet.data import FormatError
+from heartnet.evaluation import evaluate
 from heartnet.network import (
     Gradients,
     Network,
     backward,
     forward,
-    forward_rows,
     load_network,
     network_from_dict,
     network_to_dict,
@@ -100,16 +100,19 @@ class TestSigmoid:
 
     def test_saturated_network_warns_nowhere(self):
         # |z| ~ 1000 in every layer: outputs pin to exactly 0.0 or 1.0 and
-        # no RuntimeWarning leaves predict or forward_rows
+        # no RuntimeWarning leaves predict or evaluate
         net = new_network((3, 2), 0)
         net.weights[0][:] = 0.0
         net.biases[0][:] = [-1000.0, 1000.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            outputs = forward_rows(net, np.zeros((4, 3)))
+            with np.errstate(over="ignore"):
+                outputs = forward(net, np.zeros((4, 3)))[-1]
             label = predict(net, np.zeros(3))
+            metrics = evaluate(net, np.zeros((4, 3)), np.zeros(4, dtype=int))
         np.testing.assert_array_equal(outputs, np.tile([0.0, 1.0], (4, 1)))
         assert label == 1
+        assert metrics.confusion[0, 1] == 4
 
 
 class TestNewNetwork:
@@ -183,19 +186,19 @@ class TestForward:
         net = new_network((13, 8, 2), 4)
         rows = np.random.default_rng(4).uniform(0, 1, (30, 13))
         expected = np.array([forward(net, row)[-1] for row in rows])
-        np.testing.assert_allclose(forward_rows(net, rows), expected, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(forward(net, rows)[-1], expected, rtol=1e-14, atol=0)
         with pytest.raises(ValueError, match="shape"):
-            forward_rows(net, rows[:, :12])
+            forward(net, rows[:, :12])
 
     def test_worker_count_invariance(self, under_blas_threads):
         # a layer wide enough that a threaded BLAS can split its products
         runs = under_blas_threads("""
             import hashlib
             import numpy as np
-            from heartnet.network import forward, forward_rows, new_network
+            from heartnet.network import forward, new_network
             net = new_network((13, 1024, 2), 7)
             rows = np.random.default_rng(0).uniform(0, 1, (303, 13))
-            for out in (*forward(net, rows[0]), forward_rows(net, rows)):
+            for out in (*forward(net, rows[0]), forward(net, rows)[-1]):
                 print(hashlib.sha256(out.tobytes()).hexdigest())
         """)
         first, *rest = runs.values()
@@ -344,6 +347,22 @@ class TestSerialization:
         path.write_text("{broken", encoding="utf-8")
         with pytest.raises(FormatError):
             load_network(path)
+
+    def test_unknown_activation_rejected(self):
+        payload = network_to_dict(new_network((3, 2), 0))
+        payload["activation"] = "relu"
+        with pytest.raises(FormatError, match="activation 'relu' is not supported"):
+            network_from_dict(payload)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("kind", ["weights", "biases"])
+    def test_non_finite_parameter_rejected(self, kind, bad):
+        payload = network_to_dict(new_network((3, 4, 2), 0))
+        layer = np.array(payload[kind][1])
+        layer.flat[0] = bad
+        payload[kind][1] = layer.tolist()
+        with pytest.raises(FormatError, match=f"non-finite {kind} in layer 2"):
+            network_from_dict(payload)
 
     def test_shape_mismatch_rejected(self):
         net = new_network((3, 2), 0)

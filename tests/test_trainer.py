@@ -9,7 +9,6 @@ import pytest
 from heartnet.data import ValidationError
 from heartnet.network import load_network, new_network, save_network
 from heartnet.trainer import (
-    BATCH,
     DivergenceError,
     EpochRecord,
     TrainConfig,
@@ -17,18 +16,10 @@ from heartnet.trainer import (
     Velocity,
     adapt_learning_rate,
     apply_update,
-    backward,
     train,
     train_epoch,
     write_history_csv,
 )
-from heartnet.network import forward
-
-
-def make_xor():
-    x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    t = np.array([[0.0], [1.0], [1.0], [0.0]])
-    return x, t
 
 
 class TestTrainConfig:
@@ -55,7 +46,12 @@ class TestTrainConfig:
             {"max_epochs": 0},
             {"target_sse": -1.0},
             {"initial_lr": -0.1},
-            {"update_mode": "online"},
+            {"initial_lr": math.nan},
+            {"momentum": math.nan},
+            {"lr_increase": math.nan},
+            {"lr_decrease": math.nan},
+            {"max_sse_rise": math.nan},
+            {"target_sse": math.nan},
         ],
     )
     def test_bounds(self, kwargs):
@@ -222,56 +218,13 @@ class TestTrainEpoch:
         np.testing.assert_allclose(net.biases[0], expected_b, rtol=1e-12)
         assert got_sse == pytest.approx(expected_sse, rel=1e-12)
 
-    def test_default_order_is_seeded_shuffle(self):
-        x, t = make_xor()
-        cfg = TrainConfig(seed=9)
-        a = new_network((2, 4, 1), 1)
-        b = new_network((2, 4, 1), 1)
-        expected_order = np.random.default_rng(9).permutation(4)
-        sse_a = train_epoch(a, x, t, Velocity.zeros(a), 0.1, cfg)
-        sse_b = train_epoch(b, x, t, Velocity.zeros(b), 0.1, cfg, order=expected_order)
-        assert sse_a == sse_b
-        for wa, wb in zip(a.weights, b.weights):
-            np.testing.assert_array_equal(wa, wb)
-
-    def test_batch_mode_sums_gradients_once(self):
-        x, t = make_xor()
-        net = new_network((2, 4, 1), 5)
-        reference = net.copy()
-
-        cfg = TrainConfig(update_mode=BATCH)
-        velocity = Velocity.zeros(net)
-        got_sse = train_epoch(net, x, t, velocity, 0.2, cfg)
-
-        # manual route: accumulate gradients at the initial weights
-        summed = None
-        expected_sse = 0.0
-        from heartnet.network import sse as sse_fn
-
-        for i in range(4):
-            acts = forward(reference, x[i])
-            expected_sse += sse_fn(acts[-1], t[i])
-            g = backward(reference, acts, t[i])
-            if summed is None:
-                summed = g
-            else:
-                for acc, gw in zip(summed.weights, g.weights):
-                    acc += gw
-                for acc, gb in zip(summed.biases, g.biases):
-                    acc += gb
-        manual_velocity = Velocity.zeros(reference)
-        apply_update(reference, summed, manual_velocity, 0.2, cfg.momentum)
-
-        assert got_sse == expected_sse
-        for a, b in zip(net.weights, reference.weights):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(velocity.weights, manual_velocity.weights):
-            np.testing.assert_array_equal(a, b)
-
     def test_empty_set_rejected(self):
         net = new_network((2, 1), 0)
         with pytest.raises(ValidationError, match="empty"):
-            train_epoch(net, np.zeros((0, 2)), np.zeros((0, 1)), Velocity.zeros(net), 0.1, TrainConfig())
+            train_epoch(
+                net, np.zeros((0, 2)), np.zeros((0, 1)), Velocity.zeros(net), 0.1,
+                TrainConfig(), order=np.arange(0),
+            )
 
 
 def replay_train(network, x, t, config):
@@ -398,20 +351,18 @@ class TestTrain:
             import hashlib
             import numpy as np
             from heartnet.network import new_network
-            from heartnet.trainer import BATCH, PER_SAMPLE, TrainConfig, train
+            from heartnet.trainer import TrainConfig, train
             rng = np.random.default_rng(3)
             x = rng.uniform(0, 1, (12, 13))
             labels = rng.integers(0, 4, 12)
             t = np.column_stack([labels // 2, labels % 2]).astype(float)
-            for mode in (PER_SAMPLE, BATCH):
-                net = new_network((13, 1024, 2), 6)
-                cfg = TrainConfig(max_epochs=5, target_sse=0.0, update_mode=mode)
-                hist = train(net, x, t, cfg)
-                print(hashlib.sha256(net.params.tobytes()).hexdigest())
-                print(repr(hist))
+            net = new_network((13, 1024, 2), 6)
+            hist = train(net, x, t, TrainConfig(max_epochs=5, target_sse=0.0))
+            print(hashlib.sha256(net.params.tobytes()).hexdigest())
+            print(repr(hist))
         """)
         first, *rest = runs.values()
-        assert len(first) == 4
+        assert len(first) == 2
         assert all(lines == first for lines in rest)
 
     def test_weights_stay_views_of_params(self, tmp_path):
