@@ -114,13 +114,25 @@ class RunConfig:
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
+def _json_ints(value) -> tuple[int, ...]:
+    """The entries of a JSON list, each of which must be an integer, by
+    the rule :func:`_check_types` applies to ``max_epochs``: ``8.7`` and
+    ``8.0`` are refused, not truncated, and ``true`` is not 1."""
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise TypeError(value)
+    return tuple(value)
+
+
 def _parse_layer_list(value, what: str) -> tuple[int, ...]:
-    if isinstance(value, str):
-        value = value.split(",")
     try:
-        sizes = tuple(int(v) for v in value)
+        if isinstance(value, str):
+            sizes = tuple(int(v) for v in value.split(","))
+        else:
+            sizes = _json_ints(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a comma-separated list of integers") from None
+        raise ConfigError(
+            f"{what} must be a comma-separated list of integers, got {value!r}"
+        ) from None
     if any(s < 1 for s in sizes):
         raise ConfigError(f"{what} entries must be >= 1")
     return sizes
@@ -128,9 +140,13 @@ def _parse_layer_list(value, what: str) -> tuple[int, ...]:
 
 def _parse_splits(value) -> tuple[tuple[int, int], ...]:
     try:
-        splits = tuple((int(a), int(b)) for a, b in value)
+        splits = tuple(_json_ints(pair) for pair in value)
+        if any(len(pair) != 2 for pair in splits):
+            raise ValueError(value)
     except (TypeError, ValueError):
-        raise ConfigError("splits must be a list of [n_train, n_test] pairs") from None
+        raise ConfigError(
+            f"splits must be a list of [n_train, n_test] integer pairs, got {value!r}"
+        ) from None
     if any(a < 1 or b < 1 for a, b in splits):
         raise ConfigError("split sizes must be >= 1")
     return splits
@@ -282,8 +298,8 @@ def cmd_scale(config: RunConfig) -> int:
 def cmd_train(config: RunConfig) -> int:
     """Full pipeline: load, impute, scale, train, persist artifacts."""
     _require(config, "data", "out")
+    train_config = config.train_config()
     dataset = _load_and_impute(config)
-    out_dir = _prepare_out_dir(config)
     n_features = len(dataset.schema)
 
     sizes = config.layer_sizes or (n_features, *config.hidden_sizes, 2)
@@ -291,13 +307,13 @@ def cmd_train(config: RunConfig) -> int:
         raise ConfigError(f"first layer size {sizes[0]} != {n_features} input features")
     if sizes[-1] != 2:
         raise ConfigError(f"last layer size {sizes[-1]} != 2 output neurons")
+    network = new_network(sizes, config.seed)
+    out_dir = _prepare_out_dir(config)
 
     scaler = hdata.fit_scaler(dataset)
     inputs = scaler.transform(dataset.features).values
     targets = hdata.encode_labels(dataset.labels)
-
-    network = new_network(sizes, config.seed)
-    history = train(network, inputs, targets, config.train_config())
+    history = train(network, inputs, targets, train_config)
 
     save_network(network, out_dir / "model.json")
     save_scaler(scaler, out_dir / "scaler.json")
@@ -355,6 +371,7 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_experiment(config: RunConfig, args: argparse.Namespace) -> int:
     """Run the split-grid comparison of single vs multi layer networks."""
     _require(config, "data", "out")
+    train_config = config.train_config()
     dataset = _load_and_impute(config)
     out_dir = _prepare_out_dir(config)
 
@@ -365,7 +382,7 @@ def cmd_experiment(config: RunConfig, args: argparse.Namespace) -> int:
     report = run_experiment(
         dataset,
         splits=config.splits,
-        config=config.train_config(),
+        config=train_config,
         hidden_sizes=hidden,
         imputation_policy=config.imputation,
     )

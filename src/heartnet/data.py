@@ -8,6 +8,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -146,6 +147,10 @@ def _parse_cell(token: str, line_no: int, column: str) -> tuple[float, bool]:
         ) from None
 
 
+def _non_finite_error(line_no: int, token: str, column: str) -> ParseError:
+    return ParseError(f"line {line_no}: non-finite value {token!r} in column {column}")
+
+
 def _looks_like_header(tokens: list[str]) -> bool:
     # Header iff nothing in the row parses as data; a row with even one
     # numeric or "?" cell is data (possibly corrupt, reported as such).
@@ -179,9 +184,11 @@ def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
     mask_rows: list[list[bool]] = []
     labels: list[int] = []
     warnings: list[str] = []
+    line_numbers: list[int] = []  # the file line each row came from
     first_data_row_seen = False
 
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for line_no, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
         if not line:
             continue
@@ -205,7 +212,9 @@ def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
         if label_token == MISSING_TOKEN:
             raise ParseError(f"line {line_no}: missing class label")
         raw_label, _ = _parse_cell(label_token, line_no, "class")
-        if raw_label != int(raw_label):
+        if not raw_label.is_integer():
+            if not math.isfinite(raw_label):
+                raise _non_finite_error(line_no, label_token, "class")
             raise ValidationError(
                 f"line {line_no}: non-integer class label {label_token!r}"
             )
@@ -224,14 +233,27 @@ def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
         feature_rows.append(values)
         mask_rows.append(missing)
         labels.append(label)
+        line_numbers.append(line_no)
 
     if not feature_rows:
         raise ParseError(f"{path}: no data rows")
 
+    features = np.array(feature_rows, dtype=np.float64)
+    missing_mask = np.array(mask_rows, dtype=bool)
+    # float() also reads nan, inf and -inf, which are neither numbers the
+    # scaler can use nor the "?" that marks a cell missing.  One test over
+    # the whole table finds them without a per-cell check in the loop.
+    bad = ~(np.isfinite(features) | missing_mask)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        line_no = line_numbers[row]
+        token = lines[line_no - 1].split(",")[col].strip()
+        raise _non_finite_error(line_no, token, HEART_SCHEMA[col].name)
+
     return Dataset(
-        features=np.array(feature_rows, dtype=np.float64),
+        features=features,
         labels=np.array(labels, dtype=np.int64),
-        missing_mask=np.array(mask_rows, dtype=bool),
+        missing_mask=missing_mask,
         warnings=tuple(warnings),
     )
 

@@ -6,10 +6,18 @@ Every weight and bias lives in one flat float64 buffer,
 ``W`` row-major; ``weights[l]`` and ``biases[l]`` are views of it.
 Gradients and the trainer's momentum state use the same layout, so a
 training step or an epoch snapshot is one array operation.  Each layer
-of a forward or backward sweep is one matrix product.  Gradients
-are taken of half the sum of squared errors, which gives the output
-delta its clean ``(o - t) * o * (1 - o)`` form; training history still
-reports raw SSE.
+of a forward or backward sweep is one matrix product.
+
+Gradients are taken of half the sum of squared errors, which gives the
+output delta its clean ``(o - t) * o * (1 - o)`` form; training history
+still reports raw SSE.
+
+:func:`forward`, :func:`backward` and :func:`sse` check their arguments
+and then call an unchecked core (``_sweep``, ``_backprop``, ``_sse``)
+that holds the math.  :func:`heartnet.trainer.train_epoch` checks its
+inputs once per epoch and calls the cores directly for every sample, so
+the per-sample path runs no shape check and allocates no gradient
+buffer.
 """
 
 from __future__ import annotations
@@ -159,6 +167,16 @@ def new_network(layer_sizes, seed: int, max_layers: int = DEFAULT_MAX_LAYERS) ->
     return Network(layer_sizes=sizes, weights=weights, biases=biases, seed=seed)
 
 
+def _sweep(network: Network, x: np.ndarray) -> list[np.ndarray]:
+    """Unchecked core of :func:`forward`: ``x`` is already a contiguous
+    float64 row or matrix of the network's input width."""
+    activations = [x]
+    for layer_weights, layer_biases in zip(network.weights, network.biases):
+        x = sigmoid(x @ layer_weights.T + layer_biases)
+        activations.append(x)
+    return activations
+
+
 def forward(network: Network, features) -> list[np.ndarray]:
     """Run one input row of shape (inputs,), or every row of an
     (n, inputs) matrix, through every layer; returns each layer's
@@ -169,11 +187,13 @@ def forward(network: Network, features) -> list[np.ndarray]:
         raise ValueError(
             f"input must have shape ({n_inputs},) or (n, {n_inputs}), got {x.shape}"
         )
-    activations = [x]
-    for layer_weights, layer_biases in zip(network.weights, network.biases):
-        x = sigmoid(x @ layer_weights.T + layer_biases)
-        activations.append(x)
-    return activations
+    return _sweep(network, x)
+
+
+def _sse(output: np.ndarray, target: np.ndarray) -> float:
+    """Unchecked core of :func:`sse` on two float64 vectors of one shape."""
+    err = target - output
+    return float(np.dot(err, err))
 
 
 def sse(output, target) -> float:
@@ -182,8 +202,31 @@ def sse(output, target) -> float:
     tgt = np.asarray(target, dtype=np.float64)
     if out.shape != tgt.shape:
         raise ValueError(f"shape mismatch: output {out.shape} vs target {tgt.shape}")
-    err = tgt - out
-    return float(np.dot(err, err))
+    return _sse(out, tgt)
+
+
+def _backprop(
+    weights: list[np.ndarray],
+    activations: list[np.ndarray],
+    target: np.ndarray,
+    weight_grads: list[np.ndarray],
+    bias_grads: list[np.ndarray],
+) -> list[np.ndarray]:
+    """Unchecked core of :func:`backward`: writes the gradients of one
+    sample into ``weight_grads``/``bias_grads`` (views shaped like
+    ``weights`` and the biases) and returns the per-layer deltas."""
+    n_layers = len(weights)
+    deltas: list[np.ndarray] = [np.empty(0)] * n_layers
+    out = activations[-1]
+    delta = (out - target) * out * (1.0 - out)
+    for layer in range(n_layers - 1, -1, -1):
+        deltas[layer] = delta
+        below = activations[layer]
+        np.multiply(delta[:, None], below, out=weight_grads[layer])
+        bias_grads[layer][:] = delta
+        if layer:
+            delta = (weights[layer].T @ delta) * below * (1.0 - below)
+    return deltas
 
 
 def backward(network: Network, activations: list[np.ndarray], target) -> Gradients:
@@ -207,16 +250,7 @@ def backward(network: Network, activations: list[np.ndarray], target) -> Gradien
 
     flat = np.empty_like(network.params)
     weight_grads, bias_grads = _views(flat, network.weights, network.biases)
-    deltas: list[np.ndarray] = [np.empty(0)] * network.n_layers
-    out = activations[-1]
-    delta = (out - tgt) * out * (1.0 - out)
-    for layer in range(network.n_layers - 1, -1, -1):
-        deltas[layer] = delta
-        below = activations[layer]
-        np.multiply(delta[:, None], below, out=weight_grads[layer])
-        bias_grads[layer][:] = delta
-        if layer:
-            delta = (network.weights[layer].T @ delta) * below * (1.0 - below)
+    deltas = _backprop(network.weights, activations, tgt, weight_grads, bias_grads)
     return Gradients(weights=weight_grads, biases=bias_grads, deltas=deltas, flat=flat)
 
 

@@ -6,6 +6,14 @@ every epoch the learning rate adapts against the last accepted epoch's
 SSE: improvement raises it, a rise beyond the tolerance band lowers it
 and rolls the epoch back bit-exactly, and a small rise inside the band
 keeps both the weights and the rate.
+
+:func:`train_epoch` checks the training set and the velocity once per
+epoch, allocates one gradient buffer, and then runs every sample through
+the unchecked cores of :mod:`heartnet.network` and the momentum step of
+:func:`apply_update`.  The public :func:`~heartnet.network.forward`,
+:func:`~heartnet.network.backward` and :func:`apply_update` wrap the same
+cores with their per-call checks, so both paths do the same arithmetic
+in the same order.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import ValidationError
-from .network import Gradients, Network, backward, forward, pack_layers, sse
+from .network import Gradients, Network, _backprop, _sse, _sweep, _views, pack_layers
 
 
 class DivergenceError(RuntimeError):
@@ -136,10 +144,16 @@ def apply_update(
     lr*g, for every weight and bias; velocity keeps the new step."""
     _check_shapes(network, gradients)
     _check_shapes(network, velocity)
-    step = velocity.flat
+    _momentum_step(network.params, velocity.flat, gradients.flat, lr, momentum)
+
+
+def _momentum_step(
+    params: np.ndarray, step: np.ndarray, grads: np.ndarray, lr: float, momentum: float
+) -> None:
+    """Unchecked core of :func:`apply_update` on flat buffers of one layout."""
     step *= momentum
-    step -= lr * gradients.flat
-    network.params += step
+    step -= lr * grads
+    params += step
 
 
 def adapt_learning_rate(
@@ -158,6 +172,26 @@ def adapt_learning_rate(
     return lr, True
 
 
+def _check_training_set(network: Network, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
+    """``inputs`` and ``targets`` as contiguous float64 matrices, checked
+    against the network's input and output widths and each other."""
+    x = np.ascontiguousarray(inputs, dtype=np.float64)
+    t = np.ascontiguousarray(targets, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != network.layer_sizes[0]:
+        raise ValueError(
+            f"inputs must be (n, {network.layer_sizes[0]}), got {x.shape}"
+        )
+    if t.ndim != 2 or t.shape[1] != network.layer_sizes[-1]:
+        raise ValueError(
+            f"targets must be (n, {network.layer_sizes[-1]}), got {t.shape}"
+        )
+    if x.shape[0] == 0:
+        raise ValidationError("training set is empty")
+    if t.shape[0] != x.shape[0]:
+        raise ValueError("inputs and targets disagree on sample count")
+    return x, t
+
+
 def train_epoch(
     network: Network,
     inputs: np.ndarray,
@@ -171,20 +205,25 @@ def train_epoch(
 
     The samples are presented in ``order`` and the weights move after
     every one; each sample's SSE uses the weights in effect when it was
-    presented.
+    presented.  The result is the same, bit for bit, as calling
+    :func:`~heartnet.network.forward`, :func:`~heartnet.network.sse`,
+    :func:`~heartnet.network.backward` and :func:`apply_update` for each
+    sample, but the shapes are checked once, before any weight moves.
     """
-    n = inputs.shape[0]
-    if n == 0:
-        raise ValidationError("training set is empty")
-    if targets.shape[0] != n:
-        raise ValueError("inputs and targets disagree on sample count")
+    x, t = _check_training_set(network, inputs, targets)
+    _check_shapes(network, velocity)
 
+    weights, params, step = network.weights, network.params, velocity.flat
+    momentum = config.momentum
+    grads = np.empty_like(params)
+    weight_grads, bias_grads = _views(grads, weights, network.biases)
     total = 0.0
     for idx in order:
-        activations = forward(network, inputs[idx])
-        total += sse(activations[-1], targets[idx])
-        grads = backward(network, activations, targets[idx])
-        apply_update(network, grads, velocity, lr, config.momentum)
+        activations = _sweep(network, x[idx])
+        target = t[idx]
+        total += _sse(activations[-1], target)
+        _backprop(weights, activations, target, weight_grads, bias_grads)
+        _momentum_step(params, step, grads, lr, momentum)
     return total
 
 
@@ -205,19 +244,7 @@ def train(
     gives exactly 0.0 without a RuntimeWarning, and a NaN from a
     non-finite weight surfaces as :class:`DivergenceError` alone.
     """
-    x = np.ascontiguousarray(inputs, dtype=np.float64)
-    t = np.ascontiguousarray(targets, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != network.layer_sizes[0]:
-        raise ValueError(
-            f"inputs must be (n, {network.layer_sizes[0]}), got {x.shape}"
-        )
-    if t.ndim != 2 or t.shape[1] != network.layer_sizes[-1]:
-        raise ValueError(
-            f"targets must be (n, {network.layer_sizes[-1]}), got {t.shape}"
-        )
-    if x.shape[0] == 0:
-        raise ValidationError("training set is empty")
-
+    x, t = _check_training_set(network, inputs, targets)
     rng = np.random.default_rng(config.seed)
     velocity = Velocity.zeros(network)
     lr = config.initial_lr

@@ -135,6 +135,45 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
 
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"layer_sizes": [13, 8.7, 2]}, "layer_sizes"),
+            ({"layer_sizes": [13, 8.0, 2]}, "layer_sizes"),
+            ({"hidden_sizes": [8.7]}, "hidden_sizes"),
+            ({"hidden_sizes": [8.0]}, "hidden_sizes"),
+            ({"splits": [[20.5, 40]]}, "splits"),
+            ({"splits": [[20, 40.0]]}, "splits"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    def test_fractional_list_entry_is_config_error(self, tmp_path, capsys, payload, key, command):
+        # a fractional entry is refused, not truncated to a width-8 layer
+        out = tmp_path / "o"
+        path = write_config(tmp_path, {"max_epochs": 2, **payload})
+        code = main([command, "--config", path, "--data", FIXTURE, "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, payload, expected",
+        [
+            (["train"], {"initial_lr": float("nan")}, EXIT_USAGE),  # written as NaN
+            (["experiment"], {"initial_lr": float("nan")}, EXIT_USAGE),
+            (["train", "--layers", "10,4,2"], {}, EXIT_USAGE),
+            (["train", "--layers", "13,8,3"], {}, EXIT_USAGE),
+            (["train", "--layers", "13,4,4,4,4,2"], {}, EXIT_DATA),  # over the layer cap
+        ],
+    )
+    def test_rejected_config_leaves_no_out_dir(self, tmp_path, argv, payload, expected):
+        out = tmp_path / "o"
+        path = write_config(tmp_path, {"max_epochs": 2, **payload})
+        code = main([*argv, "--config", path, "--data", FIXTURE, "--out", str(out)])
+        assert code == expected
+        assert not out.exists()
+
 
 class TestScale:
     def test_writes_scaler_and_scaled_table(self, tmp_path, capsys):
@@ -190,6 +229,23 @@ class TestTrain:
                      "--out", str(tmp_path / "o"), "--layers", "10,4,2"])
         assert code == EXIT_USAGE
         assert "13" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_is_data_error(self, tmp_path, capsys, token):
+        lines = open(FIXTURE, encoding="utf-8").read().splitlines()
+        cells = lines[2].split(",")
+        cells[4] = token  # Chol
+        lines[2] = ",".join(cells)
+        data = tmp_path / "bad.csv"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["train", "--config", quick_config(tmp_path), "--data", str(data),
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"line 3: non-finite value '{token}' in column Chol" in err
+        assert "impute" not in err
+        assert not out.exists()
 
     def test_strict_labels_reject_fixture(self, tmp_path, capsys):
         # the bundled table keeps the raw 0..4 labels, so strict must fail

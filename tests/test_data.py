@@ -77,6 +77,19 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="line 1.*'abc'.*Chol"):
             load_dataset(write_csv(tmp_path, bad + "\n"))
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, token):
+        bad = EXAMPLE_ROW.replace("233", token)
+        text = EXAMPLE_ROW + "\n" + bad + "\n"
+        with pytest.raises(ParseError, match=f"line 2: non-finite value '{token}' in column Chol"):
+            load_dataset(write_csv(tmp_path, text))
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_label_names_line(self, tmp_path, token):
+        bad = EXAMPLE_ROW[:-1] + token
+        with pytest.raises(ParseError, match=f"line 1: non-finite value '{token}' in column class"):
+            load_dataset(write_csv(tmp_path, bad + "\n"))
+
     def test_missing_label_rejected(self, tmp_path):
         bad = EXAMPLE_ROW[: EXAMPLE_ROW.rfind(",")] + ",?"
         with pytest.raises(ParseError, match="missing class label"):

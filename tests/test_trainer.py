@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heartnet.data import ValidationError
-from heartnet.network import load_network, new_network, save_network
+from heartnet.network import backward, forward, load_network, new_network, save_network, sse
 from heartnet.trainer import (
     DivergenceError,
     EpochRecord,
@@ -201,7 +203,82 @@ def pure_python_epoch(net, x, t, order, lr, momentum):
     return np.array(w), np.array(b), total
 
 
+def heart_like(n=24, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 1, (n, 13))
+    labels = rng.integers(0, 4, n)
+    t = np.column_stack([labels // 2, labels % 2]).astype(float)
+    return x, t
+
+
+def public_replay_epoch(net, x, t, velocity, lr, momentum, order):
+    """One epoch through the public, checked forward -> sse -> backward ->
+    apply_update, sample by sample: the reference for train_epoch."""
+    total = 0.0
+    for idx in order:
+        activations = forward(net, x[idx])
+        total += sse(activations[-1], t[idx])
+        apply_update(net, backward(net, activations, t[idx]), velocity, lr, momentum)
+    return total
+
+
+def assert_epochs_match_public_replay(sizes, seed, lr, momentum, epochs=3):
+    x, t = heart_like(n=17, seed=seed)
+    net = new_network(sizes, seed)
+    ref = net.copy()
+    velocity, ref_velocity = Velocity.zeros(net), Velocity.zeros(ref)
+    cfg = TrainConfig(initial_lr=lr, momentum=momentum)
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):  # later epochs start from a non-zero velocity
+        order = rng.permutation(x.shape[0])
+        with np.errstate(over="ignore"):  # as in train(): a saturated sigmoid is 0.0
+            got = train_epoch(net, x, t, velocity, lr, cfg, order=order)
+            want = public_replay_epoch(ref, x, t, ref_velocity, lr, momentum, order)
+        assert got == want
+        np.testing.assert_array_equal(net.params, ref.params)
+        np.testing.assert_array_equal(velocity.flat, ref_velocity.flat)
+
+
 class TestTrainEpoch:
+    @pytest.mark.parametrize("sizes", [(13, 2), (13, 8, 2), (13, 16, 8, 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_public_replay(self, sizes, seed):
+        assert_epochs_match_public_replay(sizes, seed, lr=0.7, momentum=0.9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 16), min_size=0, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+        lr=st.floats(0.001, 5.0),
+        momentum=st.floats(0.0, 0.99),
+    )
+    def test_matches_public_replay_property(self, hidden, seed, lr, momentum):
+        assert_epochs_match_public_replay((13, *hidden, 2), seed, lr, momentum, epochs=2)
+
+    @pytest.mark.parametrize(
+        "inputs, targets, velocity_sizes",
+        [
+            ((6, 12), (6, 2), (13, 8, 2)),
+            ((6,), (6, 2), (13, 8, 2)),
+            ((6, 13), (6, 3), (13, 8, 2)),
+            ((6, 13), (5, 2), (13, 8, 2)),
+            ((6, 13), (6, 2), (13, 4, 2)),
+            ((6, 13), (6, 2), (13, 8, 8, 2)),
+        ],
+    )
+    def test_bad_shapes_rejected_before_any_weight_moves(self, inputs, targets, velocity_sizes):
+        net = new_network((13, 8, 2), 0)
+        velocity = Velocity.zeros(new_network(velocity_sizes, 0))
+        velocity.flat[:] = 0.5
+        params, steps = net.params.copy(), velocity.flat.copy()
+        with pytest.raises(ValueError):
+            train_epoch(
+                net, np.full(inputs, 0.5), np.ones(targets), velocity, 0.1,
+                TrainConfig(), order=np.arange(6),
+            )
+        np.testing.assert_array_equal(net.params, params)
+        np.testing.assert_array_equal(velocity.flat, steps)
+
     def test_per_sample_matches_pure_python_replay(self):
         net = new_network((2, 2), 3)
         rng = np.random.default_rng(0)
@@ -258,17 +335,10 @@ def replay_train(network, x, t, config):
 
 
 class TestTrain:
-    def heart_like(self, n=24, seed=0):
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(0, 1, (n, 13))
-        labels = rng.integers(0, 4, n)
-        t = np.column_stack([labels // 2, labels % 2]).astype(float)
-        return x, t
-
     def test_matches_scripted_replay_with_rejections(self):
         # a hot learning rate plus a zero tolerance band forces rejected
         # epochs, exercising the rollback path
-        x, t = self.heart_like()
+        x, t = heart_like()
         cfg = TrainConfig(initial_lr=1.2, max_sse_rise=0.0, max_epochs=40, target_sse=0.0)
         net = new_network((13, 8, 2), 1)
         reference = net.copy()
@@ -288,13 +358,13 @@ class TestTrain:
             np.testing.assert_array_equal(a, b)
 
     def test_first_epoch_always_accepted(self):
-        x, t = self.heart_like()
+        x, t = heart_like()
         net = new_network((13, 8, 2), 0)
         history = train(net, x, t, TrainConfig(max_epochs=1))
         assert history.records[0].accepted
 
     def test_learning_rate_recorded_is_rate_in_effect(self):
-        x, t = self.heart_like()
+        x, t = heart_like()
         net = new_network((13, 8, 2), 0)
         cfg = TrainConfig(max_epochs=3, target_sse=0.0)
         history = train(net, x, t, cfg)
@@ -325,7 +395,7 @@ class TestTrain:
         assert err.value.epoch == 1
 
     def test_seed_determinism(self):
-        x, t = self.heart_like()
+        x, t = heart_like()
         cfg = TrainConfig(max_epochs=5, target_sse=0.0)
         net_a = new_network((13, 8, 2), 4)
         net_b = new_network((13, 8, 2), 4)
@@ -336,7 +406,7 @@ class TestTrain:
             np.testing.assert_array_equal(a, b)
 
     def test_wide_layer_seed_determinism(self):
-        x, t = self.heart_like(n=12, seed=3)
+        x, t = heart_like(n=12, seed=3)
         cfg = TrainConfig(max_epochs=5, target_sse=0.0)
         runs = []
         for _ in range(2):
@@ -373,7 +443,7 @@ class TestTrain:
             assert net.weights[0].flat[0] == net.params[0]
             net.params[0] -= 1.0
 
-        x, t = self.heart_like()
+        x, t = heart_like()
         net = new_network((13, 8, 2), 1)
         assert_views(net)
         copied = net.copy()
