@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .evaluation import (
     format_report,
     run_experiment,
 )
-from .network import load_network, new_network, save_network
+from .network import MAX_LAYERS, load_network, new_network, save_network
 from .trainer import DivergenceError, TrainConfig, train, write_history_csv
 
 EXIT_OK = 0
@@ -67,48 +67,23 @@ class RunConfig:
     layer_sizes: tuple[int, ...] | None = None
     hidden_sizes: tuple[int, ...] = DEFAULT_HIDDEN_SIZES
     splits: tuple[tuple[int, int], ...] = DEFAULT_GRID
-    initial_lr: float = 0.1
-    momentum: float = 0.9
-    lr_increase: float = 1.05
-    lr_decrease: float = 0.7
-    max_sse_rise: float = 0.04
-    max_epochs: int = 5000
-    target_sse: float = 0.01
-    seed: int = 0
+    initial_lr: float = TrainConfig.initial_lr
+    momentum: float = TrainConfig.momentum
+    lr_increase: float = TrainConfig.lr_increase
+    lr_decrease: float = TrainConfig.lr_decrease
+    max_sse_rise: float = TrainConfig.max_sse_rise
+    max_epochs: int = TrainConfig.max_epochs
+    target_sse: float = TrainConfig.target_sse
+    seed: int = TrainConfig.seed
 
     def train_config(self) -> TrainConfig:
         try:
-            return TrainConfig(
-                initial_lr=self.initial_lr,
-                momentum=self.momentum,
-                lr_increase=self.lr_increase,
-                lr_decrease=self.lr_decrease,
-                max_sse_rise=self.max_sse_rise,
-                max_epochs=self.max_epochs,
-                target_sse=self.target_sse,
-                seed=self.seed,
-            )
+            return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
     def to_json_dict(self) -> dict:
-        return {
-            "data": self.data,
-            "out": self.out,
-            "imputation": self.imputation,
-            "label_policy": self.label_policy,
-            "layer_sizes": list(self.layer_sizes) if self.layer_sizes else None,
-            "hidden_sizes": list(self.hidden_sizes),
-            "splits": [list(pair) for pair in self.splits],
-            "initial_lr": self.initial_lr,
-            "momentum": self.momentum,
-            "lr_increase": self.lr_increase,
-            "lr_decrease": self.lr_decrease,
-            "max_sse_rise": self.max_sse_rise,
-            "max_epochs": self.max_epochs,
-            "target_sse": self.target_sse,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
@@ -195,9 +170,10 @@ def load_run_config(path) -> RunConfig:
         kwargs["label_policy"] = _normalize_labels(kwargs["label_policy"])
     if kwargs.get("layer_sizes") is not None:
         kwargs["layer_sizes"] = _parse_layer_list(kwargs["layer_sizes"], "layer_sizes")
-    if kwargs.get("hidden_sizes") is not None:
+    # only layer_sizes may be null (its default stack); these two may not
+    if "hidden_sizes" in kwargs:
         kwargs["hidden_sizes"] = _parse_layer_list(kwargs["hidden_sizes"], "hidden_sizes")
-    if kwargs.get("splits") is not None:
+    if "splits" in kwargs:
         kwargs["splits"] = _parse_splits(kwargs["splits"])
     try:
         return RunConfig(**kwargs)
@@ -231,10 +207,7 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
     if getattr(args, "layers", None) is not None:
-        sizes = _parse_layer_list(args.layers, "--layers")
-        if len(sizes) < 2:
-            raise ConfigError("--layers needs at least input and output sizes")
-        overrides["layer_sizes"] = sizes
+        overrides["layer_sizes"] = _parse_layer_list(args.layers, "--layers")
     if getattr(args, "impute", None) is not None:
         overrides["imputation"] = _normalize_impute(args.impute)
     if getattr(args, "labels", None) is not None:
@@ -246,6 +219,29 @@ def _require(config: RunConfig, *names: str) -> None:
     for name in names:
         if getattr(config, name) is None:
             raise ConfigError(f"missing required setting {name!r} (flag or config file)")
+
+
+def _layer_stack(config: RunConfig) -> tuple[int, ...]:
+    """The layer sizes a ``train`` run or an ``experiment``'s multi-layer
+    cells use: ``layer_sizes`` if set, else the 13 inputs, the
+    ``hidden_sizes`` and the 2 outputs.  Checked before any data is read
+    or ``--out`` is made."""
+    sizes = config.layer_sizes
+    if sizes is None:
+        sizes = (hdata.N_ATTRIBUTES, *config.hidden_sizes, 2)
+    if len(sizes) < 2:
+        raise ConfigError(f"layer sizes {list(sizes)} need at least input and output sizes")
+    if len(sizes) > MAX_LAYERS:
+        raise ConfigError(
+            f"layer sizes {list(sizes)}: {len(sizes)} layers exceeds the cap of {MAX_LAYERS}"
+        )
+    if sizes[0] != hdata.N_ATTRIBUTES:
+        raise ConfigError(
+            f"first layer size {sizes[0]} != {hdata.N_ATTRIBUTES} input features"
+        )
+    if sizes[-1] != 2:
+        raise ConfigError(f"last layer size {sizes[-1]} != 2 output neurons")
+    return sizes
 
 
 def _prepare_out_dir(config: RunConfig) -> Path:
@@ -299,14 +295,8 @@ def cmd_train(config: RunConfig) -> int:
     """Full pipeline: load, impute, scale, train, persist artifacts."""
     _require(config, "data", "out")
     train_config = config.train_config()
+    sizes = _layer_stack(config)
     dataset = _load_and_impute(config)
-    n_features = len(dataset.schema)
-
-    sizes = config.layer_sizes or (n_features, *config.hidden_sizes, 2)
-    if sizes[0] != n_features:
-        raise ConfigError(f"first layer size {sizes[0]} != {n_features} input features")
-    if sizes[-1] != 2:
-        raise ConfigError(f"last layer size {sizes[-1]} != 2 output neurons")
     network = new_network(sizes, config.seed)
     out_dir = _prepare_out_dir(config)
 
@@ -372,18 +362,15 @@ def cmd_experiment(config: RunConfig, args: argparse.Namespace) -> int:
     """Run the split-grid comparison of single vs multi layer networks."""
     _require(config, "data", "out")
     train_config = config.train_config()
+    sizes = _layer_stack(config)
     dataset = _load_and_impute(config)
     out_dir = _prepare_out_dir(config)
-
-    hidden = config.hidden_sizes
-    if config.layer_sizes is not None:
-        hidden = config.layer_sizes[1:-1]
 
     report = run_experiment(
         dataset,
         splits=config.splits,
         config=train_config,
-        hidden_sizes=hidden,
+        hidden_sizes=sizes[1:-1],
         imputation_policy=config.imputation,
     )
     export_report(report, out_dir / "report.csv")

@@ -4,9 +4,10 @@ backpropagation, and JSON persistence.
 Every weight and bias lives in one flat float64 buffer,
 :attr:`Network.params`, laid out ``W0, b0, W1, b1, ...`` with each
 ``W`` row-major; ``weights[l]`` and ``biases[l]`` are views of it.
-Gradients and the trainer's momentum state use the same layout, so a
-training step or an epoch snapshot is one array operation.  Each layer
-of a forward or backward sweep is one matrix product.
+:func:`backward` returns the gradient as a plain float64 array in that
+same layout, and the trainer's momentum state is one too, so a training
+step or an epoch snapshot is one array operation.  Each layer of a
+forward or backward sweep is one matrix product.
 
 Gradients are taken of half the sum of squared errors, which gives the
 output delta its clean ``(o - t) * o * (1 - o)`` form; training history
@@ -33,9 +34,8 @@ from .data import FormatError, decode_output
 LOGISTIC_SIGMOID = "logistic-sigmoid"
 MODEL_FORMAT_VERSION = 1
 
-# One input layer, up to three hidden, one output; raise via the
-# max_layers argument where a deeper stack is genuinely wanted.
-DEFAULT_MAX_LAYERS = 5
+# One input layer, up to three hidden, one output.
+MAX_LAYERS = 5
 
 INIT_WEIGHT_RANGE = 0.5  # initial weights drawn uniformly from +/- this
 
@@ -68,18 +68,6 @@ def _views(flat: np.ndarray, weights, biases) -> tuple[list[np.ndarray], list[np
     return weight_views, bias_views
 
 
-def pack_layers(weights, biases) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Copy per-layer weight and bias arrays into one new flat float64
-    buffer; returns the buffer and the per-layer views of it."""
-    weights = [np.asarray(w, dtype=np.float64) for w in weights]
-    biases = [np.asarray(b, dtype=np.float64) for b in biases]
-    flat = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)), dtype=np.float64)
-    weight_views, bias_views = _views(flat, weights, biases)
-    for view, values in zip(weight_views + bias_views, weights + biases):
-        view[...] = values
-    return flat, weight_views, bias_views
-
-
 @dataclass
 class Network:
     """Ordered dense layers; ``weights[l]`` has shape (out, in).
@@ -97,7 +85,12 @@ class Network:
     params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.params, self.weights, self.biases = pack_layers(self.weights, self.biases)
+        weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
+        biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
+        self.params = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)))
+        self.weights, self.biases = _views(self.params, weights, biases)
+        for view, values in zip(self.weights + self.biases, weights + biases):
+            view[...] = values
 
     @property
     def n_layers(self) -> int:
@@ -118,46 +111,22 @@ class Network:
         )
 
 
-@dataclass
-class Gradients:
-    """Loss gradients shaped exactly like the network, plus the per-layer
-    delta vectors they were built from.
-
-    ``flat`` holds every gradient laid out like :attr:`Network.params`,
-    with ``weights`` and ``biases`` as views of it.  Given no ``flat``,
-    construction copies the arrays into a new one; :func:`backward` passes
-    the buffer its views already point into.
-    """
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    deltas: list[np.ndarray]
-    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.flat is None:
-            self.flat, self.weights, self.biases = pack_layers(self.weights, self.biases)
-
-
-def _validate_layer_sizes(layer_sizes, max_layers: int) -> tuple[int, ...]:
+def _validate_layer_sizes(layer_sizes) -> tuple[int, ...]:
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 2:
         raise ValueError("need at least an input and an output layer")
-    if len(sizes) > max_layers:
-        raise ValueError(
-            f"{len(sizes)} layers exceeds the cap of {max_layers}; "
-            "pass max_layers to override"
-        )
+    if len(sizes) > MAX_LAYERS:
+        raise ValueError(f"{len(sizes)} layers exceeds the cap of {MAX_LAYERS}")
     if any(s < 1 for s in sizes):
         raise ValueError(f"every layer needs at least one neuron: {sizes}")
     return sizes
 
 
-def new_network(layer_sizes, seed: int, max_layers: int = DEFAULT_MAX_LAYERS) -> Network:
+def new_network(layer_sizes, seed: int) -> Network:
     """Build a network with weights and biases drawn uniformly from
     [-0.5, 0.5] by a seeded generator; the same seed reproduces the same
     network bit for bit."""
-    sizes = _validate_layer_sizes(layer_sizes, max_layers)
+    sizes = _validate_layer_sizes(layer_sizes)
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -211,31 +180,28 @@ def _backprop(
     target: np.ndarray,
     weight_grads: list[np.ndarray],
     bias_grads: list[np.ndarray],
-) -> list[np.ndarray]:
+) -> None:
     """Unchecked core of :func:`backward`: writes the gradients of one
-    sample into ``weight_grads``/``bias_grads`` (views shaped like
-    ``weights`` and the biases) and returns the per-layer deltas."""
-    n_layers = len(weights)
-    deltas: list[np.ndarray] = [np.empty(0)] * n_layers
+    sample into ``weight_grads``/``bias_grads``, views shaped like
+    ``weights`` and the biases."""
     out = activations[-1]
     delta = (out - target) * out * (1.0 - out)
-    for layer in range(n_layers - 1, -1, -1):
-        deltas[layer] = delta
+    for layer in range(len(weights) - 1, -1, -1):
         below = activations[layer]
         np.multiply(delta[:, None], below, out=weight_grads[layer])
         bias_grads[layer][:] = delta
         if layer:
             delta = (weights[layer].T @ delta) * below * (1.0 - below)
-    return deltas
 
 
-def backward(network: Network, activations: list[np.ndarray], target) -> Gradients:
+def backward(network: Network, activations: list[np.ndarray], target) -> np.ndarray:
     """Backpropagate the output error through the layers.
 
     The output delta is ``(o - t) * o * (1 - o)``; each hidden delta is
     the next layer's weighted delta sum scaled by the local sigmoid
-    derivative.  Returned gradients are of SSE/2 with respect to every
-    weight and bias.
+    derivative.  Returns the gradient of SSE/2 with respect to every
+    weight and bias as a new float64 array laid out like
+    :attr:`Network.params`.
     """
     if len(activations) != network.n_layers + 1:
         raise ValueError(
@@ -248,10 +214,9 @@ def backward(network: Network, activations: list[np.ndarray], target) -> Gradien
     if tgt.shape != activations[-1].shape:
         raise ValueError(f"target shape {tgt.shape} does not match output layer")
 
-    flat = np.empty_like(network.params)
-    weight_grads, bias_grads = _views(flat, network.weights, network.biases)
-    deltas = _backprop(network.weights, activations, tgt, weight_grads, bias_grads)
-    return Gradients(weights=weight_grads, biases=bias_grads, deltas=deltas, flat=flat)
+    grads = np.empty_like(network.params)
+    _backprop(network.weights, activations, tgt, *_views(grads, network.weights, network.biases))
+    return grads
 
 
 def predict(network: Network, features) -> int:

@@ -7,6 +7,11 @@ SSE: improvement raises it, a rise beyond the tolerance band lowers it
 and rolls the epoch back bit-exactly, and a small rise inside the band
 keeps both the weights and the rate.
 
+The gradient and the momentum state (the velocity: the previous step of
+every weight and bias) are plain float64 arrays laid out like
+:attr:`~heartnet.network.Network.params`, so a momentum step, an epoch
+snapshot and a rollback are each one array operation.
+
 :func:`train_epoch` checks the training set and the velocity once per
 epoch, allocates one gradient buffer, and then runs every sample through
 the unchecked cores of :mod:`heartnet.network` and the momentum step of
@@ -20,13 +25,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import ValidationError
-from .network import Gradients, Network, _backprop, _sse, _sweep, _views, pack_layers
+from .network import Network, _backprop, _sse, _sweep, _views
 
 
 class DivergenceError(RuntimeError):
@@ -68,32 +73,6 @@ class TrainConfig:
             raise ValueError("target_sse must be >= 0")
 
 
-@dataclass
-class Velocity:
-    """Previous update step per weight and bias (momentum state).
-
-    ``flat`` holds every step laid out like :attr:`Network.params`;
-    ``weights`` and ``biases`` are views of it.
-    """
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.flat, self.weights, self.biases = pack_layers(self.weights, self.biases)
-
-    @classmethod
-    def zeros(cls, network: Network) -> "Velocity":
-        return cls(
-            weights=[np.zeros_like(w) for w in network.weights],
-            biases=[np.zeros_like(b) for b in network.biases],
-        )
-
-    def copy(self) -> "Velocity":
-        return Velocity(weights=self.weights, biases=self.biases)
-
-
 @dataclass(frozen=True)
 class EpochRecord:
     epoch: int
@@ -121,30 +100,27 @@ class TrainingHistory:
         return math.inf
 
 
-def _check_shapes(network: Network, grads_or_velocity) -> None:
-    if len(grads_or_velocity.weights) != network.n_layers:
-        raise ValueError("layer count mismatch")
-    for w, gw, b, gb in zip(
-        network.weights, grads_or_velocity.weights, network.biases, grads_or_velocity.biases
-    ):
-        if w.shape != gw.shape or b.shape != gb.shape:
-            raise ValueError(
-                f"shape mismatch: network {w.shape}/{b.shape} vs {gw.shape}/{gb.shape}"
-            )
+def _check_layout(network: Network, name: str, array: np.ndarray) -> None:
+    if array.shape != network.params.shape:
+        raise ValueError(
+            f"{name} shape {array.shape} does not match the network's "
+            f"parameters {network.params.shape}"
+        )
 
 
 def apply_update(
     network: Network,
-    gradients: Gradients,
-    velocity: Velocity,
+    gradients: np.ndarray,
+    velocity: np.ndarray,
     lr: float,
     momentum: float,
 ) -> None:
     """Apply one momentum step in place: step = momentum*previous step -
-    lr*g, for every weight and bias; velocity keeps the new step."""
-    _check_shapes(network, gradients)
-    _check_shapes(network, velocity)
-    _momentum_step(network.params, velocity.flat, gradients.flat, lr, momentum)
+    lr*g, for every weight and bias; ``velocity`` keeps the new step.
+    Both arrays are laid out like ``network.params``."""
+    _check_layout(network, "gradients", gradients)
+    _check_layout(network, "velocity", velocity)
+    _momentum_step(network.params, velocity, gradients, lr, momentum)
 
 
 def _momentum_step(
@@ -196,7 +172,7 @@ def train_epoch(
     network: Network,
     inputs: np.ndarray,
     targets: np.ndarray,
-    velocity: Velocity,
+    velocity: np.ndarray,
     lr: float,
     config: TrainConfig,
     order: np.ndarray,
@@ -211,9 +187,9 @@ def train_epoch(
     sample, but the shapes are checked once, before any weight moves.
     """
     x, t = _check_training_set(network, inputs, targets)
-    _check_shapes(network, velocity)
+    _check_layout(network, "velocity", velocity)
 
-    weights, params, step = network.weights, network.params, velocity.flat
+    weights, params = network.weights, network.params
     momentum = config.momentum
     grads = np.empty_like(params)
     weight_grads, bias_grads = _views(grads, weights, network.biases)
@@ -223,7 +199,7 @@ def train_epoch(
         target = t[idx]
         total += _sse(activations[-1], target)
         _backprop(weights, activations, target, weight_grads, bias_grads)
-        _momentum_step(params, step, grads, lr, momentum)
+        _momentum_step(params, velocity, grads, lr, momentum)
     return total
 
 
@@ -246,7 +222,7 @@ def train(
     """
     x, t = _check_training_set(network, inputs, targets)
     rng = np.random.default_rng(config.seed)
-    velocity = Velocity.zeros(network)
+    velocity = np.zeros_like(network.params)
     lr = config.initial_lr
     prev_sse = math.inf
     records: list[EpochRecord] = []
@@ -255,7 +231,7 @@ def train(
         for epoch in range(1, config.max_epochs + 1):
             order = rng.permutation(x.shape[0])
             saved_params = network.params.copy()
-            saved_velocity = velocity.flat.copy()
+            saved_velocity = velocity.copy()
 
             epoch_sse = train_epoch(network, x, t, velocity, lr, config, order)
             if not math.isfinite(epoch_sse):
@@ -267,7 +243,7 @@ def train(
                 prev_sse = epoch_sse
             else:
                 network.params[:] = saved_params
-                velocity.flat[:] = saved_velocity
+                velocity[:] = saved_velocity
             lr = next_lr
             if accepted and epoch_sse <= config.target_sse:
                 break

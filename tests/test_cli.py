@@ -17,6 +17,7 @@ from heartnet.cli import (
     merge_config,
 )
 from heartnet.data import bundled_fixture_path
+from heartnet.trainer import TrainConfig
 
 FIXTURE = str(bundled_fixture_path())
 
@@ -86,6 +87,14 @@ class TestConfigPlumbing:
         payload = cfg.to_json_dict()
         assert set(payload) <= {f for f in RunConfig.__dataclass_fields__}
         json.dumps(payload)
+
+    def test_echo_reloads_as_the_same_config(self, tmp_path):
+        cfg = RunConfig(
+            data="d.csv", out="runs", layer_sizes=(13, 6, 2), hidden_sizes=(5,),
+            splits=((20, 40),), initial_lr=0.3, max_epochs=7, seed=5,
+        )
+        assert load_run_config(write_config(tmp_path, cfg.to_json_dict())) == cfg
+        assert RunConfig().train_config() == TrainConfig()
 
 
 class TestUsageErrors:
@@ -164,14 +173,25 @@ class TestUsageErrors:
             (["experiment"], {"initial_lr": float("nan")}, EXIT_USAGE),
             (["train", "--layers", "10,4,2"], {}, EXIT_USAGE),
             (["train", "--layers", "13,8,3"], {}, EXIT_USAGE),
-            (["train", "--layers", "13,4,4,4,4,2"], {}, EXIT_DATA),  # over the layer cap
+            (["train", "--layers", "13,4,4,4,4,2"], {}, EXIT_USAGE),  # over the layer cap
+            (["experiment", "--layers", "13,4,4,4,4,2"], {}, EXIT_USAGE),
+            (["experiment", "--layers", "99,8,7"], {}, EXIT_USAGE),
+            (["experiment", "--layers", "13,8,3"], {}, EXIT_USAGE),
+            (["train", "--layers", "13"], {}, EXIT_USAGE),
+            (["train"], {"layer_sizes": []}, EXIT_USAGE),
+            (["experiment"], {"layer_sizes": []}, EXIT_USAGE),
+            (["train"], {"hidden_sizes": [4, 4, 4, 4]}, EXIT_USAGE),
+            (["experiment"], {"hidden_sizes": [4, 4, 4, 4]}, EXIT_USAGE),
+            (["experiment"], {"hidden_sizes": None}, EXIT_USAGE),
+            (["experiment"], {"splits": None}, EXIT_USAGE),
         ],
     )
-    def test_rejected_config_leaves_no_out_dir(self, tmp_path, argv, payload, expected):
+    def test_rejected_config_leaves_no_out_dir(self, tmp_path, capsys, argv, payload, expected):
         out = tmp_path / "o"
         path = write_config(tmp_path, {"max_epochs": 2, **payload})
         code = main([*argv, "--config", path, "--data", FIXTURE, "--out", str(out)])
         assert code == expected
+        assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
 

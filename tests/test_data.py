@@ -1,7 +1,12 @@
 """Ingestion, imputation, scaling, class encoding, and split tests."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heartnet import data as hdata
 from heartnet.data import (
@@ -375,3 +380,92 @@ class TestDataset:
         sub = ds.subset(np.arange(10))
         assert len(sub) == 10
         np.testing.assert_array_equal(sub.features, ds.features[:10])
+
+
+# Values a cell may hold: finite, and written with repr so the parser
+# reads back the same double.
+CELL_VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def heart_tables(draw, missing=True):
+    """A (values, missing mask, labels) table of 1-12 rows of 13 columns."""
+    n_rows = draw(st.integers(1, 12))
+    cells = st.lists(CELL_VALUES, min_size=13, max_size=13)
+    values = np.array(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+    flags = st.lists(st.booleans() if missing else st.just(False), min_size=13, max_size=13)
+    mask = np.array(draw(st.lists(flags, min_size=n_rows, max_size=n_rows)), dtype=bool)
+    labels = draw(st.lists(st.integers(0, 3), min_size=n_rows, max_size=n_rows))
+    return values, mask, labels
+
+
+def table_text(values, mask, labels) -> str:
+    lines = []
+    for row, row_mask, label in zip(values, mask, labels):
+        cells = ["?" if gone else repr(float(v)) for v, gone in zip(row, row_mask)]
+        lines.append(",".join(cells + [str(label)]))
+    return "\n".join(lines) + "\n"
+
+
+class TestProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(table=heart_tables(), policy=st.sampled_from(["median_mode", "drop_rows"]))
+    def test_parse_then_impute_keeps_observed_cells(self, table, policy):
+        values, mask, labels = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            path.write_text(table_text(values, mask, labels), encoding="utf-8")
+            loaded = load_dataset(path)
+        np.testing.assert_array_equal(loaded.missing_mask, mask)
+        np.testing.assert_array_equal(loaded.labels, labels)
+        # every observed cell is read back bit for bit
+        assert loaded.features[~mask].tobytes() == values[~mask].tobytes()
+
+        if policy == "median_mode" and mask.all(axis=0).any():
+            with pytest.raises(ImputationError, match="no observed values"):
+                impute(loaded, policy)
+            return
+        filled = impute(loaded, policy)
+        assert not np.isnan(filled.features).any()
+        keep = ~mask.any(axis=1) if policy == "drop_rows" else np.ones(len(labels), bool)
+        assert len(filled) == int(keep.sum())
+        observed = ~filled.missing_mask
+        assert filled.features[observed].tobytes() == values[keep][observed].tobytes()
+        for j in range(13):
+            gone = filled.missing_mask[:, j]
+            if gone.any():
+                # one fill per column, within the column's observed range
+                present = values[~mask[:, j], j]
+                assert len(set(filled.features[gone, j].tolist())) == 1
+                assert present.min() <= filled.features[gone, j][0] <= present.max()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        table=heart_tables(missing=False),
+        constant=st.lists(st.booleans(), min_size=13, max_size=13),
+    )
+    def test_transform_then_inverse_round_trips(self, table, constant):
+        values, mask, labels = table
+        values[:, constant] = values[0, constant]  # degenerate columns
+        ds = Dataset(features=values, labels=labels, missing_mask=mask)
+        scaler = fit_scaler(ds)
+        flat = (values == values[0]).all(axis=0)  # forced or drawn constant
+        assert flat[constant].all()
+        assert scaler.degenerate_columns == tuple(
+            col.name for col, is_flat in zip(ds.schema, flat) if is_flat
+        )
+        scaled = scaler.transform(values)
+        assert not scaled.out_of_range.any()
+        assert ((scaled.values >= 0.0) & (scaled.values <= 1.0)).all()
+        for row, scaled_row in zip(values, scaled.values):
+            back = scaler.inverse_transform(scaled_row)
+            np.testing.assert_allclose(back, row, rtol=0, atol=1e-9)
+            for j, col in enumerate(scaler.columns):
+                if col.degenerate:
+                    assert scaled_row[j] == 0.0
+                    assert back[j] == row[j]
+
+    @settings(max_examples=40, deadline=None)
+    @given(labels=st.lists(st.integers(0, 3), max_size=30))
+    def test_class_codes_round_trip(self, labels):
+        np.testing.assert_array_equal(decode_outputs(encode_labels(labels)), labels)

@@ -15,7 +15,6 @@ from heartnet.trainer import (
     EpochRecord,
     TrainConfig,
     TrainingHistory,
-    Velocity,
     adapt_learning_rate,
     apply_update,
     train,
@@ -61,6 +60,11 @@ class TestTrainConfig:
             TrainConfig(**kwargs)
 
 
+def params_layout(weights, biases):
+    """Per-layer arrays laid out like ``Network.params``: W0, b0, W1, b1, ..."""
+    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+
+
 class TestApplyUpdate:
     def setup_net(self):
         net = new_network((2, 2), 0)
@@ -70,38 +74,28 @@ class TestApplyUpdate:
             b[:] = 0.25
         return net
 
-    def grads_from(self, weights, biases):
-        from heartnet.network import Gradients
-
-        return Gradients(weights=weights, biases=biases, deltas=[])
-
     def grads_of(self, net, value):
-        return self.grads_from(
-            [np.full_like(w, value) for w in net.weights],
-            [np.full_like(b, value) for b in net.biases],
-        )
+        return np.full_like(net.params, value)
 
     def test_plain_descent(self):
         # momentum 0, lr 1: weights decrease by exactly the gradient
         net = self.setup_net()
-        velocity = Velocity.zeros(net)
+        velocity = np.zeros_like(net.params)
         apply_update(net, self.grads_of(net, 0.1), velocity, lr=1.0, momentum=0.0)
         np.testing.assert_allclose(net.weights[0], 0.15, rtol=1e-15)
         np.testing.assert_allclose(net.biases[0], 0.15, rtol=1e-15)
 
     def test_pure_momentum_carry(self):
         net = self.setup_net()
-        velocity = Velocity.zeros(net)
-        for v in velocity.weights + velocity.biases:
-            v[:] = 0.2
+        velocity = np.full_like(net.params, 0.2)
         apply_update(net, self.grads_of(net, 0.0), velocity, lr=1.0, momentum=0.9)
         np.testing.assert_allclose(net.weights[0], 0.25 + 0.9 * 0.2, rtol=1e-15)
-        np.testing.assert_allclose(velocity.weights[0], 0.18, rtol=1e-15)
+        np.testing.assert_allclose(velocity, 0.18, rtol=1e-15)
 
     def test_two_identical_gradients(self):
         # second step = -g - 0.5*g with momentum 0.5, lr 1
         net = self.setup_net()
-        velocity = Velocity.zeros(net)
+        velocity = np.zeros_like(net.params)
         g = self.grads_of(net, 0.1)
         apply_update(net, g, velocity, lr=1.0, momentum=0.5)
         before = net.weights[0].copy()
@@ -118,28 +112,26 @@ class TestApplyUpdate:
         ref_b = [b.copy() for b in net.biases]
         ref_vw = [np.zeros_like(w) for w in ref_w]
         ref_vb = [np.zeros_like(b) for b in ref_b]
-        velocity = Velocity.zeros(net)
+        velocity = np.zeros_like(net.params)
         for _ in range(6):
             lr = rng.uniform(0.01, 2.0)
             momentum = rng.uniform(0.0, 0.99)
             gw = [rng.normal(size=w.shape) for w in ref_w]
             gb = [rng.normal(size=b.shape) for b in ref_b]
-            apply_update(net, self.grads_from(gw, gb), velocity, lr, momentum)
+            apply_update(net, params_layout(gw, gb), velocity, lr, momentum)
             for params, grads, steps in ((ref_w, gw, ref_vw), (ref_b, gb, ref_vb)):
                 for p, g, v in zip(params, grads, steps):
                     step = momentum * v - lr * g
                     p += step
                     v[:] = step
-            for got, want in zip(net.weights + net.biases, ref_w + ref_b):
-                np.testing.assert_array_equal(got, want)
-            for got, want in zip(velocity.weights + velocity.biases, ref_vw + ref_vb):
-                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(net.params, params_layout(ref_w, ref_b))
+            np.testing.assert_array_equal(velocity, params_layout(ref_vw, ref_vb))
 
     def test_shape_mismatch(self):
         net = self.setup_net()
         other = new_network((3, 2), 0)
         with pytest.raises(ValueError, match="shape|layer count"):
-            apply_update(net, self.grads_of(other, 0.1), Velocity.zeros(net), 1.0, 0.9)
+            apply_update(net, self.grads_of(other, 0.1), np.zeros_like(net.params), 1.0, 0.9)
 
 
 class TestAdaptLearningRate:
@@ -226,7 +218,7 @@ def assert_epochs_match_public_replay(sizes, seed, lr, momentum, epochs=3):
     x, t = heart_like(n=17, seed=seed)
     net = new_network(sizes, seed)
     ref = net.copy()
-    velocity, ref_velocity = Velocity.zeros(net), Velocity.zeros(ref)
+    velocity, ref_velocity = np.zeros_like(net.params), np.zeros_like(ref.params)
     cfg = TrainConfig(initial_lr=lr, momentum=momentum)
     rng = np.random.default_rng(seed)
     for _ in range(epochs):  # later epochs start from a non-zero velocity
@@ -236,7 +228,7 @@ def assert_epochs_match_public_replay(sizes, seed, lr, momentum, epochs=3):
             want = public_replay_epoch(ref, x, t, ref_velocity, lr, momentum, order)
         assert got == want
         np.testing.assert_array_equal(net.params, ref.params)
-        np.testing.assert_array_equal(velocity.flat, ref_velocity.flat)
+        np.testing.assert_array_equal(velocity, ref_velocity)
 
 
 class TestTrainEpoch:
@@ -268,16 +260,15 @@ class TestTrainEpoch:
     )
     def test_bad_shapes_rejected_before_any_weight_moves(self, inputs, targets, velocity_sizes):
         net = new_network((13, 8, 2), 0)
-        velocity = Velocity.zeros(new_network(velocity_sizes, 0))
-        velocity.flat[:] = 0.5
-        params, steps = net.params.copy(), velocity.flat.copy()
+        velocity = np.full_like(new_network(velocity_sizes, 0).params, 0.5)
+        params, steps = net.params.copy(), velocity.copy()
         with pytest.raises(ValueError):
             train_epoch(
                 net, np.full(inputs, 0.5), np.ones(targets), velocity, 0.1,
                 TrainConfig(), order=np.arange(6),
             )
         np.testing.assert_array_equal(net.params, params)
-        np.testing.assert_array_equal(velocity.flat, steps)
+        np.testing.assert_array_equal(velocity, steps)
 
     def test_per_sample_matches_pure_python_replay(self):
         net = new_network((2, 2), 3)
@@ -288,7 +279,7 @@ class TestTrainEpoch:
         expected_w, expected_b, expected_sse = pure_python_epoch(
             net.copy(), x, t, order, lr=0.5, momentum=0.9
         )
-        velocity = Velocity.zeros(net)
+        velocity = np.zeros_like(net.params)
         cfg = TrainConfig(initial_lr=0.5)
         got_sse = train_epoch(net, x, t, velocity, 0.5, cfg, order=order)
         np.testing.assert_allclose(net.weights[0], expected_w, rtol=1e-12)
@@ -299,7 +290,7 @@ class TestTrainEpoch:
         net = new_network((2, 1), 0)
         with pytest.raises(ValidationError, match="empty"):
             train_epoch(
-                net, np.zeros((0, 2)), np.zeros((0, 1)), Velocity.zeros(net), 0.1,
+                net, np.zeros((0, 2)), np.zeros((0, 1)), np.zeros_like(net.params), 0.1,
                 TrainConfig(), order=np.arange(0),
             )
 
@@ -308,7 +299,7 @@ def replay_train(network, x, t, config):
     """Scripted rebuild of the train() loop from public primitives,
     snapshotting and restoring state explicitly."""
     rng = np.random.default_rng(config.seed)
-    velocity = Velocity.zeros(network)
+    velocity = np.zeros_like(network.params)
     lr = config.initial_lr
     prev = math.inf
     records = []
