@@ -1,6 +1,9 @@
 """Heart-disease table ingestion: parsing, imputation, min-max scaling,
 class codes, and reproducible train/test splits.
 
+:func:`load_dataset` parses a table in one bulk pass and, when it has
+bad rows, reports the earliest bad line.
+
 All operations are pure; :class:`Dataset` and :class:`Scaler` values are
 immutable after construction and safe to share across threads.
 """
@@ -11,8 +14,9 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -136,125 +140,126 @@ class Dataset:
         )
 
 
-def _parse_cell(token: str, line_no: int, column: str) -> tuple[float, bool]:
-    if token == MISSING_TOKEN:
-        return float("nan"), True
+def _tokens(line: str) -> list[str]:
+    return [tok.strip() for tok in line.split(",")]
+
+
+def _is_number(token: str) -> bool:
     try:
-        return float(token), False
+        float(token)
     except ValueError:
-        raise ParseError(
-            f"line {line_no}: non-numeric value {token!r} in column {column}"
-        ) from None
-
-
-def _non_finite_error(line_no: int, token: str, column: str) -> ParseError:
-    return ParseError(f"line {line_no}: non-finite value {token!r} in column {column}")
+        return False
+    return True
 
 
 def _looks_like_header(tokens: list[str]) -> bool:
     # Header iff nothing in the row parses as data; a row with even one
     # numeric or "?" cell is data (possibly corrupt, reported as such).
-    for token in tokens:
-        if token == MISSING_TOKEN:
-            return False
-        try:
-            float(token)
-        except ValueError:
-            continue
-        return False
-    return True
+    return not any(tok == MISSING_TOKEN or _is_number(tok) for tok in tokens)
+
+
+def _raise_line_error(line_no: int, tokens: list[str], label_policy: str) -> NoReturn:
+    """Raise the error of the bad data row ``tokens`` from file line
+    ``line_no``: its first failing check, in the order field count,
+    feature cells left to right, class label, non-finite feature cells."""
+    where = f"line {line_no}:"
+    if len(tokens) != N_ATTRIBUTES + 1:
+        raise ParseError(f"{where} expected {N_ATTRIBUTES + 1} fields, got {len(tokens)}")
+    cells = [(col.name, token) for col, token in zip(HEART_SCHEMA, tokens)]
+    for column, token in [*cells, ("class", tokens[-1])]:
+        if token != MISSING_TOKEN and not _is_number(token):
+            raise ParseError(f"{where} non-numeric value {token!r} in column {column}")
+    label_token = tokens[N_ATTRIBUTES]
+    if label_token == MISSING_TOKEN:
+        raise ParseError(f"{where} missing class label")
+    label = float(label_token)
+    if not math.isfinite(label):
+        raise ParseError(f"{where} non-finite value {label_token!r} in column class")
+    if not label.is_integer():
+        raise ValidationError(f"{where} non-integer class label {label_token!r}")
+    if label_policy == LABELS_STRICT and not 0 <= label < N_CLASSES:
+        raise ValidationError(f"{where} class label {int(label)} outside 0..{N_CLASSES - 1}")
+    for column, token in cells:
+        if token != MISSING_TOKEN and not math.isfinite(float(token)):
+            raise ParseError(f"{where} non-finite value {token!r} in column {column}")
+    raise AssertionError(f"{where} flagged bad, yet it passes every check")
 
 
 def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
     """Read a comma-separated heart-disease file into a :class:`Dataset`.
 
     Rows carry 13 attribute values plus a class label; ``?`` marks a
-    missing cell.  A non-numeric first row is treated as a header and
-    skipped.  ``label_policy`` controls labels outside 0..3 (the raw
-    Cleveland file uses 0..4): ``strict`` rejects them, ``clamp`` maps
-    them to the nearest bound and records a warning on the dataset.
+    missing cell.  Blank lines, and leading rows with no numeric or ``?``
+    cell (a header), are skipped.  ``label_policy`` controls labels
+    outside 0..3 (the raw Cleveland file uses 0..4): ``strict`` rejects
+    them, ``clamp`` maps them to the nearest bound and records a warning.
+
+    One bulk pass splits each line once, converts every cell with one
+    ``map(float, ...)`` and checks labels and features as whole arrays.
+    A file with bad rows raises the error of its earliest bad line, the
+    first failing check of that line as :func:`_raise_line_error` orders
+    them; only that line is walked cell by cell, to name its token.
     """
     if label_policy not in (LABELS_STRICT, LABELS_CLAMP):
         raise ValueError(f"unknown label_policy {label_policy!r}")
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-
-    n_fields = N_ATTRIBUTES + 1
-    feature_rows: list[list[float]] = []
-    mask_rows: list[list[bool]] = []
-    labels: list[int] = []
-    warnings: list[str] = []
-    line_numbers: list[int] = []  # the file line each row came from
-    first_data_row_seen = False
-
-    lines = text.splitlines()
-    for line_no, raw_line in enumerate(lines, start=1):
-        line = raw_line.strip()
-        if not line:
-            continue
-        tokens = [tok.strip() for tok in line.split(",")]
-        if not first_data_row_seen and _looks_like_header(tokens):
-            continue
-        first_data_row_seen = True
-        if len(tokens) != n_fields:
-            raise ParseError(
-                f"line {line_no}: expected {n_fields} fields, got {len(tokens)}"
-            )
-
-        values: list[float] = []
-        missing: list[bool] = []
-        for schema_col, token in zip(HEART_SCHEMA, tokens[:N_ATTRIBUTES]):
-            value, is_missing = _parse_cell(token, line_no, schema_col.name)
-            values.append(value)
-            missing.append(is_missing)
-
-        label_token = tokens[N_ATTRIBUTES]
-        if label_token == MISSING_TOKEN:
-            raise ParseError(f"line {line_no}: missing class label")
-        raw_label, _ = _parse_cell(label_token, line_no, "class")
-        if not raw_label.is_integer():
-            if not math.isfinite(raw_label):
-                raise _non_finite_error(line_no, label_token, "class")
-            raise ValidationError(
-                f"line {line_no}: non-integer class label {label_token!r}"
-            )
-        label = int(raw_label)
-        if not 0 <= label < N_CLASSES:
-            if label_policy == LABELS_STRICT:
-                raise ValidationError(
-                    f"line {line_no}: class label {label} outside 0..{N_CLASSES - 1}"
-                )
-            clamped = min(max(label, 0), N_CLASSES - 1)
-            warnings.append(
-                f"line {line_no}: class label {label} clamped to {clamped}"
-            )
-            label = clamped
-
-        feature_rows.append(values)
-        mask_rows.append(missing)
-        labels.append(label)
-        line_numbers.append(line_no)
-
-    if not feature_rows:
+    stripped = list(map(str.strip, path.read_text(encoding="utf-8").splitlines()))
+    line_numbers = [line_no for line_no, line in enumerate(stripped, start=1) if line]
+    lines = list(filter(None, stripped))
+    start = 0
+    while start < len(lines) and _looks_like_header(_tokens(lines[start])):
+        start += 1
+    lines, line_numbers = lines[start:], line_numbers[start:]
+    if not lines:
         raise ParseError(f"{path}: no data rows")
 
-    features = np.array(feature_rows, dtype=np.float64)
-    missing_mask = np.array(mask_rows, dtype=bool)
-    # float() also reads nan, inf and -inf, which are neither numbers the
-    # scaler can use nor the "?" that marks a cell missing.  One test over
-    # the whole table finds them without a per-cell check in the loop.
-    bad = ~(np.isfinite(features) | missing_mask)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        line_no = line_numbers[row]
-        token = lines[line_no - 1].split(",")[col].strip()
-        raise _non_finite_error(line_no, token, HEART_SCHEMA[col].name)
+    # rows[:n_ok] have the right field count and every cell a number
+    n_fields = N_ATTRIBUTES + 1
+    rows = [line.split(",") for line in lines]
+    n_ok = next((i for i, row in enumerate(rows) if len(row) != n_fields), len(rows))
+    missing = np.zeros((n_ok, n_fields), dtype=bool)
+    for i in range(n_ok):
+        if MISSING_TOKEN in lines[i]:
+            missing[i] = [tok.strip() == MISSING_TOKEN for tok in rows[i]]
+            rows[i] = ["nan" if gone else tok for tok, gone in zip(rows[i], missing[i])]
+    try:
+        values = np.fromiter(map(float, chain.from_iterable(rows[:n_ok])), np.float64)
+    except ValueError:
+        # float() skips the whitespace str.strip() does, bar \x1c-\x1f, so
+        # this slow pass strips; it stops at the first row with a non-number
+        parsed = []
+        for row in rows[:n_ok]:
+            try:
+                parsed.append(list(map(float, map(str.strip, row))))
+            except ValueError:
+                break
+        n_ok, values = len(parsed), np.array(parsed, dtype=np.float64)
+    values, missing = values.reshape(n_ok, n_fields), missing[:n_ok, :N_ATTRIBUTES]
 
+    features, raw_labels = values[:, :N_ATTRIBUTES], values[:, N_ATTRIBUTES]
+    # a "?" label was read as NaN, so it fails this test too
+    label_ok = np.isfinite(raw_labels) & (raw_labels == np.floor(raw_labels))
+    labels = np.where(label_ok, raw_labels, 0.0)
+    out_of_range = (labels < 0) | (labels >= N_CLASSES)
+    # float() also reads nan, inf and -inf, which are neither numbers the
+    # scaler can use nor the "?" that marks a cell missing
+    bad = ~label_ok | ~(np.isfinite(features) | missing).all(axis=1)
+    if label_policy == LABELS_STRICT:
+        bad |= out_of_range
+    if bad.any() or n_ok < len(rows):
+        first = int(np.argmax(bad)) if bad.any() else n_ok
+        _raise_line_error(line_numbers[first], _tokens(lines[first]), label_policy)
+
+    warnings = tuple(
+        f"line {line_numbers[i]}: class label {int(labels[i])} clamped to "
+        f"{0 if labels[i] < 0 else N_CLASSES - 1}"
+        for i in np.flatnonzero(out_of_range)
+    )
     return Dataset(
         features=features,
-        labels=np.array(labels, dtype=np.int64),
-        missing_mask=missing_mask,
-        warnings=tuple(warnings),
+        labels=np.clip(labels, 0, N_CLASSES - 1).astype(np.int64),
+        missing_mask=missing,
+        warnings=warnings,
     )
 
 
@@ -455,15 +460,8 @@ _CLASS_CODES = np.array(
 )
 
 
-def encode_class(label: int) -> np.ndarray:
-    """Map a class label 0..3 to its two-neuron target vector."""
-    if not 0 <= int(label) < N_CLASSES or label != int(label):
-        raise ValidationError(f"class label {label!r} outside 0..{N_CLASSES - 1}")
-    return _CLASS_CODES[int(label)].copy()
-
-
 def encode_labels(labels) -> np.ndarray:
-    """Vectorized :func:`encode_class` over a label array."""
+    """Two-neuron target rows for an array of class labels 0..3."""
     arr = np.asarray(labels)
     if arr.size and (arr.min() < 0 or arr.max() >= N_CLASSES):
         raise ValidationError(f"labels must lie in 0..{N_CLASSES - 1}")
@@ -482,14 +480,6 @@ def decode_outputs(outputs) -> np.ndarray:
         raise ValidationError(f"non-finite network output in row {bad}: {out[bad].tolist()}")
     bits = (out >= 0.5).astype(np.int64)
     return 2 * bits[:, 0] + bits[:, 1]
-
-
-def decode_output(output) -> int:
-    """:func:`decode_outputs` for a single output vector."""
-    out = np.asarray(output, dtype=np.float64)
-    if out.shape != (2,):
-        raise ValidationError(f"expected 2 output values, got shape {out.shape}")
-    return int(decode_outputs(out[None, :])[0])
 
 
 def split(dataset: Dataset, n_train: int, n_test: int, seed: int) -> tuple[Dataset, Dataset]:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FormatError, decode_output
+from .data import FormatError
 
 LOGISTIC_SIGMOID = "logistic-sigmoid"
 MODEL_FORMAT_VERSION = 1
@@ -46,9 +46,8 @@ def sigmoid(x):
 
     Below x of about -709, e^-x overflows to inf and the result is exactly
     0.0.  numpy reports that overflow as a RuntimeWarning unless it runs
-    under ``np.errstate(over="ignore")``; :func:`predict`,
-    :func:`heartnet.evaluation.evaluate` and :func:`heartnet.trainer.train`
-    enter that state once per call.
+    under ``np.errstate(over="ignore")``; :func:`heartnet.evaluation.evaluate`
+    and :func:`heartnet.trainer.train` enter that state once per call.
     """
     return 1.0 / (1.0 + np.exp(-x))
 
@@ -217,13 +216,6 @@ def backward(network: Network, activations: list[np.ndarray], target) -> np.ndar
     grads = np.empty_like(network.params)
     _backprop(network.weights, activations, tgt, *_views(grads, network.weights, network.biases))
     return grads
-
-
-def predict(network: Network, features) -> int:
-    """Forward sweep followed by class-code decoding of the output layer."""
-    with np.errstate(over="ignore"):
-        output = forward(network, features)[-1]
-    return decode_output(output)
 
 
 def network_to_dict(network: Network) -> dict:

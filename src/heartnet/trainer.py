@@ -71,6 +71,8 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if not self.target_sse >= 0:
             raise ValueError("target_sse must be >= 0")
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -184,6 +184,10 @@ class TestUsageErrors:
             (["experiment"], {"hidden_sizes": [4, 4, 4, 4]}, EXIT_USAGE),
             (["experiment"], {"hidden_sizes": None}, EXIT_USAGE),
             (["experiment"], {"splits": None}, EXIT_USAGE),
+            (["train"], {"seed": -1}, EXIT_USAGE),
+            (["experiment"], {"seed": -1}, EXIT_USAGE),
+            (["train", "--seed", "-1"], {}, EXIT_USAGE),
+            (["experiment", "--seed", "-1"], {}, EXIT_USAGE),
         ],
     )
     def test_rejected_config_leaves_no_out_dir(self, tmp_path, capsys, argv, payload, expected):

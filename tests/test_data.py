@@ -1,5 +1,6 @@
 """Ingestion, imputation, scaling, class encoding, and split tests."""
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -17,9 +18,7 @@ from heartnet.data import (
     Scaler,
     ValidationError,
     bundled_fixture_path,
-    decode_output,
     decode_outputs,
-    encode_class,
     encode_labels,
     fit_scaler,
     impute,
@@ -69,6 +68,12 @@ class TestLoadDataset:
         ds = load_dataset(write_csv(tmp_path, names + "\n" + EXAMPLE_ROW + "\n"))
         assert len(ds) == 1
 
+    def test_first_row_with_missing_cells_is_data(self, tmp_path):
+        # a "?" cell makes a row data, not a header, even with no number in it
+        text = ",".join(["?"] * 13 + ["abc"]) + "\n" + EXAMPLE_ROW + "\n"
+        with pytest.raises(ParseError, match="line 1: non-numeric value 'abc' in column class"):
+            load_dataset(write_csv(tmp_path, text))
+
     def test_blank_lines_skipped(self, tmp_path):
         ds = load_dataset(write_csv(tmp_path, "\n" + EXAMPLE_ROW + "\n\n" + EXAMPLE_ROW + "\n"))
         assert len(ds) == 2
@@ -94,6 +99,21 @@ class TestLoadDataset:
         bad = EXAMPLE_ROW[:-1] + token
         with pytest.raises(ParseError, match=f"line 1: non-finite value '{token}' in column class"):
             load_dataset(write_csv(tmp_path, bad + "\n"))
+
+    @pytest.mark.parametrize(
+        "line_2",
+        [
+            EXAMPLE_ROW.replace("233", "abc"),  # non-numeric cell
+            "1,2,3",  # field count
+            EXAMPLE_ROW[:-1] + "1.5",  # fractional label
+        ],
+        ids=["non-numeric", "field-count", "fractional-label"],
+    )
+    def test_earliest_bad_line_wins(self, tmp_path, line_2):
+        # the non-finite cell on line 1 is reported, not line 2's error
+        line_1 = EXAMPLE_ROW.replace("233", "inf")
+        with pytest.raises(ParseError, match="line 1: non-finite value 'inf' in column Chol"):
+            load_dataset(write_csv(tmp_path, line_1 + "\n" + line_2 + "\n"))
 
     def test_missing_label_rejected(self, tmp_path):
         bad = EXAMPLE_ROW[: EXAMPLE_ROW.rfind(",")] + ",?"
@@ -288,20 +308,17 @@ class TestScaler:
 
 class TestClassCodes:
     def test_codebook(self):
-        np.testing.assert_array_equal(encode_class(0), [0.0, 0.0])
-        np.testing.assert_array_equal(encode_class(1), [0.0, 1.0])
-        np.testing.assert_array_equal(encode_class(2), [1.0, 0.0])
-        np.testing.assert_array_equal(encode_class(3), [1.0, 1.0])
+        np.testing.assert_array_equal(
+            encode_labels([0, 1, 2, 3]), [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+        )
 
     def test_encode_decode_round_trip(self):
-        for label in range(4):
-            assert decode_output(encode_class(label)) == label
+        labels = np.arange(4)
+        np.testing.assert_array_equal(decode_outputs(encode_labels(labels)), labels)
 
     def test_threshold_and_ties(self):
-        assert decode_output([0.49, 0.51]) == 1
-        assert decode_output([0.51, 0.49]) == 2
-        assert decode_output([0.5, 0.5]) == 3  # ties round up
-        assert decode_output([0.499999, 0.499999]) == 0
+        outputs = [[0.49, 0.51], [0.51, 0.49], [0.5, 0.5], [0.499999, 0.499999]]
+        np.testing.assert_array_equal(decode_outputs(outputs), [1, 2, 3, 0])  # ties round up
 
     def test_encode_labels_matrix(self):
         targets = encode_labels([0, 3, 1])
@@ -309,27 +326,28 @@ class TestClassCodes:
 
     def test_out_of_range_label(self):
         with pytest.raises(ValidationError):
-            encode_class(4)
+            encode_labels([4])
         with pytest.raises(ValidationError):
-            encode_class(-1)
+            encode_labels([0, -1])
 
     def test_decode_shape_check(self):
         with pytest.raises(ValidationError):
-            decode_output([0.1, 0.2, 0.3])
+            decode_outputs([0.1, 0.2])
+        with pytest.raises(ValidationError):
+            decode_outputs([[0.1, 0.2, 0.3]])
 
     def test_non_finite_output_has_no_class(self):
         for bad in ([np.nan, np.nan], [0.7, np.nan], [np.inf, 0.2]):
             with pytest.raises(ValidationError, match="non-finite"):
-                decode_output(bad)
+                decode_outputs([bad])
         with pytest.raises(ValidationError, match="non-finite network output in row 1"):
             decode_outputs([[0.1, 0.9], [np.nan, 0.3], [0.6, 0.6]])
 
     def test_rows_match_single_decode(self):
         outputs = np.random.default_rng(2).uniform(0, 1, (50, 2))
         outputs[0] = [0.5, 0.5]  # ties round up
-        np.testing.assert_array_equal(
-            decode_outputs(outputs), [decode_output(row) for row in outputs]
-        )
+        by_hand = [2 * int(high >= 0.5) + int(low >= 0.5) for high, low in outputs]
+        np.testing.assert_array_equal(decode_outputs(outputs), by_hand)
 
 
 class TestSplit:
@@ -407,6 +425,47 @@ def table_text(values, mask, labels) -> str:
     return "\n".join(lines) + "\n"
 
 
+HEADER = [col.name for col in hdata.HEART_SCHEMA] + ["num"]
+PADDING = st.sampled_from(["", " ", "  ", "\t", " \t"])
+
+
+@st.composite
+def raw_table_texts(draw):
+    """Text of a table with random whitespace around every token, blank
+    lines, an optional header row, "?" feature cells and labels -1..5."""
+    values, mask, _ = draw(heart_tables())
+    labels = draw(st.lists(st.integers(-1, 5), min_size=len(values), max_size=len(values)))
+    rows = [
+        ["?" if gone else repr(float(v)) for v, gone in zip(row, row_mask)] + [str(label)]
+        for row, row_mask, label in zip(values, mask, labels)
+    ]
+    if draw(st.booleans()):
+        rows.insert(0, HEADER)
+    lines = []
+    for tokens in rows:
+        lines += draw(st.lists(PADDING, max_size=2))  # blank lines
+        lines.append(",".join(draw(PADDING) + tok + draw(PADDING) for tok in tokens))
+    return "\n".join(lines) + "\n"
+
+
+def read_cell_by_cell(text):
+    """Independent oracle for :func:`load_dataset` under ``clamp``: every
+    cell read on its own with ``float(tok.strip())``, "?" as NaN."""
+    features, mask, labels, warnings = [], [], [], []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        tokens = [tok.strip() for tok in line.split(",")]
+        if tokens == [""] or tokens == HEADER:
+            continue
+        features.append([math.nan if tok == "?" else float(tok) for tok in tokens[:13]])
+        mask.append([tok == "?" for tok in tokens[:13]])
+        label = int(float(tokens[13]))
+        clamped = min(max(label, 0), 3)
+        if clamped != label:
+            warnings.append(f"line {line_no}: class label {label} clamped to {clamped}")
+        labels.append(clamped)
+    return np.array(features), np.array(mask), labels, tuple(warnings)
+
+
 class TestProperties:
     @settings(max_examples=30, deadline=None)
     @given(table=heart_tables(), policy=st.sampled_from(["median_mode", "drop_rows"]))
@@ -438,6 +497,19 @@ class TestProperties:
                 present = values[~mask[:, j], j]
                 assert len(set(filled.features[gone, j].tolist())) == 1
                 assert present.min() <= filled.features[gone, j][0] <= present.max()
+
+    @settings(max_examples=30, deadline=None)
+    @given(text=raw_table_texts())
+    def test_bulk_parse_matches_cell_by_cell(self, text):
+        features, mask, labels, warnings = read_cell_by_cell(text)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            path.write_text(text, encoding="utf-8")
+            loaded = load_dataset(path, label_policy=hdata.LABELS_CLAMP)
+        assert loaded.features.tobytes() == features.tobytes()
+        np.testing.assert_array_equal(loaded.missing_mask, mask)
+        np.testing.assert_array_equal(loaded.labels, labels)
+        assert loaded.warnings == warnings
 
     @settings(max_examples=30, deadline=None)
     @given(

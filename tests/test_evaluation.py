@@ -9,7 +9,6 @@ from heartnet.data import (
     IMPUTE_MEDIAN_MODE,
     ValidationError,
     bundled_fixture_path,
-    decode_output,
     encode_labels,
     fit_scaler,
     impute,
@@ -27,8 +26,14 @@ from heartnet.evaluation import (
     format_report,
     run_experiment,
 )
-from heartnet.network import forward, new_network, predict
+from heartnet.network import forward, new_network
 from heartnet.trainer import TrainConfig, train
+
+
+def decode_row(output) -> int:
+    """Class of one output row, decoded by hand: each neuron is one bit of
+    the label, high bit first, set at 0.5 and above."""
+    return 2 * int(output[0] >= 0.5) + int(output[1] >= 0.5)
 
 
 def small_dataset(n=60):
@@ -67,8 +72,7 @@ class TestEvaluate:
 
         confusion = np.zeros((4, 4), dtype=int)
         for row, true in zip(x, ds.labels):
-            predicted = decode_output(forward(net, row)[-1])
-            confusion[true, predicted] += 1
+            confusion[true, decode_row(forward(net, row)[-1])] += 1
         np.testing.assert_array_equal(metrics.confusion, confusion)
         assert metrics.n_correct == int(np.trace(confusion))
         assert metrics.efficiency_pct == pytest.approx(
@@ -85,9 +89,18 @@ class TestEvaluate:
 
         confusion = np.zeros((4, 4), dtype=int)
         for row, true in zip(x, ds.labels):
-            confusion[true, predict(net, row)] += 1
+            confusion[true, decode_row(forward(net, row)[-1])] += 1
         np.testing.assert_array_equal(metrics.confusion, confusion)
         assert metrics.n_test == len(ds) == 303
+
+    def test_saturated_outputs(self):
+        net = new_network((13, 2), 0)
+        net.weights[0][:] = 0.0
+        net.biases[0][:] = -50.0  # both outputs pinned near 0 -> class 0
+        assert evaluate(net, np.ones((2, 13)), np.zeros(2, dtype=int)).n_correct == 2
+        net.biases[0][:] = 50.0  # both near 1 -> class 3
+        metrics = evaluate(net, np.ones((2, 13)), np.zeros(2, dtype=int))
+        assert metrics.confusion[0, 3] == 2
 
     def test_non_finite_output_rejected(self):
         net = new_network((13, 2), 0)

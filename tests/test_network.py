@@ -21,7 +21,6 @@ from heartnet.network import (
     network_from_dict,
     network_to_dict,
     new_network,
-    predict,
     save_network,
     sigmoid,
     sse,
@@ -60,7 +59,7 @@ class TestSigmoid:
 
     def test_saturation_negative(self):
         # e^1000 overflows to inf, so the result is exactly 0.0; train,
-        # evaluate and predict silence that overflow the same way
+        # evaluate and train silence that overflow the same way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="ignore"):
@@ -89,7 +88,7 @@ class TestSigmoid:
 
     def test_saturated_network_warns_nowhere(self):
         # |z| ~ 1000 in every layer: outputs pin to exactly 0.0 or 1.0 and
-        # no RuntimeWarning leaves predict or evaluate
+        # no RuntimeWarning leaves evaluate
         net = new_network((3, 2), 0)
         net.weights[0][:] = 0.0
         net.biases[0][:] = [-1000.0, 1000.0]
@@ -97,10 +96,8 @@ class TestSigmoid:
             warnings.simplefilter("error")
             with np.errstate(over="ignore"):
                 outputs = forward(net, np.zeros((4, 3)))[-1]
-            label = predict(net, np.zeros(3))
             metrics = evaluate(net, np.zeros((4, 3)), np.zeros(4, dtype=int))
         np.testing.assert_array_equal(outputs, np.tile([0.0, 1.0], (4, 1)))
-        assert label == 1
         assert metrics.confusion[0, 1] == 4
 
 
@@ -272,25 +269,6 @@ class TestBackward:
         first, *rest = runs.values()
         assert len(first) == 1
         assert all(lines == first for lines in rest)
-
-
-class TestPredict:
-    def test_matches_composition(self):
-        from heartnet.data import decode_output
-
-        net = new_network((13, 8, 2), 3)
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            x = rng.uniform(0, 1, 13)
-            assert predict(net, x) == decode_output(forward(net, x)[-1])
-
-    def test_saturated_outputs(self):
-        net = new_network((13, 2), 0)
-        net.weights[0][:] = 0.0
-        net.biases[0][:] = -50.0  # both outputs pinned near 0 -> class 0
-        assert predict(net, np.ones(13)) == 0
-        net.biases[0][:] = 50.0  # both near 1 -> class 3
-        assert predict(net, np.ones(13)) == 3
 
 
 class TestSerialization:

@@ -53,6 +53,7 @@ class TestTrainConfig:
             {"lr_decrease": math.nan},
             {"max_sse_rise": math.nan},
             {"target_sse": math.nan},
+            {"seed": -1},
         ],
     )
     def test_bounds(self, kwargs):
