@@ -30,7 +30,7 @@ from .evaluation import (
     format_report,
     run_experiment,
 )
-from .network import MAX_LAYERS, load_network, new_network, save_network
+from .network import _is_integer, _validate_layer_sizes, load_network, new_network, save_network
 from .trainer import DivergenceError, TrainConfig, train, write_history_csv
 
 EXIT_OK = 0
@@ -56,9 +56,21 @@ _IMPUTE_ALIASES = {
 _LABEL_POLICIES = (hdata.LABELS_STRICT, hdata.LABELS_CLAMP)
 
 
+def _is_size_list(value) -> bool:
+    """A list of integers >= 1: ``8.7`` and ``8.0`` are refused, not
+    truncated, and ``true`` is not 1."""
+    return isinstance(value, (list, tuple)) and all(_is_integer(v) and v >= 1 for v in value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs, merged from defaults, file, and flags."""
+    """Everything a run needs, merged from defaults, file, and flags.
+
+    Construction checks every setting, so an instance (including one made
+    by :func:`dataclasses.replace`) is always valid; a bad one raises
+    :class:`ConfigError`.  Policy aliases are normalised and integer lists
+    become tuples.
+    """
 
     data: str | None = None
     out: str | None = None
@@ -76,6 +88,62 @@ class RunConfig:
     target_sse: float = TrainConfig.target_sse
     seed: int = TrainConfig.seed
 
+    def __post_init__(self):
+        for name in ("data", "out"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{name} must be a path string or null, got {value!r}")
+        try:
+            imputation = _IMPUTE_ALIASES[self.imputation]
+        except (KeyError, TypeError):
+            raise ConfigError(
+                f"imputation must be one of {sorted(set(_IMPUTE_ALIASES))}, "
+                f"got {self.imputation!r}"
+            ) from None
+        if self.label_policy not in _LABEL_POLICIES:
+            raise ConfigError(
+                f"label_policy must be one of {_LABEL_POLICIES}, got {self.label_policy!r}"
+            )
+        for name in ("layer_sizes", "hidden_sizes"):
+            value = getattr(self, name)
+            if value is None and name == "layer_sizes":
+                continue  # null: the stack is 13, hidden_sizes, 2
+            if not _is_size_list(value):
+                raise ConfigError(f"{name} must be a list of integers >= 1, got {value!r}")
+            object.__setattr__(self, name, tuple(int(v) for v in value))
+        if not isinstance(self.splits, (list, tuple)) or not all(
+            _is_size_list(pair) and len(pair) == 2 for pair in self.splits
+        ):
+            raise ConfigError(
+                f"splits must be a list of [n_train, n_test] pairs of integers >= 1, "
+                f"got {self.splits!r}"
+            )
+        object.__setattr__(self, "splits", tuple(tuple(int(v) for v in p) for p in self.splits))
+        object.__setattr__(self, "imputation", imputation)
+        self.train_config()
+        self._check_layer_stack()
+
+    def _check_layer_stack(self) -> None:
+        sizes = self.layer_stack()
+        try:
+            _validate_layer_sizes(sizes)
+        except ValueError as exc:
+            raise ConfigError(f"layer sizes {list(sizes)}: {exc}") from None
+        if sizes[0] != hdata.N_ATTRIBUTES:
+            raise ConfigError(
+                f"first layer size {sizes[0]} != {hdata.N_ATTRIBUTES} input features"
+            )
+        if sizes[-1] != 2:
+            raise ConfigError(f"last layer size {sizes[-1]} != 2 output neurons")
+
+    def layer_stack(self) -> tuple[int, ...]:
+        """The layer sizes a ``train`` run or an ``experiment``'s
+        multi-layer cells use: ``layer_sizes`` if set, else the 13 inputs,
+        the ``hidden_sizes`` and the 2 outputs."""
+        if self.layer_sizes is not None:
+            return self.layer_sizes
+        return (hdata.N_ATTRIBUTES, *self.hidden_sizes, 2)
+
     def train_config(self) -> TrainConfig:
         try:
             return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
@@ -89,69 +157,9 @@ class RunConfig:
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
-def _json_ints(value) -> tuple[int, ...]:
-    """The entries of a JSON list, each of which must be an integer, by
-    the rule :func:`_check_types` applies to ``max_epochs``: ``8.7`` and
-    ``8.0`` are refused, not truncated, and ``true`` is not 1."""
-    if not isinstance(value, list) or any(type(v) is not int for v in value):
-        raise TypeError(value)
-    return tuple(value)
-
-
-def _parse_layer_list(value, what: str) -> tuple[int, ...]:
-    try:
-        if isinstance(value, str):
-            sizes = tuple(int(v) for v in value.split(","))
-        else:
-            sizes = _json_ints(value)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"{what} must be a comma-separated list of integers, got {value!r}"
-        ) from None
-    if any(s < 1 for s in sizes):
-        raise ConfigError(f"{what} entries must be >= 1")
-    return sizes
-
-
-def _parse_splits(value) -> tuple[tuple[int, int], ...]:
-    try:
-        splits = tuple(_json_ints(pair) for pair in value)
-        if any(len(pair) != 2 for pair in splits):
-            raise ValueError(value)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"splits must be a list of [n_train, n_test] integer pairs, got {value!r}"
-        ) from None
-    if any(a < 1 or b < 1 for a, b in splits):
-        raise ConfigError("split sizes must be >= 1")
-    return splits
-
-
-_INTEGER_KEYS = ("max_epochs", "seed")
-_NUMBER_KEYS = (
-    "initial_lr", "momentum", "lr_increase", "lr_decrease", "max_sse_rise", "target_sse",
-)
-_PATH_KEYS = ("data", "out")
-
-
-def _check_types(payload: dict, path) -> None:
-    """Reject a scalar config value of the wrong JSON type.  ``true`` and
-    ``false`` are not numbers here, although Python counts bool as int."""
-    for key, value in payload.items():
-        if key in _INTEGER_KEYS:
-            ok, wanted = type(value) is int, "an integer"
-        elif key in _NUMBER_KEYS:
-            ok, wanted = type(value) in (int, float), "a number"
-        elif key in _PATH_KEYS:
-            ok, wanted = value is None or isinstance(value, str), "a path string or null"
-        else:
-            continue
-        if not ok:
-            raise ConfigError(f"{path}: {key} must be {wanted}, got {value!r}")
-
-
 def load_run_config(path) -> RunConfig:
-    """Read a flat JSON config; unknown keys are rejected outright."""
+    """Read a flat JSON config; unknown keys are rejected outright and the
+    rest are checked by :class:`RunConfig`."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -161,87 +169,36 @@ def load_run_config(path) -> RunConfig:
     unknown = sorted(set(payload) - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
-
-    _check_types(payload, path)
-    kwargs = dict(payload)
-    if "imputation" in kwargs:
-        kwargs["imputation"] = _normalize_impute(kwargs["imputation"])
-    if "label_policy" in kwargs:
-        kwargs["label_policy"] = _normalize_labels(kwargs["label_policy"])
-    if kwargs.get("layer_sizes") is not None:
-        kwargs["layer_sizes"] = _parse_layer_list(kwargs["layer_sizes"], "layer_sizes")
-    # only layer_sizes may be null (its default stack); these two may not
-    if "hidden_sizes" in kwargs:
-        kwargs["hidden_sizes"] = _parse_layer_list(kwargs["hidden_sizes"], "hidden_sizes")
-    if "splits" in kwargs:
-        kwargs["splits"] = _parse_splits(kwargs["splits"])
     try:
-        return RunConfig(**kwargs)
-    except TypeError as exc:
+        return RunConfig(**payload)
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _normalize_impute(value: str) -> str:
-    try:
-        return _IMPUTE_ALIASES[value]
-    except (KeyError, TypeError):
-        raise ConfigError(
-            f"imputation must be one of {sorted(set(_IMPUTE_ALIASES))}, got {value!r}"
-        ) from None
-
-
-def _normalize_labels(value: str) -> str:
-    if value not in _LABEL_POLICIES:
-        raise ConfigError(f"label_policy must be one of {_LABEL_POLICIES}, got {value!r}")
-    return value
-
-
 def merge_config(args: argparse.Namespace) -> RunConfig:
-    """File config (if any) under flag overrides."""
-    config = load_run_config(args.config) if getattr(args, "config", None) else RunConfig()
+    """File config (if any), checked whole, under flag overrides."""
+    base = load_run_config(args.config) if getattr(args, "config", None) else None
     overrides = {}
-    if getattr(args, "data", None) is not None:
-        overrides["data"] = args.data
-    if getattr(args, "out", None) is not None:
-        overrides["out"] = args.out
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
+    for flag, key in (
+        ("data", "data"), ("out", "out"), ("seed", "seed"),
+        ("impute", "imputation"), ("labels", "label_policy"),
+    ):
+        if getattr(args, flag, None) is not None:
+            overrides[key] = getattr(args, flag)
     if getattr(args, "layers", None) is not None:
-        overrides["layer_sizes"] = _parse_layer_list(args.layers, "--layers")
-    if getattr(args, "impute", None) is not None:
-        overrides["imputation"] = _normalize_impute(args.impute)
-    if getattr(args, "labels", None) is not None:
-        overrides["label_policy"] = _normalize_labels(args.labels)
-    return replace(config, **overrides)
+        try:
+            overrides["layer_sizes"] = tuple(int(v) for v in args.layers.split(","))
+        except ValueError:
+            raise ConfigError(
+                f"--layers must be a comma-separated list of integers, got {args.layers!r}"
+            ) from None
+    return RunConfig(**overrides) if base is None else replace(base, **overrides)
 
 
 def _require(config: RunConfig, *names: str) -> None:
     for name in names:
         if getattr(config, name) is None:
             raise ConfigError(f"missing required setting {name!r} (flag or config file)")
-
-
-def _layer_stack(config: RunConfig) -> tuple[int, ...]:
-    """The layer sizes a ``train`` run or an ``experiment``'s multi-layer
-    cells use: ``layer_sizes`` if set, else the 13 inputs, the
-    ``hidden_sizes`` and the 2 outputs.  Checked before any data is read
-    or ``--out`` is made."""
-    sizes = config.layer_sizes
-    if sizes is None:
-        sizes = (hdata.N_ATTRIBUTES, *config.hidden_sizes, 2)
-    if len(sizes) < 2:
-        raise ConfigError(f"layer sizes {list(sizes)} need at least input and output sizes")
-    if len(sizes) > MAX_LAYERS:
-        raise ConfigError(
-            f"layer sizes {list(sizes)}: {len(sizes)} layers exceeds the cap of {MAX_LAYERS}"
-        )
-    if sizes[0] != hdata.N_ATTRIBUTES:
-        raise ConfigError(
-            f"first layer size {sizes[0]} != {hdata.N_ATTRIBUTES} input features"
-        )
-    if sizes[-1] != 2:
-        raise ConfigError(f"last layer size {sizes[-1]} != 2 output neurons")
-    return sizes
 
 
 def _prepare_out_dir(config: RunConfig) -> Path:
@@ -294,8 +251,7 @@ def cmd_scale(config: RunConfig) -> int:
 def cmd_train(config: RunConfig) -> int:
     """Full pipeline: load, impute, scale, train, persist artifacts."""
     _require(config, "data", "out")
-    train_config = config.train_config()
-    sizes = _layer_stack(config)
+    sizes = config.layer_stack()
     dataset = _load_and_impute(config)
     network = new_network(sizes, config.seed)
     out_dir = _prepare_out_dir(config)
@@ -303,7 +259,7 @@ def cmd_train(config: RunConfig) -> int:
     scaler = hdata.fit_scaler(dataset)
     inputs = scaler.transform(dataset.features).values
     targets = hdata.encode_labels(dataset.labels)
-    history = train(network, inputs, targets, train_config)
+    history = train(network, inputs, targets, config.train_config())
 
     save_network(network, out_dir / "model.json")
     save_scaler(scaler, out_dir / "scaler.json")
@@ -361,16 +317,14 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_experiment(config: RunConfig, args: argparse.Namespace) -> int:
     """Run the split-grid comparison of single vs multi layer networks."""
     _require(config, "data", "out")
-    train_config = config.train_config()
-    sizes = _layer_stack(config)
     dataset = _load_and_impute(config)
     out_dir = _prepare_out_dir(config)
 
     report = run_experiment(
         dataset,
         splits=config.splits,
-        config=train_config,
-        hidden_sizes=sizes[1:-1],
+        config=config.train_config(),
+        hidden_sizes=config.layer_stack()[1:-1],
         imputation_policy=config.imputation,
     )
     export_report(report, out_dir / "report.csv")

@@ -24,6 +24,7 @@ buffer.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -110,8 +111,18 @@ class Network:
         )
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, but not ``True``/``False``."""
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
+
+
 def _validate_layer_sizes(layer_sizes) -> tuple[int, ...]:
-    sizes = tuple(int(s) for s in layer_sizes)
+    sizes = tuple(layer_sizes)
+    if not all(_is_integer(s) for s in sizes):
+        raise ValueError(f"layer sizes must be integers, got {list(sizes)}")
+    sizes = tuple(int(s) for s in sizes)
     if len(sizes) < 2:
         raise ValueError("need at least an input and an output layer")
     if len(sizes) > MAX_LAYERS:

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .data import ValidationError
-from .network import Network, _backprop, _sse, _sweep, _views
+from .network import Network, _backprop, _is_integer, _sse, _sweep, _views
 
 
 class DivergenceError(RuntimeError):
@@ -56,6 +57,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # An int field takes an integer, a float field an int or a float;
+        # bool is neither, numpy scalars are.  f.type is the annotation's
+        # text here (postponed annotations); exact types are tested before
+        # the slower ABC check.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_integer(value):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not (
+                type(value) in (int, float)
+                or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+            ):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         # each bound is written so that NaN fails it
         if not self.initial_lr > 0:
             raise ValueError("initial_lr must be > 0")

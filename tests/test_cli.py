@@ -135,6 +135,9 @@ class TestUsageErrors:
             ({"momentum": False}, "momentum"),
             ({"data": 5}, "data"),
             ({"imputation": None}, "imputation"),
+            # a file takes JSON lists; the comma string is --layers' format
+            ({"layer_sizes": "13,8,2"}, "layer_sizes"),
+            ({"hidden_sizes": "8"}, "hidden_sizes"),
         ],
     )
     def test_wrong_type_is_config_error(self, tmp_path, capsys, payload, key):
@@ -188,6 +191,10 @@ class TestUsageErrors:
             (["experiment"], {"seed": -1}, EXIT_USAGE),
             (["train", "--seed", "-1"], {}, EXIT_USAGE),
             (["experiment", "--seed", "-1"], {}, EXIT_USAGE),
+            (["scale", "--seed", "-1"], {}, EXIT_USAGE),
+            (["scale"], {"layer_sizes": [13, 8, 3]}, EXIT_USAGE),
+            (["scale"], {"initial_lr": -1}, EXIT_USAGE),
+            (["train", "--seed", "3"], {"seed": -1}, EXIT_USAGE),  # file checked before flags
         ],
     )
     def test_rejected_config_leaves_no_out_dir(self, tmp_path, capsys, argv, payload, expected):
@@ -197,6 +204,13 @@ class TestUsageErrors:
         assert code == expected
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
+
+    def test_evaluate_checks_config_before_reading_the_model(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent.json")
+        code = main(["evaluate", "--seed", "-1", "--data", FIXTURE,
+                     "--model", absent, "--scaler", absent])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 class TestScale:
@@ -211,6 +225,13 @@ class TestScale:
         values = [float(v) for row in rows[1:] for v in row[:-1]]
         assert min(values) >= 0.0 and max(values) <= 1.0
         assert len(rows) == 1 + 303
+
+    def test_effective_config_reruns_under_train(self, tmp_path):
+        out = tmp_path / "out"
+        path = quick_config(tmp_path)
+        assert main(["scale", "--config", path, "--data", FIXTURE, "--out", str(out)]) == EXIT_OK
+        assert main(["train", "--config", str(out / "effective_config.json")]) == EXIT_OK
+        assert (out / "model.json").exists()
 
 
 class TestTrain:

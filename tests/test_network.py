@@ -136,6 +136,17 @@ class TestNewNetwork:
             new_network((13, 8, 8, 8, 8, 2), 0)
         assert new_network((13, 8, 8, 8, 2), 0).n_layers == 4
 
+    @pytest.mark.parametrize("sizes", [(13, 8.7, 2), (13, 8.0, 2), (13, True, 2)])
+    def test_non_integer_size_rejected(self, sizes):
+        # refused, not truncated to a 13-8-2 or 13-1-2 network
+        with pytest.raises(ValueError, match="must be integers"):
+            new_network(sizes, 0)
+
+    def test_numpy_sizes_accepted(self):
+        net = new_network(np.array([13, 8, 2]), 0)
+        assert net.layer_sizes == (13, 8, 2)
+        assert all(type(s) is int for s in net.layer_sizes)
+
 
 class TestForward:
     def test_zero_net_outputs_half(self):

@@ -54,11 +54,20 @@ class TestTrainConfig:
             {"max_sse_rise": math.nan},
             {"target_sse": math.nan},
             {"seed": -1},
+            {"max_epochs": 2.5},
+            {"max_epochs": True},
+            {"seed": 1.5},
+            {"initial_lr": "0.1"},
+            {"momentum": True},
         ],
     )
     def test_bounds(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = TrainConfig(initial_lr=np.float64(0.1), max_epochs=np.int64(3), seed=np.int64(2))
+        assert cfg.initial_lr == 0.1 and cfg.max_epochs == 3 and cfg.seed == 2
 
 
 def params_layout(weights, biases):
