@@ -3,22 +3,22 @@ backpropagation, and JSON persistence.
 
 Every weight and bias lives in one flat float64 buffer,
 :attr:`Network.params`, laid out ``W0, b0, W1, b1, ...`` with each
-``W`` row-major; ``weights[l]`` and ``biases[l]`` are views of it.
-:func:`backward` returns the gradient as a plain float64 array in that
-same layout, and the trainer's momentum state is one too, so a training
-step or an epoch snapshot is one array operation.  Each layer of a
-forward or backward sweep is one matrix product.
+``W`` row-major; ``weights[l]`` and ``biases[l]`` are views of it.  The
+trainer's gradient and momentum state are plain float64 arrays in that
+same layout, so a training step or an epoch snapshot is one array
+operation.  Each layer of a forward or backward sweep is one matrix
+product.
 
 Gradients are taken of half the sum of squared errors, which gives the
 output delta its clean ``(o - t) * o * (1 - o)`` form; training history
 still reports raw SSE.
 
-:func:`forward`, :func:`backward` and :func:`sse` check their arguments
-and then call an unchecked core (``_sweep``, ``_backprop``, ``_sse``)
-that holds the math.  :func:`heartnet.trainer.train_epoch` checks its
-inputs once per epoch and calls the cores directly for every sample, so
-the per-sample path runs no shape check and allocates no gradient
-buffer.
+:func:`forward` is the checked entry for input from outside the
+program, such as a model loaded from a file scored against a table: it
+checks the input width and calls the unchecked layer loop ``_sweep``.
+:func:`heartnet.trainer.train_epoch` is the checked per-sample kernel:
+it checks its inputs once per epoch and then calls ``_sweep`` and
+``_backprop`` directly for every sample.
 """
 
 from __future__ import annotations
@@ -93,11 +93,6 @@ class Network:
             view[...] = values
 
     @property
-    def n_layers(self) -> int:
-        """Count of weighted (non-input) layers."""
-        return len(self.weights)
-
-    @property
     def n_parameters(self) -> int:
         return self.params.size
 
@@ -169,21 +164,6 @@ def forward(network: Network, features) -> list[np.ndarray]:
     return _sweep(network, x)
 
 
-def _sse(output: np.ndarray, target: np.ndarray) -> float:
-    """Unchecked core of :func:`sse` on two float64 vectors of one shape."""
-    err = target - output
-    return float(np.dot(err, err))
-
-
-def sse(output, target) -> float:
-    """Sum of squared errors between an output vector and its target."""
-    out = np.asarray(output, dtype=np.float64)
-    tgt = np.asarray(target, dtype=np.float64)
-    if out.shape != tgt.shape:
-        raise ValueError(f"shape mismatch: output {out.shape} vs target {tgt.shape}")
-    return _sse(out, tgt)
-
-
 def _backprop(
     weights: list[np.ndarray],
     activations: list[np.ndarray],
@@ -191,9 +171,14 @@ def _backprop(
     weight_grads: list[np.ndarray],
     bias_grads: list[np.ndarray],
 ) -> None:
-    """Unchecked core of :func:`backward`: writes the gradients of one
-    sample into ``weight_grads``/``bias_grads``, views shaped like
-    ``weights`` and the biases."""
+    """Backpropagate one sample's output error through the layers.
+
+    The output delta is ``(o - t) * o * (1 - o)``; each hidden delta is
+    the next layer's weighted delta sum scaled by the local sigmoid
+    derivative.  Writes the gradient of SSE/2 with respect to every
+    weight and bias into ``weight_grads``/``bias_grads``, views shaped
+    like ``weights`` and the biases.  Unchecked: ``activations`` come
+    from ``_sweep`` on the same weights."""
     out = activations[-1]
     delta = (out - target) * out * (1.0 - out)
     for layer in range(len(weights) - 1, -1, -1):
@@ -202,31 +187,6 @@ def _backprop(
         bias_grads[layer][:] = delta
         if layer:
             delta = (weights[layer].T @ delta) * below * (1.0 - below)
-
-
-def backward(network: Network, activations: list[np.ndarray], target) -> np.ndarray:
-    """Backpropagate the output error through the layers.
-
-    The output delta is ``(o - t) * o * (1 - o)``; each hidden delta is
-    the next layer's weighted delta sum scaled by the local sigmoid
-    derivative.  Returns the gradient of SSE/2 with respect to every
-    weight and bias as a new float64 array laid out like
-    :attr:`Network.params`.
-    """
-    if len(activations) != network.n_layers + 1:
-        raise ValueError(
-            f"expected {network.n_layers + 1} activation vectors, got {len(activations)}"
-        )
-    for size, act in zip(network.layer_sizes, activations):
-        if act.shape != (size,):
-            raise ValueError(f"activation shape {act.shape} does not match layer size {size}")
-    tgt = np.asarray(target, dtype=np.float64)
-    if tgt.shape != activations[-1].shape:
-        raise ValueError(f"target shape {tgt.shape} does not match output layer")
-
-    grads = np.empty_like(network.params)
-    _backprop(network.weights, activations, tgt, *_views(grads, network.weights, network.biases))
-    return grads
 
 
 def network_to_dict(network: Network) -> dict:
@@ -250,11 +210,13 @@ def network_from_dict(payload: dict, source: str = "model") -> Network:
             f"(expected {MODEL_FORMAT_VERSION})"
         )
     try:
-        sizes = tuple(int(s) for s in payload["layer_sizes"])
+        sizes = _validate_layer_sizes(payload["layer_sizes"])
         weights = [np.array(w, dtype=np.float64) for w in payload["weights"]]
         biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
         activation = str(payload["activation"])
         seed = payload.get("seed")
+        if not (seed is None or (_is_integer(seed) and seed >= 0)):
+            raise ValueError(f"seed must be null or a non-negative integer, got {seed!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{source}: malformed model payload ({exc})") from None
     if activation != LOGISTIC_SIGMOID:
@@ -275,7 +237,7 @@ def network_from_dict(payload: dict, source: str = "model") -> Network:
         weights=weights,
         biases=biases,
         activation=activation,
-        seed=seed if seed is None else int(seed),
+        seed=seed,
     )
 
 

@@ -12,13 +12,11 @@ every weight and bias) are plain float64 arrays laid out like
 :attr:`~heartnet.network.Network.params`, so a momentum step, an epoch
 snapshot and a rollback are each one array operation.
 
-:func:`train_epoch` checks the training set and the velocity once per
-epoch, allocates one gradient buffer, and then runs every sample through
-the unchecked cores of :mod:`heartnet.network` and the momentum step of
-:func:`apply_update`.  The public :func:`~heartnet.network.forward`,
-:func:`~heartnet.network.backward` and :func:`apply_update` wrap the same
-cores with their per-call checks, so both paths do the same arithmetic
-in the same order.
+:func:`train_epoch` is the checked per-sample kernel, and the only path
+a training step takes.  It checks the training set and the velocity once
+per epoch, allocates one gradient buffer, and then runs every sample
+through the unchecked forward and backward sweeps of
+:mod:`heartnet.network` and the momentum step, with no check per sample.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import ValidationError
-from .network import Network, _backprop, _is_integer, _sse, _sweep, _views
+from .network import Network, _backprop, _is_integer, _sweep, _views
 
 
 class DivergenceError(RuntimeError):
@@ -116,38 +114,6 @@ class TrainingHistory:
         return math.inf
 
 
-def _check_layout(network: Network, name: str, array: np.ndarray) -> None:
-    if array.shape != network.params.shape:
-        raise ValueError(
-            f"{name} shape {array.shape} does not match the network's "
-            f"parameters {network.params.shape}"
-        )
-
-
-def apply_update(
-    network: Network,
-    gradients: np.ndarray,
-    velocity: np.ndarray,
-    lr: float,
-    momentum: float,
-) -> None:
-    """Apply one momentum step in place: step = momentum*previous step -
-    lr*g, for every weight and bias; ``velocity`` keeps the new step.
-    Both arrays are laid out like ``network.params``."""
-    _check_layout(network, "gradients", gradients)
-    _check_layout(network, "velocity", velocity)
-    _momentum_step(network.params, velocity, gradients, lr, momentum)
-
-
-def _momentum_step(
-    params: np.ndarray, step: np.ndarray, grads: np.ndarray, lr: float, momentum: float
-) -> None:
-    """Unchecked core of :func:`apply_update` on flat buffers of one layout."""
-    step *= momentum
-    step -= lr * grads
-    params += step
-
-
 def adapt_learning_rate(
     prev_sse: float, new_sse: float, lr: float, config: TrainConfig
 ) -> tuple[float, bool]:
@@ -197,13 +163,16 @@ def train_epoch(
 
     The samples are presented in ``order`` and the weights move after
     every one; each sample's SSE uses the weights in effect when it was
-    presented.  The result is the same, bit for bit, as calling
-    :func:`~heartnet.network.forward`, :func:`~heartnet.network.sse`,
-    :func:`~heartnet.network.backward` and :func:`apply_update` for each
-    sample, but the shapes are checked once, before any weight moves.
+    presented.  ``velocity``, laid out like ``network.params``, holds
+    every weight's previous step and is updated in place.  Shapes are
+    checked once, before any weight moves.
     """
     x, t = _check_training_set(network, inputs, targets)
-    _check_layout(network, "velocity", velocity)
+    if velocity.shape != network.params.shape:
+        raise ValueError(
+            f"velocity shape {velocity.shape} does not match the network's "
+            f"parameters {network.params.shape}"
+        )
 
     weights, params = network.weights, network.params
     momentum = config.momentum
@@ -213,9 +182,12 @@ def train_epoch(
     for idx in order:
         activations = _sweep(network, x[idx])
         target = t[idx]
-        total += _sse(activations[-1], target)
+        err = target - activations[-1]
+        total += float(np.dot(err, err))
         _backprop(weights, activations, target, weight_grads, bias_grads)
-        _momentum_step(params, velocity, grads, lr, momentum)
+        velocity *= momentum
+        velocity -= lr * grads
+        params += velocity
     return total
 
 

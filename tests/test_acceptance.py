@@ -27,11 +27,12 @@ from heartnet.evaluation import (
     REFERENCE_EFFICIENCY_PCT,
     run_experiment,
 )
-from heartnet.network import backward, forward, new_network, sse
+from heartnet.network import forward, new_network
 from heartnet.trainer import (
     TrainConfig,
     adapt_learning_rate,
     train,
+    train_epoch,
     write_history_csv,
 )
 
@@ -53,7 +54,20 @@ def heart_features():
 
 
 def half_sse_loss(network, x, target):
-    return 0.5 * sse(forward(network, x)[-1], target)
+    err = forward(network, x)[-1] - target
+    return 0.5 * float(np.dot(err, err))
+
+
+def sample_gradient(network, x, target):
+    """The gradient training applies for one sample: a one-sample epoch at
+    lr 1 and momentum 0 from a zero velocity leaves the velocity at
+    exactly minus the gradient.  Runs on a copy of ``network``."""
+    velocity = np.zeros_like(network.params)
+    train_epoch(
+        network.copy(), x[None], target[None], velocity, 1.0,
+        TrainConfig(momentum=0.0), order=np.arange(1),
+    )
+    return -velocity
 
 
 def fd_gradients(network, x, target, step=1e-6):
@@ -71,8 +85,9 @@ def fd_gradients(network, x, target, step=1e-6):
 
 
 def test_gradient_oracle():
-    """Analytic gradients match central finite differences (step 1e-6)
-    within relative error 1e-6 on 20 random networks of <= 30 params."""
+    """The gradients training applies match central finite differences
+    (step 1e-6) within relative error 1e-6 on 20 random networks of <= 30
+    params."""
     shapes = [
         (1, 1), (2, 1), (3, 2), (5, 4), (6, 3), (7, 2), (8, 2), (13, 2),
         (2, 3, 1), (4, 3, 2), (3, 4, 2), (2, 4, 1), (3, 3, 1), (4, 2, 2),
@@ -87,7 +102,7 @@ def test_gradient_oracle():
         rng = np.random.default_rng(100 + i)
         x = rng.uniform(0, 1, shape[0])
         target = rng.uniform(0, 1, shape[-1])
-        analytic = backward(net, forward(net, x), target)
+        analytic = sample_gradient(net, x, target)
         numeric = fd_gradients(net, x, target)
         rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
         worst = max(worst, float(rel.max()))
@@ -132,16 +147,16 @@ def test_same_seed_determinism():
 
 def test_parallel_determinism(under_blas_threads):
     """Training runs in parallel where BLAS splits the batched products over
-    threads. forward, backward and a 50-epoch run of a 13-96-2 net are
-    bit-identical for 1 and 2 BLAS threads."""
+    threads. forward, a one-sample gradient and a 50-epoch run of a 13-96-2
+    net are bit-identical for 1 and 2 BLAS threads."""
     started = time.perf_counter()
     runs = under_blas_threads("""
         import hashlib
         import numpy as np
         from heartnet.data import bundled_fixture_path, encode_labels, fit_scaler
         from heartnet.data import impute, load_dataset
-        from heartnet.network import backward, forward, new_network
-        from heartnet.trainer import TrainConfig, train
+        from heartnet.network import forward, new_network
+        from heartnet.trainer import TrainConfig, train, train_epoch
 
         def digest(array):
             print(hashlib.sha256(array.tobytes()).hexdigest())
@@ -152,9 +167,11 @@ def test_parallel_determinism(under_blas_threads):
 
         # a layer wide enough that a threaded BLAS can split its products
         probe = new_network((13, 1024, 2), 7)
-        acts = forward(probe, x[0])
-        digest(acts[-1])
-        digest(backward(probe, acts, t[0]))
+        digest(forward(probe, x[0])[-1])
+        velocity = np.zeros_like(probe.params)  # ends at minus the gradient
+        train_epoch(probe, x[:1], t[:1], velocity, 1.0, TrainConfig(momentum=0.0),
+                    order=np.arange(1))
+        digest(velocity)
 
         net = new_network((13, 96, 2), 3)
         hist = train(net, x, t, TrainConfig(max_epochs=50, target_sse=0.0, seed=3))

@@ -17,6 +17,7 @@ from heartnet.cli import (
     merge_config,
 )
 from heartnet.data import bundled_fixture_path
+from heartnet.network import new_network, save_network
 from heartnet.trainer import TrainConfig
 
 FIXTURE = str(bundled_fixture_path())
@@ -377,6 +378,35 @@ class TestEvaluate:
         assert "scaler column 1 is 'Trestbps' but the data has 'Age' there" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("sizes", [(5, 2), (13, 3)], ids=["5-2", "13-3"])
+    def test_model_of_wrong_width_is_data_error(self, trained, tmp_path, capsys, sizes):
+        # the widths come from the file, so forward and the output decoding
+        # check them against the table
+        model = tmp_path / "model.json"
+        save_network(new_network(sizes, 0), model)
+        code = main(["evaluate", "--model", str(model),
+                     "--scaler", str(trained / "scaler.json"), "--data", FIXTURE])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.splitlines()[-1].startswith("data error:")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("layer_sizes", [13, 8.9, 2]), ("layer_sizes", ["13", "8", "2"]),
+         ("seed", 1.5), ("seed", [1]), ("seed", float("inf"))],
+        ids=["size-fraction", "size-str", "seed-fraction", "seed-list", "seed-inf"],
+    )
+    def test_malformed_model_field_is_data_error(self, trained, tmp_path, capsys, key, value):
+        model = json.loads((trained / "model.json").read_text(encoding="utf-8"))
+        model[key] = value
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(model), encoding="utf-8")  # inf written as Infinity
+        code = main(["evaluate", "--model", str(bad),
+                     "--scaler", str(trained / "scaler.json"), "--data", FIXTURE])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {bad}: malformed model payload" in err
+        assert "Traceback" not in err
 
     def test_corrupt_model_is_data_error(self, trained, tmp_path, capsys):
         bad = tmp_path / "bad.json"

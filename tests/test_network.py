@@ -1,11 +1,13 @@
 """Network construction, forward/backward math, and serialization tests.
 
-The backward tests check the analytic gradients against central finite
-differences of half the sum of squared errors, the quantity the deltas
-are derived from.
+The SSE and backward tests read a sample's SSE and gradient from the one
+path training takes, a one-sample :func:`~heartnet.trainer.train_epoch`.
+The gradient is checked against central finite differences of half the
+sum of squared errors, the quantity the deltas are derived from.
 """
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -15,7 +17,6 @@ from heartnet.data import FormatError
 from heartnet.evaluation import evaluate
 from heartnet.network import (
     Network,
-    backward,
     forward,
     load_network,
     network_from_dict,
@@ -23,14 +24,30 @@ from heartnet.network import (
     new_network,
     save_network,
     sigmoid,
-    sse,
 )
+from heartnet.trainer import TrainConfig, train_epoch
 
 SIGMOID_1 = 0.7310585786300049  # 1/(1+e^-1) to double precision
 
 
 def half_sse_loss(network, x, target):
-    return 0.5 * sse(forward(network, x)[-1], target)
+    err = forward(network, x)[-1] - target
+    return 0.5 * float(np.dot(err, err))
+
+
+def one_sample_epoch(network, x, target):
+    """One sample through the path training takes: a one-sample epoch at
+    lr 1 and momentum 0 from a zero velocity, on a copy of ``network``.
+
+    Returns the sample's SSE and the gradient of SSE/2 that training
+    applies; the velocity ends at exactly minus that gradient.
+    """
+    velocity = np.zeros_like(network.params)
+    sample_sse = train_epoch(
+        network.copy(), np.atleast_2d(x), np.atleast_2d(target), velocity, 1.0,
+        TrainConfig(momentum=0.0), order=np.arange(1),
+    )
+    return sample_sse, -velocity
 
 
 def fd_gradients(network, x, target, step=1e-6):
@@ -134,7 +151,7 @@ class TestNewNetwork:
     def test_layer_cap(self):
         with pytest.raises(ValueError, match="6 layers exceeds the cap of 5"):
             new_network((13, 8, 8, 8, 8, 2), 0)
-        assert new_network((13, 8, 8, 8, 2), 0).n_layers == 4
+        assert len(new_network((13, 8, 8, 8, 2), 0).weights) == 4
 
     @pytest.mark.parametrize("sizes", [(13, 8.7, 2), (13, 8.0, 2), (13, True, 2)])
     def test_non_integer_size_rejected(self, sizes):
@@ -203,31 +220,40 @@ class TestForward:
 
 
 class TestSse:
+    """The SSE of a sample, as the epoch that presents it reports it."""
+
     def test_zero_error(self):
-        assert sse(np.array([0.3, 0.7]), np.array([0.3, 0.7])) == 0.0
+        net = new_network((3, 2), 0)
+        x = np.array([0.3, 0.7, 0.1])
+        assert one_sample_epoch(net, x, forward(net, x)[-1])[0] == 0.0
 
     def test_unit_errors(self):
-        assert sse(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 2.0
+        # saturated outputs of exactly 1.0 and 0.0 against target (0, 1)
+        net = new_network((3, 2), 0)
+        net.weights[0][:] = 0.0
+        net.biases[0][:] = [1000.0, -1000.0]
+        with np.errstate(over="ignore"):
+            assert one_sample_epoch(net, np.zeros(3), np.array([0.0, 1.0]))[0] == 2.0
 
     def test_matches_elementwise_recompute(self):
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            out = rng.uniform(0, 1, 2)
+        for seed in range(20):
+            net = new_network((3, 2), seed)
+            x = rng.uniform(0, 1, 3)
             tgt = rng.uniform(0, 1, 2)
-            expected = sum((o - t) ** 2 for o, t in zip(out, tgt))
-            assert sse(out, tgt) == pytest.approx(expected, rel=1e-15)
+            expected = sum((o - t) ** 2 for o, t in zip(forward(net, x)[-1], tgt))
+            assert one_sample_epoch(net, x, tgt)[0] == pytest.approx(expected, rel=1e-15)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            sse(np.zeros(2), np.zeros(3))
+        with pytest.raises(ValueError, match="targets"):
+            one_sample_epoch(new_network((3, 2), 0), np.zeros(3), np.zeros(3))
 
 
 class TestBackward:
     def test_zero_error_gives_zero_gradients(self):
         net = new_network((3, 4, 2), 5)
         x = np.array([0.1, 0.5, 0.9])
-        acts = forward(net, x)
-        assert (backward(net, acts, acts[-1].copy()) == 0.0).all()
+        assert (one_sample_epoch(net, x, forward(net, x)[-1])[1] == 0.0).all()
 
     def test_single_neuron_hand_value(self):
         # w=0, b=0, input 1, target 0: output 0.5,
@@ -235,8 +261,7 @@ class TestBackward:
         net = new_network((1, 1), 0)
         net.weights[0][:] = 0.0
         net.biases[0][:] = 0.0
-        acts = forward(net, [1.0])
-        grads = backward(net, acts, np.array([0.0]))
+        grads = one_sample_epoch(net, [1.0], [0.0])[1]
         np.testing.assert_array_equal(grads, [0.125, 0.125])  # laid out W0, b0
 
     def test_matches_finite_differences(self):
@@ -244,38 +269,35 @@ class TestBackward:
         rng = np.random.default_rng(11)
         x = rng.uniform(0, 1, 3)
         target = rng.uniform(0, 1, 2)
-        grads = backward(net, forward(net, x), target)
+        grads = one_sample_epoch(net, x, target)[1]
         np.testing.assert_allclose(grads, fd_gradients(net, x, target), rtol=1e-6, atol=1e-9)
 
     def test_shapes_mirror_network(self):
+        # laid out like params: the output layer's W (2x3) then b (2) last
         net = new_network((5, 4, 3, 2), 2)
         x = np.random.default_rng(1).uniform(0, 1, 5)
-        grads = backward(net, forward(net, x), np.array([0.0, 1.0]))
+        target = np.array([0.0, 1.0])
+        grads = one_sample_epoch(net, x, target)[1]
         assert grads.shape == net.params.shape
         assert grads.dtype == np.float64
-        assert not np.shares_memory(grads, net.params)
-
-    def test_target_shape_check(self):
-        net = new_network((3, 2), 0)
-        acts = forward(net, np.zeros(3))
-        with pytest.raises(ValueError):
-            backward(net, acts, np.zeros(3))
-
-    def test_activation_count_check(self):
-        net = new_network((3, 4, 2), 0)
-        acts = forward(net, np.zeros(3))
-        with pytest.raises(ValueError):
-            backward(net, acts[:-1], np.zeros(2))
+        acts = forward(net, x)
+        out = acts[-1]
+        delta = (out - target) * out * (1.0 - out)
+        np.testing.assert_array_equal(grads[-2:], delta)
+        np.testing.assert_array_equal(grads[-8:-2].reshape(2, 3), np.outer(delta, acts[-2]))
 
     def test_worker_count_invariance(self, under_blas_threads):
         runs = under_blas_threads("""
             import hashlib
             import numpy as np
-            from heartnet.network import backward, forward, new_network
+            from heartnet.network import new_network
+            from heartnet.trainer import TrainConfig, train_epoch
             net = new_network((13, 1024, 2), 9)
-            x = np.random.default_rng(2).uniform(0, 1, 13)
-            grads = backward(net, forward(net, x), np.array([1.0, 0.0]))
-            print(hashlib.sha256(grads.tobytes()).hexdigest())
+            x = np.random.default_rng(2).uniform(0, 1, (1, 13))
+            velocity = np.zeros_like(net.params)  # ends at minus the gradient
+            train_epoch(net, x, np.array([[1.0, 0.0]]), velocity, 1.0,
+                        TrainConfig(momentum=0.0), order=np.arange(1))
+            print(hashlib.sha256(velocity.tobytes()).hexdigest())
         """)
         first, *rest = runs.values()
         assert len(first) == 1
@@ -330,6 +352,35 @@ class TestSerialization:
         payload[kind][1] = layer.tolist()
         with pytest.raises(FormatError, match=f"non-finite {kind} in layer 2"):
             network_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("layer_sizes", [13, 8.9, 2]),
+            ("layer_sizes", [13, 8.0, 2]),
+            ("layer_sizes", ["13", "8", "2"]),
+            ("layer_sizes", [13]),
+            ("seed", 1.5),
+            ("seed", [1]),
+            ("seed", math.inf),
+            ("seed", -1),
+            ("seed", True),
+        ],
+        ids=["size-fraction", "size-float", "size-str", "one-layer",
+             "seed-fraction", "seed-list", "seed-inf", "seed-negative", "seed-bool"],
+    )
+    def test_malformed_field_rejected(self, key, value):
+        # refused, not truncated: [13, 8.9, 2] once loaded as 13-8-2
+        payload = network_to_dict(new_network((13, 8, 2), 0))
+        payload[key] = value
+        message = "seed must be" if key == "seed" else "layer sizes|need at least"
+        with pytest.raises(FormatError, match=rf"model: malformed model payload \(({message})"):
+            network_from_dict(payload)
+
+    def test_null_seed_accepted(self):
+        payload = network_to_dict(new_network((3, 2), 0))
+        payload["seed"] = None
+        assert network_from_dict(payload).seed is None
 
     def test_shape_mismatch_rejected(self):
         net = new_network((3, 2), 0)

@@ -1,22 +1,20 @@
 """Momentum updates, the variable-learning-rate policy, and the epoch
-loop, checked against hand values and a scripted replay of the loop."""
+loop, checked against hand values, a plain-float reference epoch and a
+scripted replay of the loop."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from heartnet.data import ValidationError
-from heartnet.network import backward, forward, load_network, new_network, save_network, sse
+from heartnet.network import load_network, new_network, save_network
 from heartnet.trainer import (
     DivergenceError,
     EpochRecord,
     TrainConfig,
     TrainingHistory,
     adapt_learning_rate,
-    apply_update,
     train,
     train_epoch,
     write_history_csv,
@@ -70,80 +68,6 @@ class TestTrainConfig:
         assert cfg.initial_lr == 0.1 and cfg.max_epochs == 3 and cfg.seed == 2
 
 
-def params_layout(weights, biases):
-    """Per-layer arrays laid out like ``Network.params``: W0, b0, W1, b1, ..."""
-    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
-
-
-class TestApplyUpdate:
-    def setup_net(self):
-        net = new_network((2, 2), 0)
-        for w in net.weights:
-            w[:] = 0.25
-        for b in net.biases:
-            b[:] = 0.25
-        return net
-
-    def grads_of(self, net, value):
-        return np.full_like(net.params, value)
-
-    def test_plain_descent(self):
-        # momentum 0, lr 1: weights decrease by exactly the gradient
-        net = self.setup_net()
-        velocity = np.zeros_like(net.params)
-        apply_update(net, self.grads_of(net, 0.1), velocity, lr=1.0, momentum=0.0)
-        np.testing.assert_allclose(net.weights[0], 0.15, rtol=1e-15)
-        np.testing.assert_allclose(net.biases[0], 0.15, rtol=1e-15)
-
-    def test_pure_momentum_carry(self):
-        net = self.setup_net()
-        velocity = np.full_like(net.params, 0.2)
-        apply_update(net, self.grads_of(net, 0.0), velocity, lr=1.0, momentum=0.9)
-        np.testing.assert_allclose(net.weights[0], 0.25 + 0.9 * 0.2, rtol=1e-15)
-        np.testing.assert_allclose(velocity, 0.18, rtol=1e-15)
-
-    def test_two_identical_gradients(self):
-        # second step = -g - 0.5*g with momentum 0.5, lr 1
-        net = self.setup_net()
-        velocity = np.zeros_like(net.params)
-        g = self.grads_of(net, 0.1)
-        apply_update(net, g, velocity, lr=1.0, momentum=0.5)
-        before = net.weights[0].copy()
-        apply_update(net, g, velocity, lr=1.0, momentum=0.5)
-        step = net.weights[0] - before
-        np.testing.assert_allclose(step, -0.1 - 0.05, rtol=1e-15)
-
-    def test_flat_step_matches_per_array_reference(self):
-        # the flat in-place update rounds exactly like the per-array
-        # formula step = momentum*v - lr*g, so every step is bit-identical
-        rng = np.random.default_rng(12)
-        net = new_network((5, 4, 3), 12)
-        ref_w = [w.copy() for w in net.weights]
-        ref_b = [b.copy() for b in net.biases]
-        ref_vw = [np.zeros_like(w) for w in ref_w]
-        ref_vb = [np.zeros_like(b) for b in ref_b]
-        velocity = np.zeros_like(net.params)
-        for _ in range(6):
-            lr = rng.uniform(0.01, 2.0)
-            momentum = rng.uniform(0.0, 0.99)
-            gw = [rng.normal(size=w.shape) for w in ref_w]
-            gb = [rng.normal(size=b.shape) for b in ref_b]
-            apply_update(net, params_layout(gw, gb), velocity, lr, momentum)
-            for params, grads, steps in ((ref_w, gw, ref_vw), (ref_b, gb, ref_vb)):
-                for p, g, v in zip(params, grads, steps):
-                    step = momentum * v - lr * g
-                    p += step
-                    v[:] = step
-            np.testing.assert_array_equal(net.params, params_layout(ref_w, ref_b))
-            np.testing.assert_array_equal(velocity, params_layout(ref_vw, ref_vb))
-
-    def test_shape_mismatch(self):
-        net = self.setup_net()
-        other = new_network((3, 2), 0)
-        with pytest.raises(ValueError, match="shape|layer count"):
-            apply_update(net, self.grads_of(other, 0.1), np.zeros_like(net.params), 1.0, 0.9)
-
-
 class TestAdaptLearningRate:
     CFG = TrainConfig()
 
@@ -178,33 +102,6 @@ class TestAdaptLearningRate:
         assert lr == pytest.approx(0.105, rel=1e-15)
 
 
-def pure_python_epoch(net, x, t, order, lr, momentum):
-    """Reference per-sample epoch on plain floats, single-layer net."""
-    w = [[float(v) for v in row] for row in net.weights[0]]
-    b = [float(v) for v in net.biases[0]]
-    vw = [[0.0] * len(w[0]) for _ in w]
-    vb = [0.0] * len(b)
-    total = 0.0
-    for idx in order:
-        xi = [float(v) for v in x[idx]]
-        ti = [float(v) for v in t[idx]]
-        out = []
-        for i in range(len(w)):
-            z = b[i] + sum(w[i][j] * xi[j] for j in range(len(xi)))
-            out.append(1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z)))
-        total += sum((o - tt) ** 2 for o, tt in zip(out, ti))
-        deltas = [(o - tt) * o * (1.0 - o) for o, tt in zip(out, ti)]
-        for i in range(len(w)):
-            for j in range(len(xi)):
-                step = momentum * vw[i][j] - lr * deltas[i] * xi[j]
-                w[i][j] += step
-                vw[i][j] = step
-            step = momentum * vb[i] - lr * deltas[i]
-            b[i] += step
-            vb[i] = step
-    return np.array(w), np.array(b), total
-
-
 def heart_like(n=24, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0, 1, (n, 13))
@@ -213,49 +110,92 @@ def heart_like(n=24, seed=0):
     return x, t
 
 
-def public_replay_epoch(net, x, t, velocity, lr, momentum, order):
-    """One epoch through the public, checked forward -> sse -> backward ->
-    apply_update, sample by sample: the reference for train_epoch."""
+def pure_layers(flat, sizes):
+    """Split a vector laid out like ``Network.params`` (W0, b0, W1, b1,
+    ... with each W row-major) into per-layer weight rows and biases of
+    plain floats."""
+    flat = [float(v) for v in flat]
+    weights, biases, pos = [], [], 0
+    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+        weights.append([flat[pos + i * n_in : pos + (i + 1) * n_in] for i in range(n_out)])
+        pos += n_out * n_in
+        biases.append(flat[pos : pos + n_out])
+        pos += n_out
+    return weights, biases
+
+
+def pure_flat(weights, biases):
+    return np.array([v for w, b in zip(weights, biases) for v in [*sum(w, []), *b]])
+
+
+def pure_sigmoid(z):
+    return 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
+
+
+def pure_python_epoch(net, x, t, order, lr, momentum, velocity):
+    """Reference per-sample epoch on plain floats: forward, SSE, the
+    backpropagated deltas and the momentum step, one weight at a time.
+    ``velocity`` holds the step carried in from before the epoch.  Returns
+    the params and velocity it ends with, laid out like ``net.params``,
+    and the epoch SSE."""
+    w, b = pure_layers(net.params, net.layer_sizes)
+    vw, vb = pure_layers(velocity, net.layer_sizes)
     total = 0.0
     for idx in order:
-        activations = forward(net, x[idx])
-        total += sse(activations[-1], t[idx])
-        apply_update(net, backward(net, activations, t[idx]), velocity, lr, momentum)
-    return total
-
-
-def assert_epochs_match_public_replay(sizes, seed, lr, momentum, epochs=3):
-    x, t = heart_like(n=17, seed=seed)
-    net = new_network(sizes, seed)
-    ref = net.copy()
-    velocity, ref_velocity = np.zeros_like(net.params), np.zeros_like(ref.params)
-    cfg = TrainConfig(initial_lr=lr, momentum=momentum)
-    rng = np.random.default_rng(seed)
-    for _ in range(epochs):  # later epochs start from a non-zero velocity
-        order = rng.permutation(x.shape[0])
-        with np.errstate(over="ignore"):  # as in train(): a saturated sigmoid is 0.0
-            got = train_epoch(net, x, t, velocity, lr, cfg, order=order)
-            want = public_replay_epoch(ref, x, t, ref_velocity, lr, momentum, order)
-        assert got == want
-        np.testing.assert_array_equal(net.params, ref.params)
-        np.testing.assert_array_equal(velocity, ref_velocity)
+        acts = [[float(v) for v in x[idx]]]
+        for wl, bl in zip(w, b):
+            below = acts[-1]
+            acts.append([pure_sigmoid(bi + sum(wij * a for wij, a in zip(row, below)))
+                         for row, bi in zip(wl, bl)])
+        target = [float(v) for v in t[idx]]
+        total += sum((o - tt) ** 2 for o, tt in zip(acts[-1], target))
+        deltas = [(o - tt) * o * (1.0 - o) for o, tt in zip(acts[-1], target)]
+        for layer in range(len(w) - 1, -1, -1):
+            below = acts[layer]
+            # the next deltas use this layer's weights before they move
+            below_deltas = [
+                sum(w[layer][i][j] * d for i, d in enumerate(deltas)) * a * (1.0 - a)
+                for j, a in enumerate(below)
+            ]
+            for i, d in enumerate(deltas):
+                for j, a in enumerate(below):
+                    step = momentum * vw[layer][i][j] - lr * d * a
+                    w[layer][i][j] += step
+                    vw[layer][i][j] = step
+                step = momentum * vb[layer][i] - lr * d
+                b[layer][i] += step
+                vb[layer][i] = step
+            deltas = below_deltas
+    return pure_flat(w, b), pure_flat(vw, vb), total
 
 
 class TestTrainEpoch:
-    @pytest.mark.parametrize("sizes", [(13, 2), (13, 8, 2), (13, 16, 8, 2)])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_public_replay(self, sizes, seed):
-        assert_epochs_match_public_replay(sizes, seed, lr=0.7, momentum=0.9)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        hidden=st.lists(st.integers(1, 16), min_size=0, max_size=3),
-        seed=st.integers(0, 2**32 - 1),
-        lr=st.floats(0.001, 5.0),
-        momentum=st.floats(0.0, 0.99),
+    @pytest.mark.parametrize("sizes", [(2, 2), (3, 4, 2)], ids=["2-2", "3-4-2"])
+    @pytest.mark.parametrize(
+        "lr, momentum, carry, order",
+        [
+            pytest.param(0.5, 0.9, 0.0, [2, 0, 3, 1], id="fresh"),
+            pytest.param(1.0, 0.0, 0.0, [2, 0, 3, 1], id="plain-descent"),
+            pytest.param(1.0, 0.9, 0.2, [2, 0, 3, 1], id="momentum-carry"),
+            pytest.param(1.0, 0.5, 0.0, [1, 1, 1], id="repeated-gradient"),
+        ],
     )
-    def test_matches_public_replay_property(self, hidden, seed, lr, momentum):
-        assert_epochs_match_public_replay((13, *hidden, 2), seed, lr, momentum, epochs=2)
+    def test_per_sample_matches_pure_python_replay(self, sizes, lr, momentum, carry, order):
+        # carry: the velocity left by earlier steps, up to +/- carry per weight
+        net = new_network(sizes, 3)
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0, 1, (4, sizes[0]))
+        t = rng.integers(0, 2, (4, sizes[-1])).astype(float)
+        velocity = rng.uniform(-carry, carry, net.params.size)
+        order = np.array(order)
+        expected_params, expected_velocity, expected_sse = pure_python_epoch(
+            net, x, t, order, lr, momentum, velocity
+        )
+        cfg = TrainConfig(initial_lr=lr, momentum=momentum)
+        got_sse = train_epoch(net, x, t, velocity, lr, cfg, order=order)
+        np.testing.assert_allclose(net.params, expected_params, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(velocity, expected_velocity, rtol=1e-12, atol=1e-15)
+        assert got_sse == pytest.approx(expected_sse, rel=1e-12)
 
     @pytest.mark.parametrize(
         "inputs, targets, velocity_sizes",
@@ -279,22 +219,6 @@ class TestTrainEpoch:
             )
         np.testing.assert_array_equal(net.params, params)
         np.testing.assert_array_equal(velocity, steps)
-
-    def test_per_sample_matches_pure_python_replay(self):
-        net = new_network((2, 2), 3)
-        rng = np.random.default_rng(0)
-        x = rng.uniform(0, 1, (4, 2))
-        t = rng.integers(0, 2, (4, 2)).astype(float)
-        order = np.array([2, 0, 3, 1])
-        expected_w, expected_b, expected_sse = pure_python_epoch(
-            net.copy(), x, t, order, lr=0.5, momentum=0.9
-        )
-        velocity = np.zeros_like(net.params)
-        cfg = TrainConfig(initial_lr=0.5)
-        got_sse = train_epoch(net, x, t, velocity, 0.5, cfg, order=order)
-        np.testing.assert_allclose(net.weights[0], expected_w, rtol=1e-12)
-        np.testing.assert_allclose(net.biases[0], expected_b, rtol=1e-12)
-        assert got_sse == pytest.approx(expected_sse, rel=1e-12)
 
     def test_empty_set_rejected(self):
         net = new_network((2, 1), 0)
