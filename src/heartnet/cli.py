@@ -234,14 +234,14 @@ def cmd_scale(config: RunConfig) -> int:
     scaler = hdata.fit_scaler(dataset)
     save_scaler(scaler, out_dir / "scaler.json")
 
-    scaled = scaler.transform(dataset.features).values
+    scaled = scaler.transform(dataset.features)
     with (out_dir / "scaled.csv").open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow([col.name for col in dataset.schema] + ["label"])
+        writer.writerow([*scaler.names, "label"])
         for row, label in zip(scaled, dataset.labels):
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
-    print(f"scaled {len(dataset)} rows, {len(dataset.schema)} columns")
+    print(f"scaled {len(dataset)} rows, {scaler.n_columns} columns")
     if scaler.degenerate_columns:
         print(f"constant columns mapped to 0: {', '.join(scaler.degenerate_columns)}")
     print(f"wrote {out_dir / 'scaler.json'} and {out_dir / 'scaled.csv'}")
@@ -257,7 +257,7 @@ def cmd_train(config: RunConfig) -> int:
     out_dir = _prepare_out_dir(config)
 
     scaler = hdata.fit_scaler(dataset)
-    inputs = scaler.transform(dataset.features).values
+    inputs = scaler.transform(dataset.features)
     targets = hdata.encode_labels(dataset.labels)
     history = train(network, inputs, targets, config.train_config())
 
@@ -282,10 +282,10 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
     scaler = load_scaler(args.scaler)
     dataset = _load_and_impute(config)
 
-    scaler.check_columns(dataset.schema)
-    scaled = scaler.transform(dataset.features)
-    out_of_range = int(scaled.out_of_range.any(axis=1).sum())
-    metrics = evaluate(network, scaled.values, dataset.labels)
+    scaler.check_columns()
+    x = dataset.features
+    out_of_range = int(((x < scaler.mins) | (x > scaler.maxs)).any(axis=1).sum())
+    metrics = evaluate(network, scaler.transform(x), dataset.labels)
 
     print(f"samples: {metrics.n_test}")
     if out_of_range:

@@ -4,6 +4,10 @@ class codes, and reproducible train/test splits.
 :func:`load_dataset` parses a table in one bulk pass and, when it has
 bad rows, reports the earliest bad line.
 
+A :class:`Scaler` holds each column's bounds once, in read-only float64
+arrays; ``transform`` and ``inverse_transform`` take a row or a matrix of
+rows and return a plain array.
+
 All operations are pure; :class:`Dataset` and :class:`Scaler` values are
 immutable after construction and safe to share across threads.
 """
@@ -12,11 +16,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 import numpy as np
 
@@ -57,34 +62,30 @@ class FormatError(DataError):
 
 @dataclass(frozen=True)
 class AttributeSchema:
-    """One input column: its name, kind, and category values if discrete."""
+    """One input column: its name and kind."""
 
     name: str
     kind: str
-    column_index: int
-    allowed_values: tuple[float, ...] | None = None
 
 
 # The 13 predictive attributes of the Cleveland heart-disease table, in
-# file order.  Kind and category values follow the table's Range column;
-# Ca is recorded as continuous there even though its values are 0-3.
+# file order.  Kinds follow the table's Range column; Ca is recorded as
+# continuous there even though its values are 0-3.
 HEART_SCHEMA: tuple[AttributeSchema, ...] = (
-    AttributeSchema("Age", CONTINUOUS, 0),
-    AttributeSchema("Sex", CATEGORICAL, 1, (0.0, 1.0)),
-    AttributeSchema("Cp", CATEGORICAL, 2, (1.0, 2.0, 3.0, 4.0)),
-    AttributeSchema("Trestbps", CONTINUOUS, 3),
-    AttributeSchema("Chol", CONTINUOUS, 4),
-    AttributeSchema("Fbs", CATEGORICAL, 5, (0.0, 1.0)),
-    AttributeSchema("Restecg", CATEGORICAL, 6, (0.0, 1.0, 2.0)),
-    AttributeSchema("Thalach", CONTINUOUS, 7),
-    AttributeSchema("Exang", CATEGORICAL, 8, (0.0, 1.0)),
-    AttributeSchema("Oldpeak", CONTINUOUS, 9),
-    AttributeSchema("Slope", CATEGORICAL, 10, (1.0, 2.0, 3.0)),
-    AttributeSchema("Ca", CONTINUOUS, 11),
-    AttributeSchema("Thal", CATEGORICAL, 12, (3.0, 6.0, 7.0)),
+    AttributeSchema("Age", CONTINUOUS),
+    AttributeSchema("Sex", CATEGORICAL),
+    AttributeSchema("Cp", CATEGORICAL),
+    AttributeSchema("Trestbps", CONTINUOUS),
+    AttributeSchema("Chol", CONTINUOUS),
+    AttributeSchema("Fbs", CATEGORICAL),
+    AttributeSchema("Restecg", CATEGORICAL),
+    AttributeSchema("Thalach", CONTINUOUS),
+    AttributeSchema("Exang", CATEGORICAL),
+    AttributeSchema("Oldpeak", CONTINUOUS),
+    AttributeSchema("Slope", CATEGORICAL),
+    AttributeSchema("Ca", CONTINUOUS),
+    AttributeSchema("Thal", CATEGORICAL),
 )
-
-CLASS_NAMES = ("normal", "first stroke", "second stroke", "end of life")
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -101,18 +102,14 @@ class Dataset:
     features: np.ndarray  # (n, 13) float64; NaN where missing
     labels: np.ndarray  # (n,) int64, each in 0..3
     missing_mask: np.ndarray  # (n, 13) bool
-    schema: tuple[AttributeSchema, ...] = HEART_SCHEMA
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         features = _frozen_array(self.features, np.float64)
         labels = _frozen_array(self.labels, np.int64)
         mask = _frozen_array(self.missing_mask, bool)
-        n_cols = len(self.schema)
-        if features.ndim != 2 or features.shape[1] != n_cols:
-            raise ValidationError(
-                f"features must be (n, {n_cols}), got {features.shape}"
-            )
+        if features.ndim != 2 or features.shape[1] != N_ATTRIBUTES:
+            raise ValidationError(f"features must be (n, {N_ATTRIBUTES}), got {features.shape}")
         if labels.shape != (features.shape[0],):
             raise ValidationError("labels length does not match feature rows")
         if mask.shape != features.shape:
@@ -132,11 +129,12 @@ class Dataset:
         return bool(np.isnan(self.features).any())
 
     def subset(self, indices: np.ndarray) -> "Dataset":
+        """The rows ``indices`` picks (index array or boolean mask); warnings kept."""
         return Dataset(
             features=self.features[indices],
             labels=self.labels[indices],
             missing_mask=self.missing_mask[indices],
-            schema=self.schema,
+            warnings=self.warnings,
         )
 
 
@@ -278,139 +276,100 @@ def impute(dataset: Dataset, policy: str = IMPUTE_MEDIAN_MODE) -> Dataset:
     not lost; rows without missing values are returned bit-identical.
     """
     if policy == IMPUTE_DROP_ROWS:
-        keep = ~dataset.missing_mask.any(axis=1)
-        return Dataset(
-            features=dataset.features[keep],
-            labels=dataset.labels[keep],
-            missing_mask=dataset.missing_mask[keep],
-            schema=dataset.schema,
-            warnings=dataset.warnings,
-        )
+        return dataset.subset(~dataset.missing_mask.any(axis=1))
     if policy != IMPUTE_MEDIAN_MODE:
         raise ValueError(f"unknown imputation policy {policy!r}")
 
     features = dataset.features.copy()
-    for col in dataset.schema:
-        j = col.column_index
+    for j, col in enumerate(HEART_SCHEMA):
         col_missing = dataset.missing_mask[:, j]
         if not col_missing.any():
             continue
         present = features[~col_missing, j]
         if present.size == 0:
             raise ImputationError(f"column {col.name} has no observed values")
-        if col.kind == CATEGORICAL:
-            fill = _column_mode(present)
-        else:
-            fill = float(np.median(present))
+        fill = _column_mode(present) if col.kind == CATEGORICAL else float(np.median(present))
         features[col_missing, j] = fill
-
-    return Dataset(
-        features=features,
-        labels=dataset.labels,
-        missing_mask=dataset.missing_mask,
-        schema=dataset.schema,
-        warnings=dataset.warnings,
-    )
+    return replace(dataset, features=features)
 
 
-class ScaledRow(NamedTuple):
-    """Scaled feature values, one row or a matrix of rows, plus per-cell
-    flags for inputs that fell outside the fitted [min, max] range
-    (extrapolated, not clipped)."""
-
-    values: np.ndarray
-    out_of_range: np.ndarray
+def _is_json_number(value) -> bool:
+    """An int or a float, the types JSON numbers load as; not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class ColumnScale:
-    name: str
-    x_min: float
-    x_max: float
-
-    @property
-    def delta(self) -> float:
-        return self.x_max - self.x_min
-
-    @property
-    def degenerate(self) -> bool:
-        return self.delta == 0.0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scaler:
-    """Per-column linear map x -> (x - x_min) / (x_max - x_min).
+    """Per-column linear map x -> (x - min) / (max - min), held as the
+    column ``names`` and read-only float64 arrays ``mins`` and ``maxs``.
 
-    In-range inputs land in [0, 1]; degenerate (constant) columns map to
-    0.0 and invert back to their single observed value.
+    In-range inputs land in [0, 1]; others are extrapolated, not clipped.
+    Degenerate (constant) columns map to 0.0 and invert back to their
+    single observed value.
     """
 
-    columns: tuple[ColumnScale, ...]
-    _mins: np.ndarray = field(init=False, repr=False, compare=False)
-    _maxs: np.ndarray = field(init=False, repr=False, compare=False)
-    _deltas: np.ndarray = field(init=False, repr=False, compare=False)
-    _degenerate: np.ndarray = field(init=False, repr=False, compare=False)
+    names: tuple[str, ...]
+    mins: np.ndarray
+    maxs: np.ndarray
 
     def __post_init__(self):
-        mins = _frozen_array([c.x_min for c in self.columns], np.float64)
-        maxs = _frozen_array([c.x_max for c in self.columns], np.float64)
-        deltas = np.array([c.delta for c in self.columns], dtype=np.float64)
-        if (deltas < 0).any():
+        names = tuple(self.names)
+        mins = _frozen_array(self.mins, np.float64)
+        maxs = _frozen_array(self.maxs, np.float64)
+        if not mins.shape == maxs.shape == (len(names),):
+            raise ValidationError(f"scaler needs one min and one max for each of {names}")
+        if (maxs - mins < 0).any():
             raise ValidationError("scaler delta must be >= 0 for every column")
-        degenerate = deltas == 0.0
-        deltas[degenerate] = 1.0  # placeholder; degenerate output forced to 0
-        deltas.setflags(write=False)
-        object.__setattr__(self, "_mins", mins)
-        object.__setattr__(self, "_maxs", maxs)
-        object.__setattr__(self, "_deltas", deltas)
-        object.__setattr__(self, "_degenerate", _frozen_array(degenerate, bool))
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "mins", mins)
+        object.__setattr__(self, "maxs", maxs)
 
     @property
     def n_columns(self) -> int:
-        return len(self.columns)
+        return len(self.names)
 
     @property
     def degenerate_columns(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns if c.degenerate)
+        flat = self.maxs - self.mins == 0.0
+        return tuple(name for name, is_flat in zip(self.names, flat) if is_flat)
 
-    def check_columns(self, schema) -> None:
-        """Raise unless the scaler's columns are ``schema``'s columns, by
-        name and in order; the message names the first one that differs."""
-        for position, (col, expected) in enumerate(zip(self.columns, schema), start=1):
-            if col.name != expected.name:
+    def check_columns(self) -> None:
+        """Raise unless the scaler's columns are the table's, by name and in
+        order; the message names the first one that differs."""
+        for position, (name, col) in enumerate(zip(self.names, HEART_SCHEMA), start=1):
+            if name != col.name:
                 raise ValidationError(
-                    f"scaler column {position} is {col.name!r} but the data has "
-                    f"{expected.name!r} there"
+                    f"scaler column {position} is {name!r} but the data has {col.name!r} there"
                 )
-        if self.n_columns != len(schema):
+        if self.n_columns != N_ATTRIBUTES:
             raise ValidationError(
-                f"scaler has {self.n_columns} columns but the input has {len(schema)}"
+                f"scaler has {self.n_columns} columns but the input has {N_ATTRIBUTES}"
             )
 
-    def transform(self, features) -> ScaledRow:
-        """Scale one row of ``n_columns`` values or an (n, n_columns)
-        matrix, flagging every cell outside the fitted range."""
-        x = np.asarray(features, dtype=np.float64)
+    def _checked(self, values) -> np.ndarray:
+        x = np.asarray(values, dtype=np.float64)
         if x.ndim not in (1, 2):
             raise ValidationError(f"expected a row or a matrix of features, got shape {x.shape}")
         if x.shape[-1] != self.n_columns:
             raise ValidationError(
                 f"scaler has {self.n_columns} columns but the input has {x.shape[-1]}"
             )
-        values = (x - self._mins) / self._deltas
-        values[..., self._degenerate] = 0.0
-        out_of_range = (x < self._mins) | (x > self._maxs)
-        return ScaledRow(values, out_of_range)
+        return x
+
+    def transform(self, features) -> np.ndarray:
+        """Scale one row of ``n_columns`` values or an (n, n_columns) matrix."""
+        x = self._checked(features)
+        delta = self.maxs - self.mins
+        flat = delta == 0.0
+        scaled = (x - self.mins) / np.where(flat, 1.0, delta)
+        scaled[..., flat] = 0.0
+        return scaled
 
     def inverse_transform(self, scaled) -> np.ndarray:
-        y = np.asarray(scaled, dtype=np.float64)
-        if y.shape != (self.n_columns,):
-            raise ValidationError(
-                f"expected {self.n_columns} scaled values, got shape {y.shape}"
-            )
-        x = y * self._deltas + self._mins
-        x[self._degenerate] = self._mins[self._degenerate]
-        return x
+        """Map one scaled row or a matrix of them back to feature values."""
+        y = self._checked(scaled)
+        delta = self.maxs - self.mins
+        return np.where(delta == 0.0, self.mins, y * delta + self.mins)
 
 
 def fit_scaler(dataset: Dataset) -> Scaler:
@@ -420,37 +379,37 @@ def fit_scaler(dataset: Dataset) -> Scaler:
         raise ValidationError("cannot fit a scaler on an empty dataset")
     if dataset.has_missing_values:
         raise ValidationError("dataset has missing cells; impute before scaling")
-    mins = dataset.features.min(axis=0)
-    maxs = dataset.features.max(axis=0)
-    columns = tuple(
-        ColumnScale(col.name, float(mins[col.column_index]), float(maxs[col.column_index]))
-        for col in dataset.schema
-    )
-    return Scaler(columns)
+    x = dataset.features
+    return Scaler(tuple(col.name for col in HEART_SCHEMA), x.min(axis=0), x.max(axis=0))
 
 
 def save_scaler(scaler: Scaler, path) -> None:
     """Write the scaler as a JSON object mapping column name -> {min, max}."""
-    payload = {c.name: {"min": c.x_min, "max": c.x_max} for c in scaler.columns}
+    bounds = zip(scaler.names, scaler.mins.tolist(), scaler.maxs.tolist())
+    payload = {name: {"min": lo, "max": hi} for name, lo, hi in bounds}
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def load_scaler(path) -> Scaler:
+    """Read a :func:`save_scaler` file; a column whose ``min`` or ``max`` is
+    not a finite JSON number is a :class:`FormatError` naming it."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: expected a JSON object of columns")
-    columns = []
-    for name, bounds in payload.items():
-        try:
-            columns.append(ColumnScale(name, float(bounds["min"]), float(bounds["max"])))
-        except (TypeError, KeyError, ValueError):
-            raise FormatError(f"{path}: column {name!r} needs numeric min/max") from None
-    if not columns:
+    if not payload:
         raise FormatError(f"{path}: no columns")
-    return Scaler(tuple(columns))
+    bounds = []
+    for name, column in payload.items():
+        pair = [column.get("min"), column.get("max")] if isinstance(column, dict) else [None]
+        # abs(v) <= max is False for NaN, +-inf and integers too large for a float
+        if not all(_is_json_number(v) and abs(v) <= sys.float_info.max for v in pair):
+            raise FormatError(f"{path}: column {name!r} needs finite numeric min/max")
+        bounds.append(pair)
+    mins, maxs = np.array(bounds, dtype=np.float64).T
+    return Scaler(tuple(payload), mins, maxs)
 
 
 # Four classes on two output neurons: the code is the label's two-bit

@@ -149,18 +149,17 @@ def run_experiment(
     """
     if dataset.has_missing_values:
         raise ValidationError("dataset has missing cells; impute before running")
-    n_features = len(dataset.schema)
     cells = []
     for requested_train, requested_test in splits:
         n_train, n_test = fit_split_sizes(len(dataset), requested_train, requested_test)
         train_set, test_set = hdata.split(dataset, n_train, n_test, config.seed)
         scaler = fit_scaler(train_set)
-        train_x = scaler.transform(train_set.features).values
+        train_x = scaler.transform(train_set.features)
         train_t = encode_labels(train_set.labels)
-        test_x = scaler.transform(test_set.features).values
+        test_x = scaler.transform(test_set.features)
 
         for architecture in (ARCH_SINGLE, ARCH_MULTI):
-            sizes = architecture_layer_sizes(architecture, n_features, hidden_sizes)
+            sizes = architecture_layer_sizes(architecture, hdata.N_ATTRIBUTES, hidden_sizes)
             net = new_network(sizes, config.seed)
             history = train(net, train_x, train_t, config)
             metrics = evaluate(net, test_x, test_set.labels)

@@ -26,11 +26,12 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .data import FormatError
+from .data import FormatError, _is_json_number
 
 LOGISTIC_SIGMOID = "logistic-sigmoid"
 MODEL_FORMAT_VERSION = 1
@@ -80,7 +81,6 @@ class Network:
     layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str = LOGISTIC_SIGMOID
     seed: int | None = None
     params: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -92,16 +92,11 @@ class Network:
         for view, values in zip(self.weights + self.biases, weights + biases):
             view[...] = values
 
-    @property
-    def n_parameters(self) -> int:
-        return self.params.size
-
     def copy(self) -> "Network":
         return Network(
             layer_sizes=self.layer_sizes,
             weights=self.weights,
             biases=self.biases,
-            activation=self.activation,
             seed=self.seed,
         )
 
@@ -125,6 +120,19 @@ def _validate_layer_sizes(layer_sizes) -> tuple[int, ...]:
     if any(s < 1 for s in sizes):
         raise ValueError(f"every layer needs at least one neuron: {sizes}")
     return sizes
+
+
+def _json_floats(nested) -> np.ndarray:
+    """A JSON list (of lists) of numbers as a float64 array; a bool, string
+    or null in it is a ValueError, not a number."""
+    values = np.array(nested, dtype=np.float64)
+    leaves = [nested]
+    for _ in range(values.ndim):
+        leaves = list(chain.from_iterable(leaves))
+    bad = [v for v in leaves if not _is_json_number(v)]
+    if bad:
+        raise ValueError(f"expected JSON numbers, got {bad[0]!r}")
+    return values
 
 
 def new_network(layer_sizes, seed: int) -> Network:
@@ -193,7 +201,7 @@ def network_to_dict(network: Network) -> dict:
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "layer_sizes": list(network.layer_sizes),
-        "activation": network.activation,
+        "activation": LOGISTIC_SIGMOID,
         "seed": network.seed,
         "weights": [w.tolist() for w in network.weights],
         "biases": [b.tolist() for b in network.biases],
@@ -211,13 +219,13 @@ def network_from_dict(payload: dict, source: str = "model") -> Network:
         )
     try:
         sizes = _validate_layer_sizes(payload["layer_sizes"])
-        weights = [np.array(w, dtype=np.float64) for w in payload["weights"]]
-        biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
+        weights = [_json_floats(w) for w in payload["weights"]]
+        biases = [_json_floats(b) for b in payload["biases"]]
         activation = str(payload["activation"])
         seed = payload.get("seed")
         if not (seed is None or (_is_integer(seed) and seed >= 0)):
             raise ValueError(f"seed must be null or a non-negative integer, got {seed!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{source}: malformed model payload ({exc})") from None
     if activation != LOGISTIC_SIGMOID:
         raise FormatError(
@@ -236,7 +244,6 @@ def network_from_dict(payload: dict, source: str = "model") -> Network:
         layer_sizes=sizes,
         weights=weights,
         biases=biases,
-        activation=activation,
         seed=seed,
     )
 

@@ -98,7 +98,7 @@ def test_gradient_oracle():
     worst = 0.0
     for i, shape in enumerate(shapes):
         net = new_network(shape, seed=i)
-        assert net.n_parameters <= 30, (shape, net.n_parameters)
+        assert net.params.size <= 30, (shape, net.params.size)
         rng = np.random.default_rng(100 + i)
         x = rng.uniform(0, 1, shape[0])
         target = rng.uniform(0, 1, shape[-1])
@@ -122,7 +122,7 @@ def test_same_seed_determinism():
     started = time.perf_counter()
     ds = heart_features().subset(np.arange(60))
     scaler = fit_scaler(ds)
-    x = scaler.transform(ds.features).values
+    x = scaler.transform(ds.features)
     t = encode_labels(ds.labels)
 
     cfg = TrainConfig(max_epochs=50, target_sse=0.0, seed=3)
@@ -162,7 +162,7 @@ def test_parallel_determinism(under_blas_threads):
             print(hashlib.sha256(array.tobytes()).hexdigest())
 
         ds = impute(load_dataset(bundled_fixture_path())).subset(np.arange(60))
-        x = fit_scaler(ds).transform(ds.features).values
+        x = fit_scaler(ds).transform(ds.features)
         t = encode_labels(ds.labels)
 
         # a layer wide enough that a threaded BLAS can split its products
@@ -197,12 +197,12 @@ def test_scaler_properties():
     started = time.perf_counter()
     ds = heart_features()
     scaler = fit_scaler(ds)
-    scaled = scaler.transform(ds.features).values
+    scaled = scaler.transform(ds.features)
     in_unit = bool((scaled >= 0.0).all() and (scaled <= 1.0).all())
 
     worst = 0.0
     for row in ds.features:
-        back = scaler.inverse_transform(scaler.transform(row).values)
+        back = scaler.inverse_transform(scaler.transform(row))
         rel = np.abs(back - row) / np.maximum(1.0, np.abs(row))
         worst = max(worst, float(rel.max()))
     elapsed = time.perf_counter() - started
@@ -342,7 +342,7 @@ def test_history_export(tmp_path):
     started = time.perf_counter()
     ds = heart_features().subset(np.arange(80))
     scaler = fit_scaler(ds)
-    x = scaler.transform(ds.features).values
+    x = scaler.transform(ds.features)
     t = encode_labels(ds.labels)
     net = new_network((13, 8, 2), 5)
     history = train(net, x, t, TrainConfig(max_epochs=30, target_sse=0.0, seed=5))

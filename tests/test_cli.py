@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from heartnet.cli import (
@@ -226,6 +227,22 @@ class TestScale:
         values = [float(v) for row in rows[1:] for v in row[:-1]]
         assert min(values) >= 0.0 and max(values) <= 1.0
         assert len(rows) == 1 + 303
+        assert "constant columns" not in capsys.readouterr().out
+
+    def test_constant_column_is_reported(self, tmp_path, capsys):
+        lines = open(FIXTURE, encoding="utf-8").read().splitlines()
+        rows = [line.split(",") for line in lines]
+        for cells in rows:
+            cells[5] = "1"  # Fbs
+        data = tmp_path / "constant_fbs.csv"
+        data.write_text("\n".join(",".join(cells) for cells in rows) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["scale", "--data", str(data), "--out", str(out)]) == EXIT_OK
+        assert "constant columns mapped to 0: Fbs\n" in capsys.readouterr().out
+        with (out / "scaled.csv").open(encoding="utf-8") as handle:
+            table = list(csv.reader(handle))
+        assert table[0][5] == "Fbs"
+        assert {row[5] for row in table[1:]} == {"0.0"}
 
     def test_effective_config_reruns_under_train(self, tmp_path):
         out = tmp_path / "out"
@@ -318,6 +335,51 @@ class TestEvaluate:
         assert "efficiency:" in printed
         assert "confusion matrix" in printed
         assert "binary" not in printed
+        assert "note:" not in printed  # scored on the table the scaler was fitted on
+
+    def test_rows_outside_the_fitted_range_are_counted(self, tmp_path, capsys):
+        lines = open(FIXTURE, encoding="utf-8").read().splitlines()
+        first, rest = tmp_path / "first40.csv", tmp_path / "holdout.csv"
+        first.write_text("\n".join(lines[:40]) + "\n", encoding="utf-8")
+        # rows with a "?" are left out, so no imputed value enters the count
+        holdout = [line for line in lines[40:] if "?" not in line]
+        rest.write_text("\n".join(holdout) + "\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["train", "--config", quick_config(tmp_path), "--data", str(first),
+                     "--out", str(out)]) == EXIT_OK
+        bounds = json.loads((out / "scaler.json").read_text(encoding="utf-8")).values()
+        mins = np.array([b["min"] for b in bounds])
+        maxs = np.array([b["max"] for b in bounds])
+        x = np.array([[float(v) for v in line.split(",")[:13]] for line in holdout])
+        expected = int(((x < mins) | (x > maxs)).any(axis=1).sum())
+        assert 0 < expected < len(holdout)
+        capsys.readouterr()
+        code = main(["evaluate", "--model", str(out / "model.json"),
+                     "--scaler", str(out / "scaler.json"), "--data", str(rest)])
+        assert code == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[:2] == [
+            f"samples: {len(holdout)}",
+            f"note: {expected} samples fell outside the scaler's fitted range",
+        ]
+
+    @pytest.mark.parametrize(
+        "bound",
+        ["29", True, None, float("nan"), float("inf"), float("-inf"), 10**400],
+        ids=["string", "true", "null", "nan", "inf", "-inf", "huge-int"],
+    )
+    def test_scaler_bound_that_is_not_a_finite_number_is_data_error(
+        self, trained, tmp_path, capsys, bound
+    ):
+        scaler = json.loads((trained / "scaler.json").read_text(encoding="utf-8"))
+        scaler["Age"]["min"] = bound
+        bad = tmp_path / "bad_scaler.json"
+        bad.write_text(json.dumps(scaler), encoding="utf-8")  # nan written as NaN
+        code = main(["evaluate", "--model", str(trained / "model.json"),
+                     "--scaler", str(bad), "--data", FIXTURE])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: {bad}: column 'Age' needs finite numeric min/max\n"
 
     def test_binary_flag_adds_line(self, trained, capsys):
         main(["evaluate", "--model", str(trained / "model.json"),
@@ -393,8 +455,12 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "key, value",
         [("layer_sizes", [13, 8.9, 2]), ("layer_sizes", ["13", "8", "2"]),
-         ("seed", 1.5), ("seed", [1]), ("seed", float("inf"))],
-        ids=["size-fraction", "size-str", "seed-fraction", "seed-list", "seed-inf"],
+         ("seed", 1.5), ("seed", [1]), ("seed", float("inf")),
+         ("weights", [[[0.1] * 13] * 7 + [["0.1"] * 13], [[0.1] * 8] * 2]),
+         ("weights", [[[0.1] * 13] * 8, [[0.1] * 7 + [10**400]] * 2]),
+         ("biases", [[0.0] * 8, [True, False]])],
+        ids=["size-fraction", "size-str", "seed-fraction", "seed-list", "seed-inf",
+             "weights-str", "weights-huge-int", "biases-bool"],
     )
     def test_malformed_model_field_is_data_error(self, trained, tmp_path, capsys, key, value):
         model = json.loads((trained / "model.json").read_text(encoding="utf-8"))

@@ -1,6 +1,9 @@
 """Ingestion, imputation, scaling, class encoding, and split tests."""
 
 import math
+import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -149,6 +152,14 @@ class TestLoadDataset:
         with pytest.raises(OSError):
             load_dataset(tmp_path / "nope.csv")
 
+    def test_fixture_regenerates_byte_identical(self, tmp_path):
+        # every CLI test and the trend test read this file
+        tool = Path(__file__).resolve().parent.parent / "tools" / "generate_fixture.py"
+        out = tmp_path / "regenerated.csv"
+        subprocess.run([sys.executable, str(tool), "--seed", "7", "--out", str(out)],
+                       check=True, capture_output=True, timeout=120)
+        assert out.read_bytes() == bundled_fixture_path().read_bytes()
+
     def test_features_are_read_only(self):
         ds = load_dataset(bundled_fixture_path())
         with pytest.raises(ValueError):
@@ -224,40 +235,49 @@ class TestScaler:
 
     def test_known_value(self):
         # (54 - 29) / (77 - 29) = 25/48
-        scaler = Scaler((hdata.ColumnScale("Age", 29.0, 77.0),))
+        scaler = Scaler(("Age",), [29.0], [77.0])
         row = scaler.transform([54.0])
-        assert row.values[0] == pytest.approx(25.0 / 48.0, rel=1e-15)
-        assert not row.out_of_range.any()
+        assert row[0] == pytest.approx(25.0 / 48.0, rel=1e-15)
+        assert scaler.mins[0] <= 54.0 <= scaler.maxs[0]
+
+    def test_bounds_are_read_only_arrays(self):
+        scaler = Scaler(["Age", "Sex"], [29, 0], (77, 1))
+        assert scaler.names == ("Age", "Sex")
+        for bounds in (scaler.mins, scaler.maxs):
+            assert bounds.dtype == np.float64
+            with pytest.raises(ValueError):
+                bounds[0] = 1.0
 
     def test_unit_interval_on_fit_data(self):
         ds, scaler = self.fixture_scaler()
-        scaled = scaler.transform(ds.features).values
+        scaled = scaler.transform(ds.features)
         assert scaled.min() >= 0.0 and scaled.max() <= 1.0
 
     def test_round_trip(self):
         ds, scaler = self.fixture_scaler()
         for row in ds.features[:40]:
-            back = scaler.inverse_transform(scaler.transform(row).values)
+            back = scaler.inverse_transform(scaler.transform(row))
             np.testing.assert_allclose(back, row, rtol=1e-12, atol=1e-12)
+        whole = scaler.inverse_transform(scaler.transform(ds.features[:40]))
+        np.testing.assert_allclose(whole, ds.features[:40], rtol=1e-12, atol=1e-12)
 
     def test_degenerate_column(self):
-        scaler = Scaler(
-            (hdata.ColumnScale("Age", 29.0, 77.0), hdata.ColumnScale("Sex", 1.0, 1.0))
-        )
+        scaler = Scaler(("Age", "Sex"), [29.0, 1.0], [77.0, 1.0])
         assert scaler.degenerate_columns == ("Sex",)
         row = scaler.transform([53.0, 1.0])
-        assert row.values[1] == 0.0
-        back = scaler.inverse_transform(row.values)
+        assert row[1] == 0.0
+        back = scaler.inverse_transform(row)
         assert back[1] == 1.0
 
     def test_out_of_range_extrapolates_and_flags(self):
-        scaler = Scaler((hdata.ColumnScale("Age", 29.0, 77.0),))
-        row = scaler.transform([101.0])  # 29 + 1.5*48
-        assert row.values[0] == pytest.approx(1.5, rel=1e-15)
-        assert row.out_of_range[0]
+        # extrapolated, not clipped; evaluate counts such rows from the bounds
+        scaler = Scaler(("Age",), [29.0], [77.0])
+        high = scaler.transform([101.0])  # 29 + 1.5*48
+        assert high[0] == pytest.approx(1.5, rel=1e-15)
+        assert 101.0 > scaler.maxs[0]
         low = scaler.transform([5.0])  # 29 - 0.5*48
-        assert low.values[0] == pytest.approx(-0.5, rel=1e-15)
-        assert low.out_of_range[0]
+        assert low[0] == pytest.approx(-0.5, rel=1e-15)
+        assert 5.0 < scaler.mins[0]
 
     def test_fit_requires_imputed_data(self):
         ds = load_dataset(bundled_fixture_path())
@@ -269,7 +289,9 @@ class TestScaler:
         path = tmp_path / "scaler.json"
         save_scaler(scaler, path)
         loaded = load_scaler(path)
-        assert loaded.columns == scaler.columns
+        assert loaded.names == scaler.names
+        assert loaded.mins.tobytes() == scaler.mins.tobytes()
+        assert loaded.maxs.tobytes() == scaler.maxs.tobytes()
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "scaler.json"
@@ -283,27 +305,60 @@ class TestScaler:
         with pytest.raises(FormatError, match="Age"):
             load_scaler(path)
 
+    @pytest.mark.parametrize(
+        "bound",
+        ['"29"', "true", "false", "null", "NaN", "Infinity", "-Infinity", "1" + "0" * 400,
+         "[29]"],
+        ids=["string", "true", "false", "null", "nan", "inf", "-inf", "huge-int", "list"],
+    )
+    @pytest.mark.parametrize("key", ["min", "max"])
+    def test_load_takes_bounds_only_as_finite_numbers(self, tmp_path, key, bound):
+        bounds = {"min": "29", "max": "77.5"}
+        bounds[key] = bound
+        path = tmp_path / "scaler.json"
+        path.write_text(
+            '{"Sex": {"min": 0, "max": 1}, "Age": {"min": %(min)s, "max": %(max)s}}' % bounds,
+            encoding="utf-8",
+        )
+        message = f"{path}: column 'Age' needs finite numeric min/max"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_scaler(path)
+
+    def test_load_accepts_integer_bounds(self, tmp_path):
+        path = tmp_path / "scaler.json"
+        path.write_text('{"Age": {"min": 29, "max": 77.5}}', encoding="utf-8")
+        loaded = load_scaler(path)
+        assert loaded.mins.tolist() == [29.0] and loaded.maxs.tolist() == [77.5]
+
     def test_matrix_matches_row_by_row(self):
         ds, scaler = self.fixture_scaler()
         shifted = ds.features * 1.1  # pushes some cells past the fitted max
         scaled = scaler.transform(shifted)
+        back = scaler.inverse_transform(scaled)
         for i, row in enumerate(shifted):
-            single = scaler.transform(row)
-            np.testing.assert_array_equal(scaled.values[i], single.values)
-            np.testing.assert_array_equal(scaled.out_of_range[i], single.out_of_range)
-        assert scaled.out_of_range.any()
+            np.testing.assert_array_equal(scaled[i], scaler.transform(row))
+            np.testing.assert_array_equal(back[i], scaler.inverse_transform(scaled[i]))
+        assert (shifted > scaler.maxs).any()
 
     def test_column_count_checked(self):
         ds, _ = self.fixture_scaler()
-        short = Scaler(tuple(hdata.ColumnScale(f"c{j}", 0.0, 1.0) for j in range(12)))
+        short = Scaler(tuple(f"c{j}" for j in range(12)), np.zeros(12), np.ones(12))
         with pytest.raises(ValidationError, match="scaler has 12 columns but the input has 13"):
             short.transform(ds.features)
         with pytest.raises(ValidationError, match="12 columns but the input has 13"):
             short.transform(ds.features[0])
+        with pytest.raises(ValidationError, match="scaler has 12 columns but the input has 13"):
+            short.inverse_transform(ds.features)
+        with pytest.raises(ValidationError, match="row or a matrix"):
+            short.inverse_transform(5.0)
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValidationError, match="delta"):
-            Scaler((hdata.ColumnScale("Age", 77.0, 29.0),))
+            Scaler(("Age",), [77.0], [29.0])
+
+    def test_bounds_per_name_checked(self):
+        with pytest.raises(ValidationError, match="one min and one max"):
+            Scaler(("Age", "Sex"), [29.0], [77.0])
 
 
 class TestClassCodes:
@@ -398,6 +453,13 @@ class TestDataset:
         sub = ds.subset(np.arange(10))
         assert len(sub) == 10
         np.testing.assert_array_equal(sub.features, ds.features[:10])
+
+    def test_subset_and_impute_keep_warnings(self):
+        ds = load_dataset(bundled_fixture_path())  # raw labels 0..4: 13 clamped
+        assert len(ds.warnings) == 13
+        assert ds.subset(np.arange(3)).warnings == ds.warnings
+        for policy in (hdata.IMPUTE_DROP_ROWS, hdata.IMPUTE_MEDIAN_MODE):
+            assert impute(ds, policy).warnings == ds.warnings
 
 
 # Values a cell may hold: finite, and written with repr so the parser
@@ -524,18 +586,18 @@ class TestProperties:
         flat = (values == values[0]).all(axis=0)  # forced or drawn constant
         assert flat[constant].all()
         assert scaler.degenerate_columns == tuple(
-            col.name for col, is_flat in zip(ds.schema, flat) if is_flat
+            col.name for col, is_flat in zip(hdata.HEART_SCHEMA, flat) if is_flat
         )
+        assert ((values >= scaler.mins) & (values <= scaler.maxs)).all()
         scaled = scaler.transform(values)
-        assert not scaled.out_of_range.any()
-        assert ((scaled.values >= 0.0) & (scaled.values <= 1.0)).all()
-        for row, scaled_row in zip(values, scaled.values):
+        assert ((scaled >= 0.0) & (scaled <= 1.0)).all()
+        back_all = scaler.inverse_transform(scaled)
+        for row, scaled_row, back_row in zip(values, scaled, back_all):
             back = scaler.inverse_transform(scaled_row)
+            np.testing.assert_array_equal(back, back_row)
             np.testing.assert_allclose(back, row, rtol=0, atol=1e-9)
-            for j, col in enumerate(scaler.columns):
-                if col.degenerate:
-                    assert scaled_row[j] == 0.0
-                    assert back[j] == row[j]
+            assert (scaled_row[flat] == 0.0).all()
+            assert (back[flat] == row[flat]).all()
 
     @settings(max_examples=40, deadline=None)
     @given(labels=st.lists(st.integers(0, 3), max_size=30))

@@ -133,7 +133,7 @@ class TestNewNetwork:
         assert net.weights[1].shape == (2, 8)
         assert net.biases[0].shape == (8,)
         assert net.biases[1].shape == (2,)
-        assert net.n_parameters == 8 * 13 + 8 + 2 * 8 + 2
+        assert net.params.size == 8 * 13 + 8 + 2 * 8 + 2
 
     def test_init_range(self):
         net = new_network((13, 8, 2), 3)
@@ -311,7 +311,7 @@ class TestSerialization:
         save_network(net, path)
         loaded = load_network(path)
         assert loaded.layer_sizes == net.layer_sizes
-        assert loaded.activation == net.activation
+        assert json.loads(path.read_text(encoding="utf-8"))["activation"] == "logistic-sigmoid"
         assert loaded.seed == net.seed
         for a, b in zip(loaded.weights, net.weights):
             np.testing.assert_array_equal(a, b)
@@ -365,15 +365,25 @@ class TestSerialization:
             ("seed", math.inf),
             ("seed", -1),
             ("seed", True),
+            ("weights", [[[0.1] * 13] * 7 + [["0.1"] * 13], [[0.1] * 8] * 2]),
+            ("weights", [[[0.1] * 13] * 8, [[0.1] * 7 + [None]] * 2]),
+            ("weights", [[[0.1] * 13] * 8, [[0.1] * 7 + [10**400]] * 2]),
+            ("biases", [[0.0] * 8, [True, False]]),
+            ("biases", [[0.0] * 8, "01"]),
         ],
         ids=["size-fraction", "size-float", "size-str", "one-layer",
-             "seed-fraction", "seed-list", "seed-inf", "seed-negative", "seed-bool"],
+             "seed-fraction", "seed-list", "seed-inf", "seed-negative", "seed-bool",
+             "weights-str", "weights-null", "weights-huge-int",
+             "biases-bool", "biases-str"],
     )
     def test_malformed_field_rejected(self, key, value):
-        # refused, not truncated: [13, 8.9, 2] once loaded as 13-8-2
+        # refused, not truncated or coerced: [13, 8.9, 2] once loaded as
+        # 13-8-2, and weights of "0.1" or true as 0.1 and 1.0
         payload = network_to_dict(new_network((13, 8, 2), 0))
         payload[key] = value
-        message = "seed must be" if key == "seed" else "layer sizes|need at least"
+        message = {"seed": "seed must be", "layer_sizes": "layer sizes|need at least"}.get(
+            key, "expected JSON numbers|int too large"
+        )
         with pytest.raises(FormatError, match=rf"model: malformed model payload \(({message})"):
             network_from_dict(payload)
 
