@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as hdata
-from .data import DataError, Dataset, load_dataset, load_scaler, save_scaler
+from .data import DataError, Dataset, _read_json, load_dataset, load_scaler, save_scaler
 from .evaluation import (
     DEFAULT_GRID,
     DEFAULT_HIDDEN_SIZES,
@@ -150,9 +150,6 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
@@ -160,10 +157,7 @@ _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 def load_run_config(path) -> RunConfig:
     """Read a flat JSON config; unknown keys are rejected outright and the
     rest are checked by :class:`RunConfig`."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    payload = _read_json(path, ConfigError)
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     unknown = sorted(set(payload) - _CONFIG_KEYS)
@@ -205,7 +199,7 @@ def _prepare_out_dir(config: RunConfig) -> Path:
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     echo = out_dir / EFFECTIVE_CONFIG_NAME
-    echo.write_text(json.dumps(config.to_json_dict(), indent=2) + "\n", encoding="utf-8")
+    echo.write_text(json.dumps(asdict(config), indent=2) + "\n", encoding="utf-8")
     return out_dir
 
 

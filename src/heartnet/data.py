@@ -96,29 +96,24 @@ def _frozen_array(values, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable table of feature rows, integer labels, and a per-cell
-    flag marking values that were missing in the source file."""
+    """Immutable table of feature rows and integer labels; a cell that
+    was missing in the source file holds NaN."""
 
     features: np.ndarray  # (n, 13) float64; NaN where missing
     labels: np.ndarray  # (n,) int64, each in 0..3
-    missing_mask: np.ndarray  # (n, 13) bool
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         features = _frozen_array(self.features, np.float64)
         labels = _frozen_array(self.labels, np.int64)
-        mask = _frozen_array(self.missing_mask, bool)
         if features.ndim != 2 or features.shape[1] != N_ATTRIBUTES:
             raise ValidationError(f"features must be (n, {N_ATTRIBUTES}), got {features.shape}")
         if labels.shape != (features.shape[0],):
             raise ValidationError("labels length does not match feature rows")
-        if mask.shape != features.shape:
-            raise ValidationError("missing_mask shape does not match features")
         if labels.size and (labels.min() < 0 or labels.max() >= N_CLASSES):
             raise ValidationError(f"labels must lie in 0..{N_CLASSES - 1}")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "missing_mask", mask)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -133,7 +128,6 @@ class Dataset:
         return Dataset(
             features=self.features[indices],
             labels=self.labels[indices],
-            missing_mask=self.missing_mask[indices],
             warnings=self.warnings,
         )
 
@@ -196,12 +190,22 @@ def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
     ``map(float, ...)`` and checks labels and features as whole arrays.
     A file with bad rows raises the error of its earliest bad line, the
     first failing check of that line as :func:`_raise_line_error` orders
-    them; only that line is walked cell by cell, to name its token.
+    them; only that line is walked cell by cell, to name its token.  A
+    file that is not UTF-8 text is a :class:`ParseError` naming its line.
     """
     if label_policy not in (LABELS_STRICT, LABELS_CLAMP):
         raise ValueError(f"unknown label_policy {label_policy!r}")
     path = Path(path)
-    stripped = list(map(str.strip, path.read_text(encoding="utf-8").splitlines()))
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line: the lines of the valid text before it, plus one
+        line_no = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(
+            f"{path}: line {line_no}: not UTF-8 text (byte 0x{raw[exc.start]:02x})"
+        ) from None
+    stripped = list(map(str.strip, text.splitlines()))
     line_numbers = [line_no for line_no, line in enumerate(stripped, start=1) if line]
     lines = list(filter(None, stripped))
     start = 0
@@ -256,7 +260,6 @@ def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
     return Dataset(
         features=features,
         labels=np.clip(labels, 0, N_CLASSES - 1).astype(np.int64),
-        missing_mask=missing,
         warnings=warnings,
     )
 
@@ -269,20 +272,20 @@ def _column_mode(values: np.ndarray) -> float:
 
 
 def impute(dataset: Dataset, policy: str = IMPUTE_MEDIAN_MODE) -> Dataset:
-    """Resolve missing cells, either by dropping their rows or by filling
-    with the column median (continuous) / mode (categorical).
+    """Resolve missing (NaN) cells, either by dropping their rows or by
+    filling with the column median (continuous) / mode (categorical).
 
-    Filled cells stay flagged in ``missing_mask`` so their provenance is
-    not lost; rows without missing values are returned bit-identical.
+    Rows without missing values are returned bit-identical.
     """
+    missing = np.isnan(dataset.features)
     if policy == IMPUTE_DROP_ROWS:
-        return dataset.subset(~dataset.missing_mask.any(axis=1))
+        return dataset.subset(~missing.any(axis=1))
     if policy != IMPUTE_MEDIAN_MODE:
         raise ValueError(f"unknown imputation policy {policy!r}")
 
     features = dataset.features.copy()
     for j, col in enumerate(HEART_SCHEMA):
-        col_missing = dataset.missing_mask[:, j]
+        col_missing = missing[:, j]
         if not col_missing.any():
             continue
         present = features[~col_missing, j]
@@ -291,6 +294,15 @@ def impute(dataset: Dataset, policy: str = IMPUTE_MEDIAN_MODE) -> Dataset:
         fill = _column_mode(present) if col.kind == CATEGORICAL else float(np.median(present))
         features[col_missing, j] = fill
     return replace(dataset, features=features)
+
+
+def _read_json(path, error: type[Exception]):
+    """The JSON value in file ``path``.  A file that is not UTF-8 JSON, or
+    nests too deep to parse, raises ``error`` naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from None
 
 
 def _is_json_number(value) -> bool:
@@ -393,10 +405,7 @@ def save_scaler(scaler: Scaler, path) -> None:
 def load_scaler(path) -> Scaler:
     """Read a :func:`save_scaler` file; a column whose ``min`` or ``max`` is
     not a finite JSON number is a :class:`FormatError` naming it."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from None
+    payload = _read_json(path, FormatError)
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: expected a JSON object of columns")
     if not payload:

@@ -93,16 +93,10 @@ class ExperimentCell:
     n_train: int
     n_test: int
     architecture: str
-    layer_sizes: tuple[int, ...]
     efficiency_pct: float
     binary_efficiency_pct: float
     final_sse: float
     epochs_run: int
-    confusion: tuple[tuple[int, ...], ...]
-
-    @property
-    def rescaled(self) -> bool:
-        return (self.n_train, self.n_test) != (self.requested_train, self.requested_test)
 
 
 @dataclass(frozen=True)
@@ -111,16 +105,6 @@ class ExperimentReport:
     n_instances: int
     imputation_policy: str
     seed: int
-
-
-def architecture_layer_sizes(
-    architecture: str, n_features: int, hidden_sizes=DEFAULT_HIDDEN_SIZES
-) -> tuple[int, ...]:
-    if architecture == ARCH_SINGLE:
-        return (n_features, 2)
-    if architecture == ARCH_MULTI:
-        return (n_features, *hidden_sizes, 2)
-    raise ValueError(f"unknown architecture {architecture!r}")
 
 
 def fit_split_sizes(n_instances: int, n_train: int, n_test: int) -> tuple[int, int]:
@@ -158,9 +142,8 @@ def run_experiment(
         train_t = encode_labels(train_set.labels)
         test_x = scaler.transform(test_set.features)
 
-        for architecture in (ARCH_SINGLE, ARCH_MULTI):
-            sizes = architecture_layer_sizes(architecture, hdata.N_ATTRIBUTES, hidden_sizes)
-            net = new_network(sizes, config.seed)
+        for architecture, hidden in ((ARCH_SINGLE, ()), (ARCH_MULTI, hidden_sizes)):
+            net = new_network((hdata.N_ATTRIBUTES, *hidden, 2), config.seed)
             history = train(net, train_x, train_t, config)
             metrics = evaluate(net, test_x, test_set.labels)
             cells.append(
@@ -170,12 +153,10 @@ def run_experiment(
                     n_train=n_train,
                     n_test=n_test,
                     architecture=architecture,
-                    layer_sizes=sizes,
                     efficiency_pct=metrics.efficiency_pct,
                     binary_efficiency_pct=metrics.binary_efficiency_pct,
                     final_sse=history.final_sse,
                     epochs_run=history.epochs_run,
-                    confusion=tuple(tuple(int(v) for v in row) for row in metrics.confusion),
                 )
             )
     return ExperimentReport(

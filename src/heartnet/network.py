@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FormatError, _is_json_number
+from .data import FormatError, _is_json_number, _read_json
 
 LOGISTIC_SIGMOID = "logistic-sigmoid"
 MODEL_FORMAT_VERSION = 1
@@ -91,14 +91,6 @@ class Network:
         self.weights, self.biases = _views(self.params, weights, biases)
         for view, values in zip(self.weights + self.biases, weights + biases):
             view[...] = values
-
-    def copy(self) -> "Network":
-        return Network(
-            layer_sizes=self.layer_sizes,
-            weights=self.weights,
-            biases=self.biases,
-            seed=self.seed,
-        )
 
 
 def _is_integer(value) -> bool:
@@ -256,8 +248,4 @@ def save_network(network: Network, path) -> None:
 
 
 def load_network(path) -> Network:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from None
-    return network_from_dict(payload, source=str(path))
+    return network_from_dict(_read_json(path, FormatError), source=str(path))

@@ -27,7 +27,7 @@ from heartnet.evaluation import (
     REFERENCE_EFFICIENCY_PCT,
     run_experiment,
 )
-from heartnet.network import forward, new_network
+from heartnet.network import Network, forward, new_network
 from heartnet.trainer import (
     TrainConfig,
     adapt_learning_rate,
@@ -64,7 +64,8 @@ def sample_gradient(network, x, target):
     exactly minus the gradient.  Runs on a copy of ``network``."""
     velocity = np.zeros_like(network.params)
     train_epoch(
-        network.copy(), x[None], target[None], velocity, 1.0,
+        Network(network.layer_sizes, network.weights, network.biases, network.seed),
+        x[None], target[None], velocity, 1.0,
         TrainConfig(momentum=0.0), order=np.arange(1),
     )
     return -velocity

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -42,11 +44,18 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigError, match="unknown config keys: learning_rate"):
             load_run_config(path)
 
-    def test_bad_json_rejected(self, tmp_path):
+    def test_bad_json_rejected(self, tmp_path, capsys):
+        # not JSON, not UTF-8, and nested deeper than the parser recurses
         path = tmp_path / "c.json"
-        path.write_text("{", encoding="utf-8")
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            load_run_config(str(path))
+        out = tmp_path / "o"
+        for content in (b"{", b'{"seed": "\xff"}', b"[" * 100_000):
+            path.write_bytes(content)
+            with pytest.raises(ConfigError, match=re.escape(f"{path}: not valid JSON")):
+                load_run_config(str(path))
+            code = main(["train", "--config", str(path), "--data", FIXTURE, "--out", str(out)])
+            assert code == EXIT_USAGE
+            assert f"config error: {path}: not valid JSON" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_policy_aliases(self, tmp_path):
         path = write_config(tmp_path, {"imputation": "drop"})
@@ -86,7 +95,7 @@ class TestConfigPlumbing:
 
     def test_round_trip_through_json(self):
         cfg = RunConfig(data="d.csv", out="runs", seed=5)
-        payload = cfg.to_json_dict()
+        payload = asdict(cfg)
         assert set(payload) <= {f for f in RunConfig.__dataclass_fields__}
         json.dumps(payload)
 
@@ -95,7 +104,7 @@ class TestConfigPlumbing:
             data="d.csv", out="runs", layer_sizes=(13, 6, 2), hidden_sizes=(5,),
             splits=((20, 40),), initial_lr=0.3, max_epochs=7, seed=5,
         )
-        assert load_run_config(write_config(tmp_path, cfg.to_json_dict())) == cfg
+        assert load_run_config(write_config(tmp_path, asdict(cfg))) == cfg
         assert RunConfig().train_config() == TrainConfig()
 
 
@@ -230,7 +239,7 @@ class TestScale:
         assert "constant columns" not in capsys.readouterr().out
 
     def test_constant_column_is_reported(self, tmp_path, capsys):
-        lines = open(FIXTURE, encoding="utf-8").read().splitlines()
+        lines = bundled_fixture_path().read_text(encoding="utf-8").splitlines()
         rows = [line.split(",") for line in lines]
         for cells in rows:
             cells[5] = "1"  # Fbs
@@ -295,7 +304,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_cell_is_data_error(self, tmp_path, capsys, token):
-        lines = open(FIXTURE, encoding="utf-8").read().splitlines()
+        lines = bundled_fixture_path().read_text(encoding="utf-8").splitlines()
         cells = lines[2].split(",")
         cells[4] = token  # Chol
         lines[2] = ",".join(cells)
@@ -308,6 +317,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"line 3: non-finite value '{token}' in column Chol" in err
         assert "impute" not in err
+        assert not out.exists()
+
+    def test_non_utf8_table_is_data_error_naming_file_and_line(self, tmp_path, capsys):
+        lines = bundled_fixture_path().read_text(encoding="utf-8").splitlines()
+        data = tmp_path / "bad.csv"
+        data.write_bytes("\n".join(lines[:4]).encode("utf-8") + b"\n63,1,\xff1,0,6,0\n")
+        out = tmp_path / "o"
+        code = main(["train", "--config", quick_config(tmp_path), "--data", str(data),
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {data}: line 5: not UTF-8 text (byte 0xff)" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_strict_labels_reject_fixture(self, tmp_path, capsys):
@@ -338,7 +360,7 @@ class TestEvaluate:
         assert "note:" not in printed  # scored on the table the scaler was fitted on
 
     def test_rows_outside_the_fitted_range_are_counted(self, tmp_path, capsys):
-        lines = open(FIXTURE, encoding="utf-8").read().splitlines()
+        lines = bundled_fixture_path().read_text(encoding="utf-8").splitlines()
         first, rest = tmp_path / "first40.csv", tmp_path / "holdout.csv"
         first.write_text("\n".join(lines[:40]) + "\n", encoding="utf-8")
         # rows with a "?" are left out, so no imputed value enters the count
@@ -475,11 +497,14 @@ class TestEvaluate:
         assert "Traceback" not in err
 
     def test_corrupt_model_is_data_error(self, trained, tmp_path, capsys):
+        # not JSON, not UTF-8, and nested deeper than the parser recurses
         bad = tmp_path / "bad.json"
-        bad.write_text("{oops", encoding="utf-8")
-        code = main(["evaluate", "--model", str(bad),
-                     "--scaler", str(trained / "scaler.json"), "--data", FIXTURE])
-        assert code == EXIT_DATA
+        for content in (b"{oops", b'{"seed": "\xff"}', b"[" * 100_000):
+            bad.write_bytes(content)
+            code = main(["evaluate", "--model", str(bad),
+                         "--scaler", str(trained / "scaler.json"), "--data", FIXTURE])
+            assert code == EXIT_DATA
+            assert f"data error: {bad}: not valid JSON" in capsys.readouterr().err
 
 
 class TestExperiment:

@@ -50,7 +50,7 @@ class TestLoadDataset:
             [63, 1, 1, 145, 233, 1, 2, 150, 0, 2.3, 3, 0, 6],
         )
         assert ds.labels[0] == 0
-        assert not ds.missing_mask.any()
+        assert not ds.has_missing_values
 
     def test_bundled_fixture_shape(self):
         ds = load_dataset(bundled_fixture_path())
@@ -63,7 +63,7 @@ class TestLoadDataset:
         raw = bundled_fixture_path().read_text(encoding="utf-8")
         expected = raw.count("?")
         ds = load_dataset(bundled_fixture_path())
-        assert int(ds.missing_mask.sum()) == expected
+        assert int(np.isnan(ds.features).sum()) == expected
         assert ds.has_missing_values
 
     def test_header_row_skipped(self, tmp_path):
@@ -206,11 +206,13 @@ class TestImpute:
         out = impute(self.make(tmp_path, rows), hdata.IMPUTE_MEDIAN_MODE)
         assert out.features[4, 12] == 3.0
 
-    def test_mask_preserved_as_provenance(self, tmp_path):
-        rows = [EXAMPLE_ROW, EXAMPLE_ROW.replace(",0,6,", ",?,6,")]
-        out = impute(self.make(tmp_path, rows), hdata.IMPUTE_MEDIAN_MODE)
-        assert not np.isnan(out.features).any()
-        assert out.missing_mask[1, 11]
+    def test_fills_nan_in_a_built_dataset(self):
+        # a cell is missing exactly when it is NaN, however the Dataset was made
+        features = np.tile(np.arange(13.0), (3, 1))
+        features[1, 4] = np.nan
+        ds = Dataset(features=features, labels=np.zeros(3, dtype=int))
+        assert impute(ds, hdata.IMPUTE_MEDIAN_MODE).features[1, 4] == 4.0
+        assert len(impute(ds, hdata.IMPUTE_DROP_ROWS)) == 2
 
     def test_no_missing_is_identity(self, tmp_path):
         ds = self.make(tmp_path, [EXAMPLE_ROW, EXAMPLE_ROW])
@@ -294,10 +296,12 @@ class TestScaler:
         assert loaded.maxs.tobytes() == scaler.maxs.tobytes()
 
     def test_load_rejects_bad_json(self, tmp_path):
+        # not JSON, not UTF-8, and nested deeper than the parser recurses
         path = tmp_path / "scaler.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(FormatError, match="not valid JSON"):
-            load_scaler(path)
+        for content in (b"{not json", b'{"Age": "\xff"}', b"[" * 100_000):
+            path.write_bytes(content)
+            with pytest.raises(FormatError, match=re.escape(f"{path}: not valid JSON")):
+                load_scaler(path)
 
     def test_load_rejects_bad_bounds(self, tmp_path):
         path = tmp_path / "scaler.json"
@@ -437,7 +441,6 @@ class TestDataset:
             Dataset(
                 features=np.zeros((1, 13)),
                 labels=np.array([7]),
-                missing_mask=np.zeros((1, 13), dtype=bool),
             )
 
     def test_shape_agreement_enforced(self):
@@ -445,7 +448,6 @@ class TestDataset:
             Dataset(
                 features=np.zeros((2, 13)),
                 labels=np.array([0]),
-                missing_mask=np.zeros((2, 13), dtype=bool),
             )
 
     def test_subset(self):
@@ -537,7 +539,7 @@ class TestProperties:
             path = Path(tmp) / "table.csv"
             path.write_text(table_text(values, mask, labels), encoding="utf-8")
             loaded = load_dataset(path)
-        np.testing.assert_array_equal(loaded.missing_mask, mask)
+        np.testing.assert_array_equal(np.isnan(loaded.features), mask)
         np.testing.assert_array_equal(loaded.labels, labels)
         # every observed cell is read back bit for bit
         assert loaded.features[~mask].tobytes() == values[~mask].tobytes()
@@ -550,10 +552,10 @@ class TestProperties:
         assert not np.isnan(filled.features).any()
         keep = ~mask.any(axis=1) if policy == "drop_rows" else np.ones(len(labels), bool)
         assert len(filled) == int(keep.sum())
-        observed = ~filled.missing_mask
+        observed = ~mask[keep]
         assert filled.features[observed].tobytes() == values[keep][observed].tobytes()
         for j in range(13):
-            gone = filled.missing_mask[:, j]
+            gone = ~observed[:, j]
             if gone.any():
                 # one fill per column, within the column's observed range
                 present = values[~mask[:, j], j]
@@ -569,7 +571,7 @@ class TestProperties:
             path.write_text(text, encoding="utf-8")
             loaded = load_dataset(path, label_policy=hdata.LABELS_CLAMP)
         assert loaded.features.tobytes() == features.tobytes()
-        np.testing.assert_array_equal(loaded.missing_mask, mask)
+        np.testing.assert_array_equal(np.isnan(loaded.features), mask)
         np.testing.assert_array_equal(loaded.labels, labels)
         assert loaded.warnings == warnings
 
@@ -579,9 +581,9 @@ class TestProperties:
         constant=st.lists(st.booleans(), min_size=13, max_size=13),
     )
     def test_transform_then_inverse_round_trips(self, table, constant):
-        values, mask, labels = table
+        values, _, labels = table
         values[:, constant] = values[0, constant]  # degenerate columns
-        ds = Dataset(features=values, labels=labels, missing_mask=mask)
+        ds = Dataset(features=values, labels=labels)
         scaler = fit_scaler(ds)
         flat = (values == values[0]).all(axis=0)  # forced or drawn constant
         assert flat[constant].all()

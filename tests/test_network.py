@@ -8,6 +8,7 @@ sum of squared errors, the quantity the deltas are derived from.
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -44,7 +45,8 @@ def one_sample_epoch(network, x, target):
     """
     velocity = np.zeros_like(network.params)
     sample_sse = train_epoch(
-        network.copy(), np.atleast_2d(x), np.atleast_2d(target), velocity, 1.0,
+        Network(network.layer_sizes, network.weights, network.biases, network.seed),
+        np.atleast_2d(x), np.atleast_2d(target), velocity, 1.0,
         TrainConfig(momentum=0.0), order=np.arange(1),
     )
     return sample_sse, -velocity
@@ -332,10 +334,12 @@ class TestSerialization:
             network_from_dict(payload)
 
     def test_corrupt_json(self, tmp_path):
+        # not JSON, not UTF-8, and nested deeper than the parser recurses
         path = tmp_path / "model.json"
-        path.write_text("{broken", encoding="utf-8")
-        with pytest.raises(FormatError):
-            load_network(path)
+        for content in (b"{broken", b'{"seed": "\xff"}', b"[" * 100_000):
+            path.write_bytes(content)
+            with pytest.raises(FormatError, match=re.escape(f"{path}: not valid JSON")):
+                load_network(path)
 
     def test_unknown_activation_rejected(self):
         payload = network_to_dict(new_network((3, 2), 0))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from heartnet.data import ValidationError
-from heartnet.network import load_network, new_network, save_network
+from heartnet.network import Network, load_network, new_network, save_network
 from heartnet.trainer import (
     DivergenceError,
     EpochRecord,
@@ -266,7 +266,7 @@ class TestTrain:
         x, t = heart_like()
         cfg = TrainConfig(initial_lr=1.2, max_sse_rise=0.0, max_epochs=40, target_sse=0.0)
         net = new_network((13, 8, 2), 1)
-        reference = net.copy()
+        reference = Network(net.layer_sizes, net.weights, net.biases, net.seed)
 
         history = train(net, x, t, cfg)
         expected = replay_train(reference, x, t, cfg)
@@ -371,7 +371,7 @@ class TestTrain:
         x, t = heart_like()
         net = new_network((13, 8, 2), 1)
         assert_views(net)
-        copied = net.copy()
+        copied = Network(net.layer_sizes, net.weights, net.biases, net.seed)
         assert_views(copied)
         assert not np.shares_memory(copied.params, net.params)
         save_network(net, tmp_path / "model.json")
