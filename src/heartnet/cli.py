@@ -12,8 +12,6 @@ Exit codes: 0 success, 2 usage or config error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -198,8 +196,7 @@ def _require(config: RunConfig, *names: str) -> None:
 def _prepare_out_dir(config: RunConfig) -> Path:
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    echo = out_dir / EFFECTIVE_CONFIG_NAME
-    echo.write_text(json.dumps(asdict(config), indent=2) + "\n", encoding="utf-8")
+    hdata._write_json(out_dir / EFFECTIVE_CONFIG_NAME, asdict(config))
     return out_dir
 
 
@@ -229,11 +226,11 @@ def cmd_scale(config: RunConfig) -> int:
     save_scaler(scaler, out_dir / "scaler.json")
 
     scaled = scaler.transform(dataset.features)
-    with (out_dir / "scaled.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([*scaler.names, "label"])
-        for row, label in zip(scaled, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    rows = (
+        [*map(repr, row.tolist()), int(label)]
+        for row, label in zip(scaled, dataset.labels)
+    )
+    hdata._write_csv(out_dir / "scaled.csv", [*scaler.names, "label"], rows)
 
     print(f"scaled {len(dataset)} rows, {scaler.n_columns} columns")
     if scaler.degenerate_columns:
@@ -303,7 +300,7 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
             "binary_efficiency_pct": metrics.binary_efficiency_pct,
             "confusion": [[int(v) for v in row] for row in metrics.confusion],
         }
-        Path(args.json_out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        hdata._write_json(args.json_out, payload)
         print(f"wrote {args.json_out}")
     return EXIT_OK
 

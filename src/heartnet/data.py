@@ -1,8 +1,8 @@
-"""Heart-disease table ingestion: parsing, imputation, min-max scaling,
-class codes, and reproducible train/test splits.
+"""Heart-disease table ingestion (parsing, imputation, min-max scaling,
+class codes, seeded splits) and :func:`_write`, the artifact writer.
 
 :func:`load_dataset` parses a table in one bulk pass and, when it has
-bad rows, reports the earliest bad line.
+bad rows, names its file and its earliest bad line.
 
 A :class:`Scaler` holds each column's bounds once, in read-only float64
 arrays; ``transform`` and ``inverse_transform`` take a row or a matrix of
@@ -14,8 +14,10 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -150,11 +152,11 @@ def _looks_like_header(tokens: list[str]) -> bool:
     return not any(tok == MISSING_TOKEN or _is_number(tok) for tok in tokens)
 
 
-def _raise_line_error(line_no: int, tokens: list[str], label_policy: str) -> NoReturn:
-    """Raise the error of the bad data row ``tokens`` from file line
-    ``line_no``: its first failing check, in the order field count,
+def _raise_line_error(path, line_no: int, tokens: list[str], label_policy: str) -> NoReturn:
+    """Raise the error of the bad data row ``tokens`` from line ``line_no``
+    of file ``path``: its first failing check, in the order field count,
     feature cells left to right, class label, non-finite feature cells."""
-    where = f"line {line_no}:"
+    where = f"{path}: line {line_no}:"
     if len(tokens) != N_ATTRIBUTES + 1:
         raise ParseError(f"{where} expected {N_ATTRIBUTES + 1} fields, got {len(tokens)}")
     cells = [(col.name, token) for col, token in zip(HEART_SCHEMA, tokens)]
@@ -190,8 +192,8 @@ def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
     ``map(float, ...)`` and checks labels and features as whole arrays.
     A file with bad rows raises the error of its earliest bad line, the
     first failing check of that line as :func:`_raise_line_error` orders
-    them; only that line is walked cell by cell, to name its token.  A
-    file that is not UTF-8 text is a :class:`ParseError` naming its line.
+    them; only that line is walked cell by cell, to name its token.  Like
+    a file that is not UTF-8 text, it names the file and the line.
     """
     if label_policy not in (LABELS_STRICT, LABELS_CLAMP):
         raise ValueError(f"unknown label_policy {label_policy!r}")
@@ -250,7 +252,7 @@ def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
         bad |= out_of_range
     if bad.any() or n_ok < len(rows):
         first = int(np.argmax(bad)) if bad.any() else n_ok
-        _raise_line_error(line_numbers[first], _tokens(lines[first]), label_policy)
+        _raise_line_error(path, line_numbers[first], _tokens(lines[first]), label_policy)
 
     warnings = tuple(
         f"line {line_numbers[i]}: class label {int(labels[i])} clamped to "
@@ -303,6 +305,36 @@ def _read_json(path, error: type[Exception]):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
         raise error(f"{path}: not valid JSON ({exc})") from None
+
+
+def _write(path, fill) -> None:
+    """Write ``path`` whole or not at all: ``fill(handle)`` writes a UTF-8
+    text handle (``newline=""``) on ``.<name>.<pid>.tmp`` beside it, which
+    then replaces ``path``.  A symlink, a FIFO or a device is written in
+    place, since a rename would replace the link or the node itself."""
+    path = Path(path)
+    if path.is_symlink() or (path.exists() and not path.is_file()):
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            fill(handle)
+        return
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with temporary.open("w", newline="", encoding="utf-8") as handle:
+            fill(handle)
+        os.replace(temporary, path)
+    except BaseException as exc:
+        temporary.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(temporary):
+            exc.filename = str(path)  # name the file the caller asked for
+        raise
+
+
+def _write_json(path, payload) -> None:
+    _write(path, lambda handle: handle.write(json.dumps(payload, indent=2) + "\n"))
+
+
+def _write_csv(path, header, rows) -> None:
+    _write(path, lambda handle: csv.writer(handle).writerows(chain([header], rows)))
 
 
 def _is_json_number(value) -> bool:
@@ -398,13 +430,13 @@ def fit_scaler(dataset: Dataset) -> Scaler:
 def save_scaler(scaler: Scaler, path) -> None:
     """Write the scaler as a JSON object mapping column name -> {min, max}."""
     bounds = zip(scaler.names, scaler.mins.tolist(), scaler.maxs.tolist())
-    payload = {name: {"min": lo, "max": hi} for name, lo, hi in bounds}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_json(path, {name: {"min": lo, "max": hi} for name, lo, hi in bounds})
 
 
 def load_scaler(path) -> Scaler:
     """Read a :func:`save_scaler` file; a column whose ``min`` or ``max`` is
-    not a finite JSON number is a :class:`FormatError` naming it."""
+    not a finite JSON number, or whose ``min`` exceeds its ``max``, is a
+    :class:`FormatError` naming it."""
     payload = _read_json(path, FormatError)
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: expected a JSON object of columns")
@@ -416,6 +448,8 @@ def load_scaler(path) -> Scaler:
         # abs(v) <= max is False for NaN, +-inf and integers too large for a float
         if not all(_is_json_number(v) and abs(v) <= sys.float_info.max for v in pair):
             raise FormatError(f"{path}: column {name!r} needs finite numeric min/max")
+        if pair[0] > pair[1]:
+            raise FormatError(f"{path}: column {name!r} has min {pair[0]} > max {pair[1]}")
         bounds.append(pair)
     mins, maxs = np.array(bounds, dtype=np.float64).T
     return Scaler(tuple(payload), mins, maxs)

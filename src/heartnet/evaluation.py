@@ -3,14 +3,12 @@ experiment grid over train/test split sizes."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import data as hdata
-from .data import Dataset, ValidationError, encode_labels, fit_scaler
+from .data import Dataset, ValidationError, _write_csv, encode_labels, fit_scaler
 from .network import Network, forward, new_network
 from .trainer import TrainConfig, train
 
@@ -170,22 +168,19 @@ def run_experiment(
 def export_report(report: ExperimentReport, path) -> None:
     """Write one CSV row per grid cell; float fields use repr so a reload
     reproduces the values exactly."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["n_train", "n_test", "architecture", "efficiency_pct", "final_sse", "epochs"]
-        )
-        for cell in report.cells:
-            writer.writerow(
-                [
-                    cell.n_train,
-                    cell.n_test,
-                    cell.architecture,
-                    repr(cell.efficiency_pct),
-                    repr(cell.final_sse),
-                    cell.epochs_run,
-                ]
-            )
+    header = ["n_train", "n_test", "architecture", "efficiency_pct", "final_sse", "epochs"]
+    rows = (
+        [
+            cell.n_train,
+            cell.n_test,
+            cell.architecture,
+            repr(cell.efficiency_pct),
+            repr(cell.final_sse),
+            cell.epochs_run,
+        ]
+        for cell in report.cells
+    )
+    _write_csv(path, header, rows)
 
 
 def format_report(report: ExperimentReport, binary: bool = False) -> str:

@@ -23,15 +23,13 @@ it checks its inputs once per epoch and then calls ``_sweep`` and
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass, field
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
-from .data import FormatError, _is_json_number, _read_json
+from .data import FormatError, _is_json_number, _read_json, _write_json
 
 LOGISTIC_SIGMOID = "logistic-sigmoid"
 MODEL_FORMAT_VERSION = 1
@@ -242,9 +240,7 @@ def network_from_dict(payload: dict, source: str = "model") -> Network:
 
 def save_network(network: Network, path) -> None:
     """Serialize to JSON; float values round-trip bit-exactly."""
-    Path(path).write_text(
-        json.dumps(network_to_dict(network), indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(path, network_to_dict(network))
 
 
 def load_network(path) -> Network:

@@ -21,15 +21,13 @@ through the unchecked forward and backward sweeps of
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
-from .data import ValidationError
+from .data import ValidationError, _write_csv
 from .network import Network, _backprop, _is_integer, _sweep, _views
 
 
@@ -242,15 +240,13 @@ def train(
 def write_history_csv(history: TrainingHistory, path) -> None:
     """Export the per-epoch curve (the plotting input for SSE-vs-epoch
     figures) as ``epoch,sse,learning_rate,accepted``."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["epoch", "sse", "learning_rate", "accepted"])
-        for record in history.records:
-            writer.writerow(
-                [
-                    record.epoch,
-                    repr(record.sse),
-                    repr(record.learning_rate),
-                    "true" if record.accepted else "false",
-                ]
-            )
+    rows = (
+        [
+            record.epoch,
+            repr(record.sse),
+            repr(record.learning_rate),
+            "true" if record.accepted else "false",
+        ]
+        for record in history.records
+    )
+    _write_csv(path, ["epoch", "sse", "learning_rate", "accepted"], rows)

@@ -1,0 +1,48 @@
+"""The one-sample gradient oracle shared by the network and acceptance tests.
+
+A sample's SSE and gradient are read from the one path training takes, a
+one-sample :func:`~heartnet.trainer.train_epoch`, and the gradient is
+checked against central finite differences of half the sum of squared
+errors, the quantity the deltas are derived from.
+"""
+
+import numpy as np
+
+from heartnet.network import Network, forward
+from heartnet.trainer import TrainConfig, train_epoch
+
+
+def half_sse_loss(network, x, target):
+    err = forward(network, x)[-1] - target
+    return 0.5 * float(np.dot(err, err))
+
+
+def one_sample_epoch(network, x, target):
+    """One sample through the path training takes: a one-sample epoch at
+    lr 1 and momentum 0 from a zero velocity, on a copy of ``network``.
+
+    Returns the sample's SSE and the gradient of SSE/2 that training
+    applies; the velocity ends at exactly minus that gradient.
+    """
+    velocity = np.zeros_like(network.params)
+    sample_sse = train_epoch(
+        Network(network.layer_sizes, network.weights, network.biases, network.seed),
+        np.atleast_2d(x), np.atleast_2d(target), velocity, 1.0,
+        TrainConfig(momentum=0.0), order=np.arange(1),
+    )
+    return sample_sse, -velocity
+
+
+def fd_gradients(network, x, target, step=1e-6):
+    """Central finite differences over every entry of ``network.params``."""
+    params = network.params
+    grads = np.zeros_like(params)
+    for i in range(params.size):
+        orig = params[i]
+        params[i] = orig + step
+        up = half_sse_loss(network, x, target)
+        params[i] = orig - step
+        down = half_sse_loss(network, x, target)
+        params[i] = orig
+        grads[i] = (up - down) / (2 * step)
+    return grads

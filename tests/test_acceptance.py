@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from gradient_oracle import fd_gradients, one_sample_epoch
 
 from heartnet.data import (
     bundled_fixture_path,
@@ -27,12 +28,11 @@ from heartnet.evaluation import (
     REFERENCE_EFFICIENCY_PCT,
     run_experiment,
 )
-from heartnet.network import Network, forward, new_network
+from heartnet.network import new_network
 from heartnet.trainer import (
     TrainConfig,
     adapt_learning_rate,
     train,
-    train_epoch,
     write_history_csv,
 )
 
@@ -53,38 +53,6 @@ def heart_features():
     return ds
 
 
-def half_sse_loss(network, x, target):
-    err = forward(network, x)[-1] - target
-    return 0.5 * float(np.dot(err, err))
-
-
-def sample_gradient(network, x, target):
-    """The gradient training applies for one sample: a one-sample epoch at
-    lr 1 and momentum 0 from a zero velocity leaves the velocity at
-    exactly minus the gradient.  Runs on a copy of ``network``."""
-    velocity = np.zeros_like(network.params)
-    train_epoch(
-        Network(network.layer_sizes, network.weights, network.biases, network.seed),
-        x[None], target[None], velocity, 1.0,
-        TrainConfig(momentum=0.0), order=np.arange(1),
-    )
-    return -velocity
-
-
-def fd_gradients(network, x, target, step=1e-6):
-    params = network.params
-    grads = np.zeros_like(params)
-    for i in range(params.size):
-        orig = params[i]
-        params[i] = orig + step
-        up = half_sse_loss(network, x, target)
-        params[i] = orig - step
-        down = half_sse_loss(network, x, target)
-        params[i] = orig
-        grads[i] = (up - down) / (2 * step)
-    return grads
-
-
 def test_gradient_oracle():
     """The gradients training applies match central finite differences
     (step 1e-6) within relative error 1e-6 on 20 random networks of <= 30
@@ -103,7 +71,7 @@ def test_gradient_oracle():
         rng = np.random.default_rng(100 + i)
         x = rng.uniform(0, 1, shape[0])
         target = rng.uniform(0, 1, shape[-1])
-        analytic = sample_gradient(net, x, target)
+        analytic = one_sample_epoch(net, x, target)[1]
         numeric = fd_gradients(net, x, target)
         rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
         worst = max(worst, float(rel.max()))

@@ -316,6 +316,7 @@ class TestTrain:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert f"line 3: non-finite value '{token}' in column Chol" in err
+        assert f"data error: {data}: line 3: " in err
         assert "impute" not in err
         assert not out.exists()
 
@@ -403,6 +404,16 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err == f"data error: {bad}: column 'Age' needs finite numeric min/max\n"
 
+    def test_scaler_min_above_max_is_data_error(self, trained, tmp_path, capsys):
+        scaler = json.loads((trained / "scaler.json").read_text(encoding="utf-8"))
+        scaler["Age"] = {"min": 5, "max": 1}
+        bad = tmp_path / "bad_scaler.json"
+        bad.write_text(json.dumps(scaler), encoding="utf-8")
+        code = main(["evaluate", "--model", str(trained / "model.json"),
+                     "--scaler", str(bad), "--data", FIXTURE])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {bad}: column 'Age' has min 5 > max 1\n"
+
     def test_binary_flag_adds_line(self, trained, capsys):
         main(["evaluate", "--model", str(trained / "model.json"),
               "--scaler", str(trained / "scaler.json"),
@@ -419,6 +430,26 @@ class TestEvaluate:
             "n_test", "n_correct", "efficiency_pct", "binary_efficiency_pct", "confusion",
         }
         assert payload["n_test"] == 303
+
+    def test_json_out_to_a_directory_is_io_error(self, trained, tmp_path, capsys):
+        dest = tmp_path / "metrics"
+        dest.mkdir()
+        code = main(["evaluate", "--model", str(trained / "model.json"),
+                     "--scaler", str(trained / "scaler.json"),
+                     "--data", FIXTURE, "--json-out", str(dest)])
+        assert code == EXIT_IO
+        assert f"i/o error: [Errno 21] Is a directory: '{dest}'" in capsys.readouterr().err
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+    def test_json_out_into_a_missing_directory_names_the_target(self, trained, tmp_path, capsys):
+        dest = tmp_path / "nodir" / "m.json"
+        code = main(["evaluate", "--model", str(trained / "model.json"),
+                     "--scaler", str(trained / "scaler.json"),
+                     "--data", FIXTURE, "--json-out", str(dest)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err.endswith(
+            f"i/o error: [Errno 2] No such file or directory: '{dest}'\n"
+        )
 
     def test_scaler_column_count_mismatch_is_data_error(self, trained, tmp_path, capsys):
         scaler = json.loads((trained / "scaler.json").read_text(encoding="utf-8"))

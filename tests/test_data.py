@@ -1,10 +1,14 @@
 """Ingestion, imputation, scaling, class encoding, and split tests."""
 
+import json
 import math
+import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +332,14 @@ class TestScaler:
         with pytest.raises(FormatError, match=re.escape(message)):
             load_scaler(path)
 
+    def test_load_rejects_min_above_max(self, tmp_path):
+        path = tmp_path / "scaler.json"
+        path.write_text('{"Age": {"min": 5, "max": 1}}', encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: column 'Age' has min 5 > max 1")):
+            load_scaler(path)
+        path.write_text('{"Age": {"min": 5, "max": 5}}', encoding="utf-8")
+        assert load_scaler(path).degenerate_columns == ("Age",)
+
     def test_load_accepts_integer_bounds(self, tmp_path):
         path = tmp_path / "scaler.json"
         path.write_text('{"Age": {"min": 29, "max": 77.5}}', encoding="utf-8")
@@ -363,6 +375,91 @@ class TestScaler:
     def test_bounds_per_name_checked(self):
         with pytest.raises(ValidationError, match="one min and one max"):
             Scaler(("Age", "Sex"), [29.0], [77.0])
+
+
+class TestWrite:
+    """The one artifact writer: a file lands whole or not at all."""
+
+    def test_helpers_write_json_and_csv(self, tmp_path):
+        hdata._write_json(tmp_path / "a.json", {"x": [1, 2.5]})
+        assert (tmp_path / "a.json").read_bytes() == b'{\n  "x": [\n    1,\n    2.5\n  ]\n}\n'
+        hdata._write_csv(tmp_path / "a.csv", ["k", "v"], iter([["a", 1], ["b,c", 2]]))
+        assert (tmp_path / "a.csv").read_bytes() == b'k,v\r\na,1\r\n"b,c",2\r\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.json"]
+
+    @staticmethod
+    def fill_then_fail(handle):
+        handle.write("partial")
+        raise RuntimeError("killed mid-write")
+
+    @staticmethod
+    def rows_then_fail():
+        yield ["1", "2"]
+        raise RuntimeError("killed mid-write")
+
+    @pytest.mark.parametrize("how", ["fill", "rows"])
+    def test_failure_mid_write_keeps_the_old_file(self, tmp_path, how):
+        target = tmp_path / "artifact"
+        target.write_bytes(b"old bytes\n")
+        with pytest.raises(RuntimeError, match="killed mid-write"):
+            if how == "fill":
+                hdata._write(target, self.fill_then_fail)
+            else:
+                hdata._write_csv(target, ["a", "b"], self.rows_then_fail())
+        assert target.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]  # no .tmp left
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_fresh_file_mode_follows_umask(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            hdata._write_json(tmp_path / "a.json", {})
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "a.json").stat().st_mode) == 0o666 & ~umask
+
+    def test_symlink_is_written_through(self, tmp_path):
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        real.write_text("{}\n", encoding="utf-8")
+        link.symlink_to(real)
+        hdata._write_json(link, [1])
+        assert link.is_symlink() and json.loads(real.read_text(encoding="utf-8")) == [1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+    def test_link_to_an_open_descriptor_is_written_through(self, tmp_path):
+        # the shape of /dev/stdout when stdout is redirected to a file
+        real, link = tmp_path / "out.txt", tmp_path / "stdout"
+        with real.open("w+", encoding="utf-8") as handle:
+            link.symlink_to(f"/proc/self/fd/{handle.fileno()}")
+            hdata._write_json(link, {"n_test": 3})
+        assert real.read_bytes() == b'{\n  "n_test": 3\n}\n'
+        assert link.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "stdout"]
+
+    def test_missing_directory_error_names_the_target(self, tmp_path):
+        target = tmp_path / "nodir" / "m.json"
+        with pytest.raises(FileNotFoundError) as caught:
+            hdata._write_json(target, {})
+        assert caught.value.filename == str(target)
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo, "rb") as handle:  # blocks until a writer opens it
+                received.append(handle.read())
+
+        # a daemon, so a writer that never opens the FIFO fails the test, not the run
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        hdata._write_json(fifo, {"n_test": 3})
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [b'{\n  "n_test": 3\n}\n']
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 class TestClassCodes:
