@@ -60,8 +60,21 @@ def _is_size_list(value) -> bool:
     return isinstance(value, (list, tuple)) and all(_is_integer(v) and v >= 1 for v in value)
 
 
+def _layer_stack_problem(sizes) -> str | None:
+    """Why layer ``sizes`` cannot make a network for the table, or None."""
+    try:
+        _validate_layer_sizes(sizes)
+    except ValueError as exc:
+        return f"layer sizes {list(sizes)}: {exc}"
+    if sizes[0] != hdata.N_ATTRIBUTES:
+        return f"first layer size {sizes[0]} != {hdata.N_ATTRIBUTES} input features"
+    if sizes[-1] != 2:
+        return f"last layer size {sizes[-1]} != 2 output neurons"
+    return None
+
+
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(TrainConfig):
     """Everything a run needs, merged from defaults, file, and flags.
 
     Construction checks every setting, so an instance (including one made
@@ -77,14 +90,6 @@ class RunConfig:
     layer_sizes: tuple[int, ...] | None = None
     hidden_sizes: tuple[int, ...] = DEFAULT_HIDDEN_SIZES
     splits: tuple[tuple[int, int], ...] = DEFAULT_GRID
-    initial_lr: float = TrainConfig.initial_lr
-    momentum: float = TrainConfig.momentum
-    lr_increase: float = TrainConfig.lr_increase
-    lr_decrease: float = TrainConfig.lr_decrease
-    max_sse_rise: float = TrainConfig.max_sse_rise
-    max_epochs: int = TrainConfig.max_epochs
-    target_sse: float = TrainConfig.target_sse
-    seed: int = TrainConfig.seed
 
     def __post_init__(self):
         for name in ("data", "out"):
@@ -118,21 +123,13 @@ class RunConfig:
             )
         object.__setattr__(self, "splits", tuple(tuple(int(v) for v in p) for p in self.splits))
         object.__setattr__(self, "imputation", imputation)
-        self.train_config()
-        self._check_layer_stack()
-
-    def _check_layer_stack(self) -> None:
-        sizes = self.layer_stack()
         try:
-            _validate_layer_sizes(sizes)
+            super().__post_init__()
         except ValueError as exc:
-            raise ConfigError(f"layer sizes {list(sizes)}: {exc}") from None
-        if sizes[0] != hdata.N_ATTRIBUTES:
-            raise ConfigError(
-                f"first layer size {sizes[0]} != {hdata.N_ATTRIBUTES} input features"
-            )
-        if sizes[-1] != 2:
-            raise ConfigError(f"last layer size {sizes[-1]} != 2 output neurons")
+            raise ConfigError(str(exc)) from None
+        problem = _layer_stack_problem(self.layer_stack())
+        if problem:
+            raise ConfigError(problem)
 
     def layer_stack(self) -> tuple[int, ...]:
         """The layer sizes a ``train`` run or an ``experiment``'s
@@ -141,12 +138,6 @@ class RunConfig:
         if self.layer_sizes is not None:
             return self.layer_sizes
         return (hdata.N_ATTRIBUTES, *self.hidden_sizes, 2)
-
-    def train_config(self) -> TrainConfig:
-        try:
-            return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
@@ -204,7 +195,13 @@ def _load_and_impute(config: RunConfig) -> Dataset:
     dataset = load_dataset(config.data, label_policy=config.label_policy)
     for warning in dataset.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    return hdata.impute(dataset, config.imputation)
+    try:
+        dataset = hdata.impute(dataset, config.imputation)
+        if not len(dataset):
+            raise hdata.ImputationError("every row has a missing cell, so no row is left")
+    except hdata.ImputationError as exc:
+        raise hdata.ImputationError(f"{config.data}: {exc}") from None
+    return dataset
 
 
 def _format_confusion(confusion) -> str:
@@ -230,9 +227,10 @@ def cmd_scale(config: RunConfig) -> int:
         [*map(repr, row.tolist()), int(label)]
         for row, label in zip(scaled, dataset.labels)
     )
-    hdata._write_csv(out_dir / "scaled.csv", [*scaler.names, "label"], rows)
+    header = [*(col.name for col in hdata.HEART_SCHEMA), "label"]
+    hdata._write_csv(out_dir / "scaled.csv", header, rows)
 
-    print(f"scaled {len(dataset)} rows, {scaler.n_columns} columns")
+    print(f"scaled {len(dataset)} rows, {hdata.N_ATTRIBUTES} columns")
     if scaler.degenerate_columns:
         print(f"constant columns mapped to 0: {', '.join(scaler.degenerate_columns)}")
     print(f"wrote {out_dir / 'scaler.json'} and {out_dir / 'scaled.csv'}")
@@ -250,7 +248,7 @@ def cmd_train(config: RunConfig) -> int:
     scaler = hdata.fit_scaler(dataset)
     inputs = scaler.transform(dataset.features)
     targets = hdata.encode_labels(dataset.labels)
-    history = train(network, inputs, targets, config.train_config())
+    history = train(network, inputs, targets, config)
 
     save_network(network, out_dir / "model.json")
     save_scaler(scaler, out_dir / "scaler.json")
@@ -270,10 +268,12 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
     """Score a saved model against a (held-out) data file."""
     _require(config, "data")
     network = load_network(args.model)
+    problem = _layer_stack_problem(network.layer_sizes)
+    if problem:
+        raise hdata.FormatError(f"{args.model}: {problem}")
     scaler = load_scaler(args.scaler)
     dataset = _load_and_impute(config)
 
-    scaler.check_columns()
     x = dataset.features
     out_of_range = int(((x < scaler.mins) | (x > scaler.maxs)).any(axis=1).sum())
     metrics = evaluate(network, scaler.transform(x), dataset.labels)
@@ -314,7 +314,7 @@ def cmd_experiment(config: RunConfig, args: argparse.Namespace) -> int:
     report = run_experiment(
         dataset,
         splits=config.splits,
-        config=config.train_config(),
+        config=config,
         hidden_sizes=config.layer_stack()[1:-1],
         imputation_policy=config.imputation,
     )

@@ -4,9 +4,9 @@ class codes, seeded splits) and :func:`_write`, the artifact writer.
 :func:`load_dataset` parses a table in one bulk pass and, when it has
 bad rows, names its file and its earliest bad line.
 
-A :class:`Scaler` holds each column's bounds once, in read-only float64
-arrays; ``transform`` and ``inverse_transform`` take a row or a matrix of
-rows and return a plain array.
+A :class:`Scaler` holds the bounds of the :data:`HEART_SCHEMA` columns
+once, in read-only float64 arrays; ``transform`` and ``inverse_transform``
+take a row or a matrix of rows and return a plain array.
 
 All operations are pure; :class:`Dataset` and :class:`Scaler` values are
 immutable after construction and safe to share across threads.
@@ -344,64 +344,44 @@ def _is_json_number(value) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Scaler:
-    """Per-column linear map x -> (x - min) / (max - min), held as the
-    column ``names`` and read-only float64 arrays ``mins`` and ``maxs``.
+    """Per-column linear map x -> (x - min) / (max - min) over the 13
+    :data:`HEART_SCHEMA` columns, held as read-only float64 arrays ``mins`` and ``maxs``.
 
     In-range inputs land in [0, 1]; others are extrapolated, not clipped.
     Degenerate (constant) columns map to 0.0 and invert back to their
     single observed value.
     """
 
-    names: tuple[str, ...]
     mins: np.ndarray
     maxs: np.ndarray
 
     def __post_init__(self):
-        names = tuple(self.names)
         mins = _frozen_array(self.mins, np.float64)
         maxs = _frozen_array(self.maxs, np.float64)
-        if not mins.shape == maxs.shape == (len(names),):
-            raise ValidationError(f"scaler needs one min and one max for each of {names}")
+        if not mins.shape == maxs.shape == (N_ATTRIBUTES,):
+            raise ValidationError("scaler needs one min and one max for each column of the table")
         if (maxs - mins < 0).any():
             raise ValidationError("scaler delta must be >= 0 for every column")
-        object.__setattr__(self, "names", names)
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
 
     @property
-    def n_columns(self) -> int:
-        return len(self.names)
-
-    @property
     def degenerate_columns(self) -> tuple[str, ...]:
         flat = self.maxs - self.mins == 0.0
-        return tuple(name for name, is_flat in zip(self.names, flat) if is_flat)
-
-    def check_columns(self) -> None:
-        """Raise unless the scaler's columns are the table's, by name and in
-        order; the message names the first one that differs."""
-        for position, (name, col) in enumerate(zip(self.names, HEART_SCHEMA), start=1):
-            if name != col.name:
-                raise ValidationError(
-                    f"scaler column {position} is {name!r} but the data has {col.name!r} there"
-                )
-        if self.n_columns != N_ATTRIBUTES:
-            raise ValidationError(
-                f"scaler has {self.n_columns} columns but the input has {N_ATTRIBUTES}"
-            )
+        return tuple(col.name for col, is_flat in zip(HEART_SCHEMA, flat) if is_flat)
 
     def _checked(self, values) -> np.ndarray:
         x = np.asarray(values, dtype=np.float64)
         if x.ndim not in (1, 2):
             raise ValidationError(f"expected a row or a matrix of features, got shape {x.shape}")
-        if x.shape[-1] != self.n_columns:
+        if x.shape[-1] != N_ATTRIBUTES:
             raise ValidationError(
-                f"scaler has {self.n_columns} columns but the input has {x.shape[-1]}"
+                f"scaler has {N_ATTRIBUTES} columns but the input has {x.shape[-1]}"
             )
         return x
 
     def transform(self, features) -> np.ndarray:
-        """Scale one row of ``n_columns`` values or an (n, n_columns) matrix."""
+        """Scale one row of 13 values or an (n, 13) matrix."""
         x = self._checked(features)
         delta = self.maxs - self.mins
         flat = delta == 0.0
@@ -424,24 +404,22 @@ def fit_scaler(dataset: Dataset) -> Scaler:
     if dataset.has_missing_values:
         raise ValidationError("dataset has missing cells; impute before scaling")
     x = dataset.features
-    return Scaler(tuple(col.name for col in HEART_SCHEMA), x.min(axis=0), x.max(axis=0))
+    return Scaler(x.min(axis=0), x.max(axis=0))
 
 
 def save_scaler(scaler: Scaler, path) -> None:
     """Write the scaler as a JSON object mapping column name -> {min, max}."""
-    bounds = zip(scaler.names, scaler.mins.tolist(), scaler.maxs.tolist())
-    _write_json(path, {name: {"min": lo, "max": hi} for name, lo, hi in bounds})
+    bounds = zip(HEART_SCHEMA, scaler.mins.tolist(), scaler.maxs.tolist())
+    _write_json(path, {col.name: {"min": lo, "max": hi} for col, lo, hi in bounds})
 
 
 def load_scaler(path) -> Scaler:
-    """Read a :func:`save_scaler` file; a column whose ``min`` or ``max`` is
-    not a finite JSON number, or whose ``min`` exceeds its ``max``, is a
-    :class:`FormatError` naming it."""
+    """Read a :func:`save_scaler` file.  A bound that is not a finite JSON
+    number, a ``min`` above its ``max``, or columns other than the table's
+    13 in order are a :class:`FormatError` naming the file."""
     payload = _read_json(path, FormatError)
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: expected a JSON object of columns")
-    if not payload:
-        raise FormatError(f"{path}: no columns")
     bounds = []
     for name, column in payload.items():
         pair = [column.get("min"), column.get("max")] if isinstance(column, dict) else [None]
@@ -451,8 +429,15 @@ def load_scaler(path) -> Scaler:
         if pair[0] > pair[1]:
             raise FormatError(f"{path}: column {name!r} has min {pair[0]} > max {pair[1]}")
         bounds.append(pair)
+    for position, (name, col) in enumerate(zip(payload, HEART_SCHEMA), start=1):
+        if name != col.name:
+            raise FormatError(
+                f"{path}: column {position} is {name!r} but the table has {col.name!r} there"
+            )
+    if len(bounds) != N_ATTRIBUTES:
+        raise FormatError(f"{path}: {len(bounds)} columns but the table has {N_ATTRIBUTES}")
     mins, maxs = np.array(bounds, dtype=np.float64).T
-    return Scaler(tuple(payload), mins, maxs)
+    return Scaler(mins, maxs)
 
 
 # Four classes on two output neurons: the code is the label's two-bit

@@ -3,7 +3,7 @@
 import csv
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -19,9 +19,9 @@ from heartnet.cli import (
     main,
     merge_config,
 )
-from heartnet.data import bundled_fixture_path
+from heartnet.data import bundled_fixture_path, fit_scaler, impute, load_dataset, save_scaler
 from heartnet.network import new_network, save_network
-from heartnet.trainer import TrainConfig
+from heartnet.trainer import TrainConfig, train
 
 FIXTURE = str(bundled_fixture_path())
 
@@ -105,7 +105,33 @@ class TestConfigPlumbing:
             splits=((20, 40),), initial_lr=0.3, max_epochs=7, seed=5,
         )
         assert load_run_config(write_config(tmp_path, asdict(cfg))) == cfg
-        assert RunConfig().train_config() == TrainConfig()
+        assert isinstance(RunConfig(), TrainConfig)
+
+    def test_echo_in_the_older_key_order_reloads(self, tmp_path):
+        # echoes once listed the run-level keys first and the training keys last
+        values = {
+            "data": "d.csv", "out": "runs", "imputation": "drop_rows", "label_policy": "strict",
+            "layer_sizes": [13, 6, 2], "hidden_sizes": [5], "splits": [[20, 40]],
+            "initial_lr": 0.3, "momentum": 0.5, "lr_increase": 1.1, "lr_decrease": 0.6,
+            "max_sse_rise": 0.02, "max_epochs": 7, "target_sse": 0.5, "seed": 5,
+        }
+        assert set(values) == {f.name for f in fields(RunConfig)}
+        loaded = load_run_config(write_config(tmp_path, values))
+        assert loaded == RunConfig(**values)
+        assert list(asdict(loaded))[:8] == [f.name for f in fields(TrainConfig)]
+        assert json.loads(json.dumps(asdict(loaded))) == values
+
+    def test_train_takes_a_run_config_as_its_train_config(self):
+        settings = {"initial_lr": 0.2, "momentum": 0.8, "max_epochs": 12, "seed": 4}
+        rng = np.random.default_rng(0)
+        inputs, targets = rng.random((30, 13)), rng.integers(0, 2, (30, 2)).astype(float)
+        results = []
+        for config in (RunConfig(data="d.csv", **settings), TrainConfig(**settings)):
+            network = new_network((13, 8, 2), 4)
+            results.append((train(network, inputs, targets, config), network.params.tobytes()))
+        (run_history, run_params), (train_history, train_params) = results
+        assert run_history == train_history and run_params == train_params
+        assert run_history.epochs_run == 12
 
 
 class TestUsageErrors:
@@ -456,10 +482,13 @@ class TestEvaluate:
         scaler.pop("Thal")
         short = tmp_path / "scaler12.json"
         short.write_text(json.dumps(scaler), encoding="utf-8")
+        # checked before the table is read: a missing table would be exit 5
         code = main(["evaluate", "--model", str(trained / "model.json"),
-                     "--scaler", str(short), "--data", FIXTURE])
+                     "--scaler", str(short), "--data", str(tmp_path / "absent.csv")])
         assert code == EXIT_DATA
-        assert "scaler has 12 columns but the input has 13" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"data error: {short}: 12 columns but the table has 13\n"
+        )
 
     def test_nan_model_output_is_data_error(self, trained, tmp_path, capsys):
         model = json.loads((trained / "model.json").read_text(encoding="utf-8"))
@@ -487,23 +516,31 @@ class TestEvaluate:
         names[0], names[3] = names[3], names[0]  # Age <-> Trestbps
         swapped = tmp_path / "swapped.json"
         swapped.write_text(json.dumps({name: scaler[name] for name in names}), encoding="utf-8")
+        # checked before the table is read: a missing table would be exit 5
         code = main(["evaluate", "--model", str(trained / "model.json"),
-                     "--scaler", str(swapped), "--data", FIXTURE])
+                     "--scaler", str(swapped), "--data", str(tmp_path / "absent.csv")])
         assert code == EXIT_DATA
-        assert "scaler column 1 is 'Trestbps' but the data has 'Age' there" in (
-            capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"data error: {swapped}: column 1 is 'Trestbps' but the table has 'Age' there\n"
         )
 
-    @pytest.mark.parametrize("sizes", [(5, 2), (13, 3)], ids=["5-2", "13-3"])
-    def test_model_of_wrong_width_is_data_error(self, trained, tmp_path, capsys, sizes):
-        # the widths come from the file, so forward and the output decoding
-        # check them against the table
+    @pytest.mark.parametrize(
+        "sizes, problem",
+        [((5, 2), "first layer size 5 != 13 input features"),
+         ((13, 3), "last layer size 3 != 2 output neurons"),
+         ((12, 8, 2), "first layer size 12 != 13 input features"),
+         ((13, 8, 3), "last layer size 3 != 2 output neurons")],
+        ids=["5-2", "13-3", "12-8-2", "13-8-3"],
+    )
+    def test_model_of_wrong_width_is_data_error(self, tmp_path, capsys, sizes, problem):
+        # the widths come from the file; they are checked against the table
+        # before the scaler or the table is read, so neither need exist
         model = tmp_path / "model.json"
         save_network(new_network(sizes, 0), model)
-        code = main(["evaluate", "--model", str(model),
-                     "--scaler", str(trained / "scaler.json"), "--data", FIXTURE])
+        absent = str(tmp_path / "absent")
+        code = main(["evaluate", "--model", str(model), "--scaler", absent, "--data", absent])
         assert code == EXIT_DATA
-        assert capsys.readouterr().err.splitlines()[-1].startswith("data error:")
+        assert capsys.readouterr().err == f"data error: {model}: {problem}\n"
 
     @pytest.mark.parametrize(
         "key, value",
@@ -536,6 +573,46 @@ class TestEvaluate:
                          "--scaler", str(trained / "scaler.json"), "--data", FIXTURE])
             assert code == EXIT_DATA
             assert f"data error: {bad}: not valid JSON" in capsys.readouterr().err
+
+
+class TestImputationLeavesNothing:
+    """A table whose imputation fails or leaves no row is a data error that
+    names the table, raised before any ``--out`` is made."""
+
+    @staticmethod
+    def table_without_ca(tmp_path):
+        lines = bundled_fixture_path().read_text(encoding="utf-8").splitlines()[:20]
+        rows = [line.split(",") for line in lines]
+        for cells in rows:
+            cells[11] = "?"  # Ca
+        data = tmp_path / "no_ca.csv"
+        data.write_text("\n".join(",".join(cells) for cells in rows) + "\n", encoding="utf-8")
+        return data
+
+    @pytest.mark.parametrize("command", ["scale", "train", "experiment", "evaluate"])
+    def test_every_row_dropped(self, tmp_path, capsys, command):
+        data, out = self.table_without_ca(tmp_path), tmp_path / "o"
+        argv = [command, "--config", quick_config(tmp_path), "--data", str(data), "--impute", "drop"]
+        if command == "evaluate":
+            model, scaler = tmp_path / "model.json", tmp_path / "scaler.json"
+            save_network(new_network((13, 8, 2), 0), model)
+            save_scaler(fit_scaler(impute(load_dataset(FIXTURE))), scaler)
+            argv += ["--model", str(model), "--scaler", str(scaler)]
+        else:
+            argv += ["--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {data}: every row has a missing cell, so no row is left\n"
+        )
+        assert not out.exists()
+
+    def test_column_with_no_observed_value(self, tmp_path, capsys):
+        data, out = self.table_without_ca(tmp_path), tmp_path / "o"
+        code = main(["train", "--config", quick_config(tmp_path), "--data", str(data),
+                     "--out", str(out), "--impute", "median"])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {data}: column Ca has no observed values\n"
+        assert not out.exists()
 
 
 class TestExperiment:

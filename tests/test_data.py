@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from heartnet import data as hdata
 from heartnet.data import (
+    HEART_SCHEMA,
     Dataset,
     FormatError,
     ImputationError,
@@ -234,21 +235,44 @@ class TestImpute:
             impute(ds, "zeros")
 
 
+NAMES = [col.name for col in HEART_SCHEMA]
+
+
+def bounds_with(**columns):
+    """``{name: {"min": lo, "max": hi}}`` for the table's 13 columns in
+    order: each spans [0, 1] except those given as ``name=(lo, hi)``."""
+    bounds = {name: (0.0, 1.0) for name in NAMES}
+    bounds.update(columns)
+    return {name: {"min": lo, "max": hi} for name, (lo, hi) in bounds.items()}
+
+
+def scaler_with(**columns):
+    """A scaler over the table's 13 columns, built as :func:`bounds_with`."""
+    bounds = bounds_with(**columns).values()
+    return Scaler([b["min"] for b in bounds], [b["max"] for b in bounds])
+
+
+def row_with(**cells):
+    """A 13-value feature row: 0.5 in each column, except the ``cells`` given."""
+    return [cells.get(name, 0.5) for name in NAMES]
+
+
 class TestScaler:
     def fixture_scaler(self):
         ds = impute(load_dataset(bundled_fixture_path()))
         return ds, fit_scaler(ds)
 
     def test_known_value(self):
-        # (54 - 29) / (77 - 29) = 25/48
-        scaler = Scaler(("Age",), [29.0], [77.0])
-        row = scaler.transform([54.0])
+        # (54 - 29) / (77 - 29) = 25/48; the [0, 1] columns keep their 0.5
+        scaler = scaler_with(Age=(29.0, 77.0))
+        row = scaler.transform(row_with(Age=54.0))
         assert row[0] == pytest.approx(25.0 / 48.0, rel=1e-15)
+        assert row[1:].tolist() == [0.5] * 12
         assert scaler.mins[0] <= 54.0 <= scaler.maxs[0]
 
     def test_bounds_are_read_only_arrays(self):
-        scaler = Scaler(["Age", "Sex"], [29, 0], (77, 1))
-        assert scaler.names == ("Age", "Sex")
+        scaler = Scaler([29] + [0] * 12, (77,) + (1,) * 12)
+        assert scaler.mins.tolist()[:2] == [29.0, 0.0]
         for bounds in (scaler.mins, scaler.maxs):
             assert bounds.dtype == np.float64
             with pytest.raises(ValueError):
@@ -268,20 +292,20 @@ class TestScaler:
         np.testing.assert_allclose(whole, ds.features[:40], rtol=1e-12, atol=1e-12)
 
     def test_degenerate_column(self):
-        scaler = Scaler(("Age", "Sex"), [29.0, 1.0], [77.0, 1.0])
+        scaler = scaler_with(Age=(29.0, 77.0), Sex=(1.0, 1.0))
         assert scaler.degenerate_columns == ("Sex",)
-        row = scaler.transform([53.0, 1.0])
+        row = scaler.transform(row_with(Age=53.0, Sex=1.0))
         assert row[1] == 0.0
         back = scaler.inverse_transform(row)
         assert back[1] == 1.0
 
     def test_out_of_range_extrapolates_and_flags(self):
         # extrapolated, not clipped; evaluate counts such rows from the bounds
-        scaler = Scaler(("Age",), [29.0], [77.0])
-        high = scaler.transform([101.0])  # 29 + 1.5*48
+        scaler = scaler_with(Age=(29.0, 77.0))
+        high = scaler.transform(row_with(Age=101.0))  # 29 + 1.5*48
         assert high[0] == pytest.approx(1.5, rel=1e-15)
         assert 101.0 > scaler.maxs[0]
-        low = scaler.transform([5.0])  # 29 - 0.5*48
+        low = scaler.transform(row_with(Age=5.0))  # 29 - 0.5*48
         assert low[0] == pytest.approx(-0.5, rel=1e-15)
         assert 5.0 < scaler.mins[0]
 
@@ -295,7 +319,7 @@ class TestScaler:
         path = tmp_path / "scaler.json"
         save_scaler(scaler, path)
         loaded = load_scaler(path)
-        assert loaded.names == scaler.names
+        assert list(json.loads(path.read_text(encoding="utf-8"))) == NAMES
         assert loaded.mins.tobytes() == scaler.mins.tobytes()
         assert loaded.maxs.tobytes() == scaler.maxs.tobytes()
 
@@ -334,17 +358,38 @@ class TestScaler:
 
     def test_load_rejects_min_above_max(self, tmp_path):
         path = tmp_path / "scaler.json"
-        path.write_text('{"Age": {"min": 5, "max": 1}}', encoding="utf-8")
+        path.write_text(json.dumps(bounds_with(Age=(5, 1))), encoding="utf-8")
         with pytest.raises(FormatError, match=re.escape(f"{path}: column 'Age' has min 5 > max 1")):
             load_scaler(path)
-        path.write_text('{"Age": {"min": 5, "max": 5}}', encoding="utf-8")
+        path.write_text(json.dumps(bounds_with(Age=(5, 5))), encoding="utf-8")
         assert load_scaler(path).degenerate_columns == ("Age",)
 
     def test_load_accepts_integer_bounds(self, tmp_path):
         path = tmp_path / "scaler.json"
-        path.write_text('{"Age": {"min": 29, "max": 77.5}}', encoding="utf-8")
+        path.write_text(json.dumps(bounds_with(Age=(29, 77.5), Sex=(0, 1))), encoding="utf-8")
         loaded = load_scaler(path)
-        assert loaded.mins.tolist() == [29.0] and loaded.maxs.tolist() == [77.5]
+        assert loaded.mins.dtype == loaded.maxs.dtype == np.float64
+        assert loaded.mins.tolist()[:2] == [29.0, 0.0] and loaded.maxs.tolist()[:2] == [77.5, 1.0]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda names: [names[3], *names[1:3], names[0], *names[4:]],
+             "column 1 is 'Trestbps' but the table has 'Age' there"),
+            (lambda names: [*names[:5], "Cholesterol", *names[6:]],
+             "column 6 is 'Cholesterol' but the table has 'Fbs' there"),
+            (lambda names: names[:12], "12 columns but the table has 13"),
+            (lambda names: [*names, "Num"], "14 columns but the table has 13"),
+            (lambda names: [], "0 columns but the table has 13"),
+        ],
+        ids=["swapped", "renamed", "short", "long", "empty"],
+    )
+    def test_load_checks_columns_against_the_table(self, tmp_path, edit, message):
+        path = tmp_path / "scaler.json"
+        bounds = {name: {"min": 0, "max": 1} for name in edit(NAMES)}
+        path.write_text(json.dumps(bounds), encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+            load_scaler(path)
 
     def test_matrix_matches_row_by_row(self):
         ds, scaler = self.fixture_scaler()
@@ -357,24 +402,27 @@ class TestScaler:
         assert (shifted > scaler.maxs).any()
 
     def test_column_count_checked(self):
-        ds, _ = self.fixture_scaler()
-        short = Scaler(tuple(f"c{j}" for j in range(12)), np.zeros(12), np.ones(12))
-        with pytest.raises(ValidationError, match="scaler has 12 columns but the input has 13"):
-            short.transform(ds.features)
-        with pytest.raises(ValidationError, match="12 columns but the input has 13"):
-            short.transform(ds.features[0])
-        with pytest.raises(ValidationError, match="scaler has 12 columns but the input has 13"):
-            short.inverse_transform(ds.features)
+        ds, scaler = self.fixture_scaler()
+        narrow = ds.features[:, :12]
+        with pytest.raises(ValidationError, match="scaler has 13 columns but the input has 12"):
+            scaler.transform(narrow)
+        with pytest.raises(ValidationError, match="13 columns but the input has 12"):
+            scaler.transform(narrow[0])
+        with pytest.raises(ValidationError, match="scaler has 13 columns but the input has 12"):
+            scaler.inverse_transform(narrow)
         with pytest.raises(ValidationError, match="row or a matrix"):
-            short.inverse_transform(5.0)
+            scaler.inverse_transform(5.0)
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValidationError, match="delta"):
-            Scaler(("Age",), [77.0], [29.0])
+            scaler_with(Age=(77.0, 29.0))
 
     def test_bounds_per_name_checked(self):
-        with pytest.raises(ValidationError, match="one min and one max"):
-            Scaler(("Age", "Sex"), [29.0], [77.0])
+        # one min and one max for each of the table's 13 columns, no more, no fewer
+        for mins, maxs in ((np.zeros(12), np.ones(12)), (np.zeros(13), np.ones(12)),
+                           (np.zeros(14), np.ones(14)), (np.zeros((1, 13)), np.ones((1, 13)))):
+            with pytest.raises(ValidationError, match="one min and one max for each column"):
+                Scaler(mins, maxs)
 
 
 class TestWrite:
