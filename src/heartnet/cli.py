@@ -23,6 +23,7 @@ from .data import DataError, Dataset, _read_json, load_dataset, load_scaler, sav
 from .evaluation import (
     DEFAULT_GRID,
     DEFAULT_HIDDEN_SIZES,
+    check_splits,
     evaluate,
     export_report,
     format_report,
@@ -309,6 +310,10 @@ def cmd_experiment(config: RunConfig, args: argparse.Namespace) -> int:
     """Run the split-grid comparison of single vs multi layer networks."""
     _require(config, "data", "out")
     dataset = _load_and_impute(config)
+    try:
+        check_splits(len(dataset), config.splits)
+    except hdata.ValidationError as exc:
+        raise hdata.ValidationError(f"{config.data}: {exc}") from None
     out_dir = _prepare_out_dir(config)
 
     report = run_experiment(

@@ -10,7 +10,7 @@ import numpy as np
 from . import data as hdata
 from .data import Dataset, ValidationError, _write_csv, encode_labels, fit_scaler
 from .network import Network, forward, new_network
-from .trainer import TrainConfig, train
+from .trainer import DivergenceError, TrainConfig, train_many
 
 ARCH_SINGLE = "single"  # inputs wired straight to the output neurons
 ARCH_MULTI = "multi"  # one or more hidden layers in between
@@ -114,6 +114,18 @@ def fit_split_sizes(n_instances: int, n_train: int, n_test: int) -> tuple[int, i
     return n_instances * n_train // total, n_instances * n_test // total
 
 
+def check_splits(n_instances: int, splits) -> None:
+    """Raise :class:`~heartnet.data.ValidationError` for the first split
+    that, fitted to ``n_instances`` rows, leaves 0 training or 0 test
+    rows."""
+    for requested in splits:
+        for count, kind in zip(fit_split_sizes(n_instances, *requested), ("training", "test")):
+            if not count:
+                raise ValidationError(
+                    f"split {requested[0]}/{requested[1]} leaves 0 {kind} rows of {n_instances}"
+                )
+
+
 def run_experiment(
     dataset: Dataset,
     splits=DEFAULT_GRID,
@@ -128,22 +140,41 @@ def run_experiment(
     portion only, train each network from a fresh seeded start, and
     evaluate on the held-out rows.  Oversized split requests are rescaled
     to the available instance count and marked in the report.
+
+    A split that leaves 0 training or 0 test rows is refused before any
+    work.  Every split is prepared before any network trains.  Each
+    architecture's networks, one per split, then train as one stack
+    (:func:`~heartnet.trainer.train_many`), with the same results as one
+    :func:`~heartnet.trainer.train` per cell.  If cells diverge, the
+    :class:`~heartnet.trainer.DivergenceError` raised is that of the
+    first of them in grid order, as if the cells had trained one by one.
     """
     if dataset.has_missing_values:
         raise ValidationError("dataset has missing cells; impute before running")
-    cells = []
-    for requested_train, requested_test in splits:
-        n_train, n_test = fit_split_sizes(len(dataset), requested_train, requested_test)
+    check_splits(len(dataset), splits)
+    grid = [(*requested, *fit_split_sizes(len(dataset), *requested)) for requested in splits]
+    training_sets, test_sets = [], []
+    for _, _, n_train, n_test in grid:
         train_set, test_set = hdata.split(dataset, n_train, n_test, config.seed)
         scaler = fit_scaler(train_set)
         train_x = scaler.transform(train_set.features)
-        train_t = encode_labels(train_set.labels)
-        test_x = scaler.transform(test_set.features)
+        training_sets.append((train_x, encode_labels(train_set.labels)))
+        test_sets.append((scaler.transform(test_set.features), test_set.labels))
 
-        for architecture, hidden in ((ARCH_SINGLE, ()), (ARCH_MULTI, hidden_sizes)):
-            net = new_network((hdata.N_ATTRIBUTES, *hidden, 2), config.seed)
-            history = train(net, train_x, train_t, config)
-            metrics = evaluate(net, test_x, test_set.labels)
+    architectures = ((ARCH_SINGLE, ()), (ARCH_MULTI, tuple(hidden_sizes)))
+    stacks = []
+    for _, hidden in architectures:
+        networks = [new_network((hdata.N_ATTRIBUTES, *hidden, 2), config.seed) for _ in grid]
+        stacks.append(list(zip(networks, train_many(networks, training_sets, config))))
+
+    cells = []
+    for index, (requested_train, requested_test, n_train, n_test) in enumerate(grid):
+        test_x, test_labels = test_sets[index]
+        for (architecture, _), stack in zip(architectures, stacks):
+            net, history = stack[index]
+            if isinstance(history, DivergenceError):
+                raise history
+            metrics = evaluate(net, test_x, test_labels)
             cells.append(
                 ExperimentCell(
                     requested_train=requested_train,

@@ -16,9 +16,13 @@ still reports raw SSE.
 :func:`forward` is the checked entry for input from outside the
 program, such as a model loaded from a file scored against a table: it
 checks the input width and calls the unchecked layer loop ``_sweep``.
-:func:`heartnet.trainer.train_epoch` is the checked per-sample kernel:
-it checks its inputs once per epoch and then calls ``_sweep`` and
-``_backprop`` directly for every sample.
+Training has two per-sample kernels in :mod:`heartnet.trainer`.
+:func:`~heartnet.trainer.train_epoch` steps one network: it checks its
+inputs once per epoch and then calls ``_sweep`` and ``_backprop``
+directly for every sample.  :func:`~heartnet.trainer.train_many` steps
+several networks of one shape as rows of a ``(K, P)`` stack, with its
+own stacked copy of the same layer arithmetic; ``_views`` lays out that
+stack's per-layer views as it does those of one network.
 """
 
 from __future__ import annotations
@@ -46,23 +50,27 @@ def sigmoid(x):
 
     Below x of about -709, e^-x overflows to inf and the result is exactly
     0.0.  numpy reports that overflow as a RuntimeWarning unless it runs
-    under ``np.errstate(over="ignore")``; :func:`heartnet.evaluation.evaluate`
-    and :func:`heartnet.trainer.train` enter that state once per call.
+    under ``np.errstate(over="ignore")``; :func:`heartnet.evaluation.evaluate`,
+    :func:`heartnet.trainer.train` and :func:`heartnet.trainer.train_many`
+    enter that state once per call.
     """
     return 1.0 / (1.0 + np.exp(-x))
 
 
 def _views(flat: np.ndarray, weights, biases) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Views of ``flat`` shaped like ``weights`` and ``biases``, laid out
-    ``W0, b0, W1, b1, ...``."""
+    ``W0, b0, W1, b1, ...`` along its last axis.  A ``(K, P)`` stack of
+    K parameter vectors gives ``(K, *w.shape)`` and ``(K, *b.shape)``
+    views."""
+    lead = flat.shape[:-1]
     weight_views = []
     bias_views = []
     start = 0
     for w, b in zip(weights, biases):
         stop = start + w.size
-        weight_views.append(flat[start:stop].reshape(w.shape))
+        weight_views.append(flat[..., start:stop].reshape(lead + w.shape))
         start, stop = stop, stop + b.size
-        bias_views.append(flat[start:stop])
+        bias_views.append(flat[..., start:stop].reshape(lead + b.shape))
         start = stop
     return weight_views, bias_views
 

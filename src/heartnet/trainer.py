@@ -12,11 +12,23 @@ every weight and bias) are plain float64 arrays laid out like
 :attr:`~heartnet.network.Network.params`, so a momentum step, an epoch
 snapshot and a rollback are each one array operation.
 
-:func:`train_epoch` is the checked per-sample kernel, and the only path
-a training step takes.  It checks the training set and the velocity once
-per epoch, allocates one gradient buffer, and then runs every sample
-through the unchecked forward and backward sweeps of
-:mod:`heartnet.network` and the momentum step, with no check per sample.
+A training step takes one of two per-sample kernels, chosen by how many
+networks the caller trains at once; both give the same bits.
+
+- :func:`train_epoch`, which :func:`train` runs, steps one network.  It
+  checks the training set and the velocity once per epoch, allocates one
+  gradient buffer, and then runs every sample through the unchecked
+  forward and backward sweeps of :mod:`heartnet.network` and the
+  momentum step, with no check per sample.
+- ``_stack_epoch``, which :func:`train_many` runs, steps K networks of
+  one shape at once.  Their parameter vectors are the rows of one
+  ``(K, P)`` array, and each forward, backward and momentum step is one
+  stacked numpy call over the rows still presenting samples.  Per-sample
+  cost is bound by numpy's per-call overhead, so one call for K networks
+  is cheaper than K calls from K = 2 up; at K = 1 it is slower than
+  :func:`train_epoch`, which is why both exist.
+  :func:`heartnet.evaluation.run_experiment` trains each architecture's
+  split cells as one stack.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import ValidationError, _write_csv
-from .network import Network, _backprop, _is_integer, _sweep, _views
+from .network import Network, _backprop, _is_integer, _sweep, _views, sigmoid
 
 
 class DivergenceError(RuntimeError):
@@ -235,6 +247,167 @@ def train(
                 break
 
     return TrainingHistory(tuple(records))
+
+
+def _stack_epoch(
+    params: np.ndarray,
+    velocity: np.ndarray,
+    shapes: tuple[list[np.ndarray], list[np.ndarray]],
+    inputs: list[np.ndarray],
+    targets: list[np.ndarray],
+    lr: np.ndarray,
+    momentum: float,
+) -> np.ndarray:
+    """One epoch of every network in the stack; returns each one's epoch SSE.
+
+    Row ``r`` of ``params`` (and of ``velocity``) is one network's
+    parameter vector; ``shapes`` holds arrays shaped like one network's
+    weights and biases.  ``inputs[r]`` and ``targets[r]`` are row r's
+    samples in presentation order, and the rows are sorted by sample
+    count, largest first, so the rows still presenting samples at any
+    sample index are a prefix ``[:m]`` of the stack.  Each step is the
+    one :func:`train_epoch` takes, as one stacked product or elementwise
+    operation over the active rows.
+    """
+    n_rows, n_max = params.shape[0], len(inputs[0])
+    x = np.empty((n_max, n_rows, 1, inputs[0].shape[1]))
+    t = np.empty((n_max, n_rows, 1, targets[0].shape[1]))
+    for row, (row_x, row_t) in enumerate(zip(inputs, targets)):
+        x[: len(row_x), row, 0] = row_x
+        t[: len(row_t), row, 0] = row_t
+    weights_2d, biases_1d = shapes
+    grads = np.empty_like(params)
+    # biases as (K, 1, out), to add to the (K, 1, out) layer products
+    bias_shapes = [b[None, :] for b in biases_1d]
+    weights, biases = _views(params, weights_2d, bias_shapes)
+    weight_grads, bias_grads = _views(grads, weights_2d, bias_shapes)
+    lr_column = lr[:, None]
+    totals = np.zeros((n_rows, 1, 1))
+
+    start = 0
+    for m in range(n_rows, 0, -1):  # samples [start, stop) have m active rows
+        stop = len(inputs[m - 1])
+        if stop == start:
+            continue
+        layers = [
+            (w[:m], w[:m].transpose(0, 2, 1), b[:m], gw[:m], gb[:m])
+            for w, b, gw, gb in zip(weights, biases, weight_grads, bias_grads)
+        ]
+        backward = layers[::-1]
+        p, v, g, rate, total = params[:m], velocity[:m], grads[:m], lr_column[:m], totals[:m]
+        for sample, target in zip(x[start:stop, :m], t[start:stop, :m]):
+            out = sample
+            activations = [out]
+            for _, w_t, b, _, _ in layers:
+                out = sigmoid(out @ w_t + b)
+                activations.append(out)
+            # o - t squares to the same bits as t - o
+            miss = out - target
+            total += miss @ miss.transpose(0, 2, 1)
+            delta = miss * out * (1.0 - out)
+            for layer, (w, _, _, gw, gb) in zip(range(len(layers) - 1, -1, -1), backward):
+                below = activations[layer]
+                np.multiply(delta.transpose(0, 2, 1), below, out=gw)
+                gb[...] = delta
+                if layer:
+                    delta = (delta @ w) * below * (1.0 - below)
+            v *= momentum
+            v -= rate * g
+            p += v
+        start = stop
+    return totals[:, 0, 0]
+
+
+def train_many(
+    networks: list[Network],
+    training_sets: list[tuple],
+    config: TrainConfig,
+) -> list[TrainingHistory | DivergenceError]:
+    """:func:`train` for each of several networks of the same layer
+    sizes, trained in lockstep as one stack.
+
+    ``networks[i]`` trains on ``training_sets[i]``, an ``(inputs,
+    targets)`` pair, and is updated in place.  The result holds, for each
+    network, the history :func:`train` would return, or the
+    :class:`DivergenceError` it would raise (not raised here).  Weights
+    and records are bit-identical to :func:`train`'s: each network keeps
+    its own shuffle generator, learning rate, accept/reject decision and
+    rollback, and one that reaches the target or diverges leaves the
+    stack at the end of that epoch.  Each numpy call serves every
+    network in the stack, which pays off over :func:`train` from about
+    two networks up.
+    """
+    if len(networks) != len(training_sets):
+        raise ValueError(
+            f"{len(networks)} networks but {len(training_sets)} training sets"
+        )
+    if not networks:
+        return []
+    if any(net.layer_sizes != networks[0].layer_sizes for net in networks):
+        raise ValueError("networks trained as one stack must share their layer sizes")
+    checked = [
+        _check_training_set(net, x, t) for net, (x, t) in zip(networks, training_sets)
+    ]
+    results: list[TrainingHistory | DivergenceError | None] = [None] * len(networks)
+    # Largest training set first; ties keep their given order.
+    stack = sorted(range(len(networks)), key=lambda i: -len(checked[i][0]))
+    rngs = {i: np.random.default_rng(config.seed) for i in stack}
+    lrs = {i: config.initial_lr for i in stack}
+    prev_sse = {i: math.inf for i in stack}
+    records: dict[int, list[EpochRecord]] = {i: [] for i in stack}
+    shapes = (networks[0].weights, networks[0].biases)
+    params = np.stack([networks[i].params for i in stack])
+    velocity = np.zeros_like(params)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.max_epochs + 1):
+            orders = [rngs[i].permutation(checked[i][0].shape[0]) for i in stack]
+            saved_params = params.copy()
+            saved_velocity = velocity.copy()
+
+            epoch_sse = _stack_epoch(
+                params,
+                velocity,
+                shapes,
+                [checked[i][0][order] for i, order in zip(stack, orders)],
+                [checked[i][1][order] for i, order in zip(stack, orders)],
+                np.array([lrs[i] for i in stack], dtype=np.float64),
+                config.momentum,
+            )
+            leaving = []
+            for row, i in enumerate(stack):
+                sse = float(epoch_sse[row])
+                if not math.isfinite(sse):
+                    results[i] = DivergenceError(epoch)
+                    leaving.append(row)
+                    continue
+                next_lr, accepted = adapt_learning_rate(prev_sse[i], sse, lrs[i], config)
+                records[i].append(EpochRecord(epoch, sse, lrs[i], accepted))
+                if accepted:
+                    prev_sse[i] = sse
+                else:
+                    params[row] = saved_params[row]
+                    velocity[row] = saved_velocity[row]
+                lrs[i] = next_lr
+                if accepted and sse <= config.target_sse:
+                    leaving.append(row)
+            if leaving:
+                # Leaving rows take their weights with them; the rest stay a
+                # prefix-ordered stack.
+                for row in leaving:
+                    networks[stack[row]].params[:] = params[row]
+                kept = [row for row in range(len(stack)) if row not in leaving]
+                stack = [stack[row] for row in kept]
+                params, velocity = params[kept], velocity[kept]
+                if not stack:
+                    break
+
+    for row, i in enumerate(stack):
+        networks[i].params[:] = params[row]
+    return [
+        result if result is not None else TrainingHistory(tuple(records[i]))
+        for i, result in enumerate(results)
+    ]
 
 
 def write_history_csv(history: TrainingHistory, path) -> None:

@@ -116,14 +116,16 @@ def test_same_seed_determinism():
 
 def test_parallel_determinism(under_blas_threads):
     """Training runs in parallel where BLAS splits the batched products over
-    threads. forward, a one-sample gradient and a 50-epoch run of a 13-96-2
-    net are bit-identical for 1 and 2 BLAS threads."""
+    threads. forward, a one-sample gradient, a 50-epoch run of a 13-96-2
+    net and a 5-epoch experiment report, whose cells train as stacks, are
+    bit-identical for 1 and 2 BLAS threads."""
     started = time.perf_counter()
     runs = under_blas_threads("""
         import hashlib
         import numpy as np
         from heartnet.data import bundled_fixture_path, encode_labels, fit_scaler
         from heartnet.data import impute, load_dataset
+        from heartnet.evaluation import run_experiment
         from heartnet.network import forward, new_network
         from heartnet.trainer import TrainConfig, train, train_epoch
 
@@ -146,17 +148,21 @@ def test_parallel_determinism(under_blas_threads):
         hist = train(net, x, t, TrainConfig(max_epochs=50, target_sse=0.0, seed=3))
         digest(net.params)
         print(hist.epochs_run, repr(hist))
+
+        cfg = TrainConfig(max_epochs=5, target_sse=0.0)
+        rep = run_experiment(ds, splits=((20, 30), (30, 20)), config=cfg, hidden_sizes=(96,))
+        print(hashlib.sha256(repr(rep).encode()).hexdigest())
     """)
     first, *rest = runs.values()
-    identical = len(first) == 4 and all(lines == first for lines in rest)
+    identical = len(first) == 5 and all(lines == first for lines in rest)
     elapsed = time.perf_counter() - started
     report(
         "parallel-determinism",
         identical,
         elapsed,
         30.0,
-        f"bit-identical passes, weights and history for BLAS threads {sorted(runs)} "
-        "over 50 epochs",
+        f"bit-identical passes, weights, history and experiment report for BLAS threads "
+        f"{sorted(runs)}",
     )
 
 

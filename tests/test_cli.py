@@ -633,6 +633,21 @@ class TestExperiment:
         assert len(rows) == 1 + 2 * 2  # 2 splits x 2 architectures
         assert "wrote" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "splits, problem",
+        [(None, "split 100/300 leaves 0 training rows of 3"),
+         ([[300, 1]], "split 300/1 leaves 0 test rows of 3")],
+    )
+    def test_table_too_small_for_a_split(self, tmp_path, capsys, splits, problem):
+        lines = bundled_fixture_path().read_text(encoding="utf-8").splitlines()[:3]
+        data, out = tmp_path / "tiny.csv", tmp_path / "o"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = quick_config(tmp_path, **({"splits": splits} if splits else {}))
+        code = main(["experiment", "--config", config, "--data", str(data), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {data}: {problem}\n"
+        assert not out.exists()
+
     def test_deterministic_report(self, tmp_path):
         cfg = self.config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

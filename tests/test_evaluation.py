@@ -27,7 +27,7 @@ from heartnet.evaluation import (
     run_experiment,
 )
 from heartnet.network import forward, new_network
-from heartnet.trainer import TrainConfig, train
+from heartnet.trainer import DivergenceError, TrainConfig, train
 
 
 def decode_row(output) -> int:
@@ -209,6 +209,16 @@ class TestRunExperiment:
         assert (cell.requested_train, cell.requested_test) == (100, 50)
         assert (cell.n_train, cell.n_test) == (40, 20)
 
+    @pytest.mark.parametrize(
+        "splits, problem",
+        [(DEFAULT_GRID, "split 100/300 leaves 0 training rows of 3"),
+         (((2, 1), (300, 1)), "split 300/1 leaves 0 test rows of 3")],
+    )
+    def test_split_leaving_no_rows_is_refused(self, splits, problem):
+        with pytest.raises(ValidationError) as err:
+            run_experiment(small_dataset(3), splits=splits, config=self.CFG)
+        assert str(err.value) == problem
+
     def test_rejects_unimputed_data(self):
         ds = load_dataset(bundled_fixture_path())
         with pytest.raises(ValidationError, match="impute"):
@@ -219,6 +229,30 @@ class TestRunExperiment:
         a = run_experiment(ds, splits=((20, 30),), config=self.CFG)
         b = run_experiment(ds, splits=((20, 30),), config=self.CFG)
         assert a == b
+
+    def test_earliest_diverging_cell_in_grid_order_is_raised(self):
+        # The rate overflows to inf after a few accepted epochs, and each
+        # cell's own accept/reject sequence sets at which epoch.
+        cfg = TrainConfig(
+            initial_lr=1.0, lr_increase=1e20, lr_decrease=1e-10, max_epochs=40, target_sse=0.0
+        )
+        ds, splits = small_dataset(), ((20, 30), (30, 20))
+        diverged = []  # epochs of the diverging cells, in grid order
+        for n_train, n_test in splits:
+            train_set, _ = split(ds, n_train, n_test, cfg.seed)
+            scaler = fit_scaler(train_set)
+            x, t = scaler.transform(train_set.features), encode_labels(train_set.labels)
+            for sizes in ((13, 2), (13, 6, 4, 2)):
+                try:
+                    train(new_network(sizes, cfg.seed), x, t, cfg)
+                except DivergenceError as exc:
+                    diverged.append(exc.epoch)
+        # the first to diverge in grid order is not the first in time
+        assert len(diverged) >= 2 and diverged[0] > min(diverged)
+        with pytest.raises(DivergenceError) as err:
+            run_experiment(ds, splits=splits, config=cfg, hidden_sizes=(6, 4))
+        assert err.value.epoch == diverged[0]
+        assert str(err.value) == f"non-finite SSE at epoch {diverged[0]}"
 
     def test_report_metadata(self):
         ds = small_dataset()

@@ -17,6 +17,7 @@ from heartnet.trainer import (
     adapt_learning_rate,
     train,
     train_epoch,
+    train_many,
     write_history_csv,
 )
 
@@ -390,6 +391,82 @@ class TestTrain:
             train(net, np.zeros((4, 13)), np.zeros((4, 3)), TrainConfig())
         with pytest.raises(ValidationError, match="empty"):
             train(net, np.zeros((0, 13)), np.zeros((0, 2)), TrainConfig())
+
+
+class TestTrainMany:
+    """The stacked trainer equals one ``train`` per network, bit for bit:
+    weights, records, and the divergence ``train`` would raise."""
+
+    @staticmethod
+    def one_by_one(networks, training_sets, config):
+        results = []
+        for net, (x, t) in zip(networks, training_sets):
+            try:
+                results.append(train(net, x, t, config))
+            except DivergenceError as exc:
+                results.append(exc)
+        return results
+
+    def assert_same_as_train(self, sizes, training_sets, config, prepare=lambda nets: None):
+        alone = [new_network(sizes, config.seed) for _ in training_sets]
+        stacked = [new_network(sizes, config.seed) for _ in training_sets]
+        prepare(alone)
+        prepare(stacked)
+        expected = self.one_by_one(alone, training_sets, config)
+        got = train_many(stacked, training_sets, config)
+        for want, have, net_a, net_b in zip(expected, got, alone, stacked):
+            if isinstance(want, DivergenceError):
+                assert isinstance(have, DivergenceError)
+                assert (have.epoch, str(have)) == (want.epoch, str(want))
+            else:
+                assert repr(have) == repr(want)
+            assert net_b.params.tobytes() == net_a.params.tobytes()
+        return got
+
+    @pytest.mark.parametrize("sizes", [(13, 2), (13, 8, 2), (13, 6, 4, 2)])
+    def test_unequal_training_sets(self, sizes):
+        # sizes out of order and tied, so the stack sorts and shrinks
+        training_sets = [heart_like(n, seed) for seed, n in enumerate((17, 30, 5, 30))]
+        cfg = TrainConfig(initial_lr=1.2, max_sse_rise=0.0, max_epochs=8, target_sse=0.0)
+        histories = self.assert_same_as_train(sizes, training_sets, cfg)
+        assert any(not r.accepted for h in histories for r in h.records)  # rollbacks ran
+
+    def test_network_in_the_middle_of_the_stack_reaches_the_target_first(self):
+        rng = np.random.default_rng(5)
+        hard = (rng.uniform(size=(12, 2)), rng.integers(0, 2, size=(12, 2)).astype(float))
+        easy = (np.array([[0.0, 1.0], [0.2, 0.9], [1.0, 0.0], [0.9, 0.1]]),
+                np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]))
+        # one input, two opposite targets: SSE cannot fall below 1
+        contradictory = (np.full((2, 2), 0.5), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        cfg = TrainConfig(initial_lr=1.0, target_sse=0.05, max_epochs=300, seed=1)
+        histories = self.assert_same_as_train((2, 3, 2), [hard, easy, contradictory], cfg)
+        assert [h.epochs_run < cfg.max_epochs for h in histories] == [False, True, False]
+        assert histories[1].final_sse <= cfg.target_sse
+
+    def test_diverging_network_leaves_the_others_alone(self):
+        def plant_infinity(networks):
+            networks[1].weights[0][0, 0] = np.inf  # inf * 0.0 input -> nan
+
+        training_sets = [heart_like(n, seed) for seed, n in enumerate((20, 24, 9))]
+        for x, _ in training_sets:
+            x[:, 0] = 0.0
+        cfg = TrainConfig(max_epochs=5, target_sse=0.0)
+        results = self.assert_same_as_train((13, 8, 2), training_sets, cfg, plant_infinity)
+        assert isinstance(results[1], DivergenceError) and results[1].epoch == 1
+        assert [r.epochs_run for r in (results[0], results[2])] == [5, 5]
+
+    def test_input_validation(self):
+        net = new_network((13, 8, 2), 0)
+        cfg = TrainConfig(max_epochs=1)
+        assert train_many([], [], cfg) == []
+        with pytest.raises(ValueError, match="2 training sets"):
+            train_many([net], [heart_like(), heart_like()], cfg)
+        with pytest.raises(ValueError, match="share their layer sizes"):
+            train_many([net, new_network((13, 2), 0)], [heart_like(), heart_like()], cfg)
+        with pytest.raises(ValueError, match="inputs"):
+            train_many([net], [(np.zeros((4, 12)), np.zeros((4, 2)))], cfg)
+        with pytest.raises(ValidationError, match="empty"):
+            train_many([net], [(np.zeros((0, 13)), np.zeros((0, 2)))], cfg)
 
 
 class TestHistory:

@@ -14,9 +14,10 @@ where the checkout lives, so two checkouts compare with ``diff -r``::
 
 ``heartnet`` must come from a ``PYTHONPATH`` entry, never from an
 installed copy.  Exit status: 0 when every run exits with the code
-listed for it, 1 when any does not (each is named on stderr), 2 when
-``heartnet`` cannot be imported from ``PYTHONPATH`` or OUTDIR is missing
-from the command line.
+listed for it and no failing run leaves its ``--out`` behind, 1
+otherwise (each such run is named on stderr), 2 when ``heartnet``
+cannot be imported from ``PYTHONPATH`` or OUTDIR is missing from the
+command line.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ RUNS = TRAIN_RUNS + [
       for command in ("scale", "train", "experiment")],
     ("all-dropped-evaluate",
      ["evaluate", "--data", "no_ca.csv", "--impute", "drop", *MODEL_AND_SCALER], 3),
+    ("too-small-table", ["experiment", "--config", "few.json", "--data", "tiny.csv"], 3),
 ]
 
 
@@ -104,6 +106,9 @@ def _write_inputs(heartnet) -> None:
         Path(f"{name}.csv").write_text(
             "".join(",".join(cells) + "\n" for cells in table), encoding="utf-8"
         )
+    Path("tiny.csv").write_text(  # too few rows for the default split grid
+        "".join(",".join(cells) + "\n" for cells in rows[:3]), encoding="utf-8"
+    )
     names = [col.name for col in heartnet.HEART_SCHEMA]
     names[0], names[3] = names[3], names[0]  # Age <-> Trestbps
     swapped = {name: {"min": 0, "max": 1} for name in names}
@@ -146,6 +151,9 @@ def main(argv=None) -> int:
         code = _run(heartnet.cli.main, name, run_argv + (["--out", name] if writes_out else []))
         if code != str(expected):
             print(f"cli_runs: {name} exited {code}, expected {expected}", file=sys.stderr)
+            failed += 1
+        elif expected and Path(name).exists():
+            print(f"cli_runs: {name} failed but left its --out behind", file=sys.stderr)
             failed += 1
     print(f"cli_runs: {len(RUNS) - failed} of {len(RUNS)} runs exited as expected")
     return 1 if failed else 0
