@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage or config error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -329,7 +330,14 @@ def cmd_experiment(config: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``heartnet`` argument parser, built on the first call and
+    returned by every later one.  Parsing leaves it unchanged, and
+    argparse reads ``sys.stdout``, ``sys.stderr`` and the terminal width
+    only when it prints, so one parser serves every :func:`main` call in
+    a process.  This saves time only for a caller that calls ``main``
+    more than once; the ``heartnet`` script calls it once per process."""
     parser = argparse.ArgumentParser(
         prog="heartnet",
         description="Feedforward neural-network classifier for the heart-disease table",

@@ -182,8 +182,9 @@ def _raise_line_error(path, line_no: int, tokens: list[str], label_policy: str) 
 def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
     """Read a comma-separated heart-disease file into a :class:`Dataset`.
 
-    Rows carry 13 attribute values plus a class label; ``?`` marks a
-    missing cell.  Blank lines, and leading rows with no numeric or ``?``
+    The file is UTF-8 text and may start with a byte-order mark.  Rows
+    carry 13 attribute values plus a class label; ``?`` marks a missing
+    cell.  Blank lines, and leading rows with no numeric or ``?``
     cell (a header), are skipped.  ``label_policy`` controls labels
     outside 0..3 (the raw Cleveland file uses 0..4): ``strict`` rejects
     them, ``clamp`` maps them to the nearest bound and records a warning.
@@ -198,11 +199,12 @@ def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
     if label_policy not in (LABELS_STRICT, LABELS_CLAMP):
         raise ValueError(f"unknown label_policy {label_policy!r}")
     path = Path(path)
-    raw = path.read_bytes()
     try:
-        text = raw.decode("utf-8")
+        text = path.read_bytes().decode("utf-8-sig")  # a leading byte-order mark is dropped
     except UnicodeDecodeError as exc:
-        # the bad byte's line: the lines of the valid text before it, plus one
+        # the bad byte's line: the lines of the valid text before it, plus
+        # one; exc.object is the file's bytes after any byte-order mark
+        raw = exc.object
         line_no = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(
             f"{path}: line {line_no}: not UTF-8 text (byte 0x{raw[exc.start]:02x})"
@@ -286,10 +288,8 @@ def impute(dataset: Dataset, policy: str = IMPUTE_MEDIAN_MODE) -> Dataset:
         raise ValueError(f"unknown imputation policy {policy!r}")
 
     features = dataset.features.copy()
-    for j, col in enumerate(HEART_SCHEMA):
-        col_missing = missing[:, j]
-        if not col_missing.any():
-            continue
+    for j in np.flatnonzero(missing.any(axis=0)):  # schema order
+        col, col_missing = HEART_SCHEMA[j], missing[:, j]
         present = features[~col_missing, j]
         if present.size == 0:
             raise ImputationError(f"column {col.name} has no observed values")

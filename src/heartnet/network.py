@@ -210,7 +210,7 @@ def network_from_dict(payload: dict, source: str = "model") -> Network:
     if not isinstance(payload, dict):
         raise FormatError(f"{source}: expected a JSON object")
     version = payload.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if not (_is_integer(version) and version == MODEL_FORMAT_VERSION):  # not true, not 1.0
         raise FormatError(
             f"{source}: format_version {version!r} is not supported "
             f"(expected {MODEL_FORMAT_VERSION})"

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: artifacts, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 import re
@@ -8,6 +9,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
+from heartnet import cli
 from heartnet.cli import (
     EXIT_DATA,
     EXIT_IO,
@@ -248,6 +250,51 @@ class TestUsageErrors:
                      "--model", absent, "--scaler", absent])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("config error:")
+
+
+class TestRepeatedCalls:
+    """``main`` may be called many times in one process; it builds its
+    parser on the first call and every call answers as the first did."""
+
+    @pytest.fixture()
+    def parsers_built(self, monkeypatch):
+        """A list that grows by one for each ArgumentParser made, counted
+        from an empty parser cache."""
+        built = []
+        make = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            make(parser, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        yield built
+        cli.build_parser.cache_clear()  # later tests get a plain parser
+
+    def test_each_call_answers_as_the_first(self, tmp_path, capsys, parsers_built):
+        trained = tmp_path / "run"
+        assert main(["train", "--config", quick_config(tmp_path), "--data", FIXTURE,
+                     "--out", str(trained)]) == EXIT_OK
+        capsys.readouterr()
+        n_built = len(parsers_built)
+        assert n_built == 5  # heartnet and its four subcommands
+        cases = [
+            (["--help"], EXIT_OK),
+            ([], EXIT_USAGE),
+            (["train", "--data", FIXTURE, "--impute", "zeros"], EXIT_USAGE),
+            (["train", "--data", FIXTURE, "--seed", "-1", "--out", str(tmp_path / "o")],
+             EXIT_USAGE),
+            (["evaluate", "--data", FIXTURE, "--model", str(trained / "model.json"),
+              "--scaler", str(trained / "scaler.json")], EXIT_OK),
+        ]
+        for argv, expected in cases:
+            first_code = main(argv)
+            first = capsys.readouterr()
+            assert first_code == expected, (argv, first.err)
+            assert first.out or first.err
+            assert (main(argv), capsys.readouterr()) == (first_code, first), argv
+        assert len(parsers_built) == n_built
 
 
 class TestScale:

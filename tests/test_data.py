@@ -149,6 +149,25 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="label_policy"):
             load_dataset(write_csv(tmp_path, EXAMPLE_ROW), label_policy="ignore")
 
+    @pytest.mark.parametrize("header", [False, True], ids=["headerless", "headed"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, header):
+        # spreadsheet "CSV UTF-8" exports start with one
+        text = bundled_fixture_path().read_text(encoding="utf-8")
+        if header:
+            text = ",".join(c.name for c in HEART_SCHEMA) + ",num\n" + text
+        plain = load_dataset(write_csv(tmp_path, text, "plain.csv"))
+        marked = load_dataset(write_csv(tmp_path, "\ufeff" + text, "bom.csv"))
+        assert marked.features.tobytes() == plain.features.tobytes()
+        assert marked.labels.tobytes() == plain.labels.tobytes()
+        assert marked.warnings == plain.warnings
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_non_utf8_error_names_the_line(self, tmp_path, mark):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(mark + f"{EXAMPLE_ROW}\n\n{EXAMPLE_ROW}\n63,\xff\n".encode("latin-1"))
+        with pytest.raises(ParseError, match=r"line 4: not UTF-8 text \(byte 0xff\)"):
+            load_dataset(path)
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(ParseError, match="no data rows"):
             load_dataset(write_csv(tmp_path, "\n"))
@@ -228,6 +247,35 @@ class TestImpute:
         rows = [EXAMPLE_ROW.replace(",0,6,", ",?,6,")] * 3
         with pytest.raises(ImputationError, match="Ca"):
             impute(self.make(tmp_path, rows), hdata.IMPUTE_MEDIAN_MODE)
+
+    def test_first_all_missing_column_in_schema_order_is_named(self):
+        features = np.tile(np.arange(13.0), (3, 1))
+        features[:, [11, 4]] = np.nan  # Ca and Chol
+        ds = Dataset(features=features, labels=np.zeros(3, dtype=int))
+        with pytest.raises(ImputationError, match="^column Chol has no observed values$"):
+            impute(ds, hdata.IMPUTE_MEDIAN_MODE)
+
+    @pytest.mark.parametrize("columns", [[], [4], [1, 4, 9, 12]], ids=["none", "one", "several"])
+    def test_fill_matches_a_per_column_reference(self, columns):
+        # gaps only where the fixture has none, then NaN cells in `columns`
+        full = impute(load_dataset(bundled_fixture_path()), hdata.IMPUTE_DROP_ROWS)
+        features = full.features.copy()
+        rng = np.random.default_rng(3)
+        for j in columns:
+            features[rng.choice(len(full), size=40, replace=False), j] = np.nan
+        ds = Dataset(features=features, labels=full.labels)
+
+        expected = features.copy()
+        for j, col in enumerate(HEART_SCHEMA):
+            gaps = np.isnan(expected[:, j])
+            if gaps.any():
+                present = expected[~gaps, j]
+                values, counts = np.unique(present, return_counts=True)
+                if col.kind == hdata.CATEGORICAL:
+                    expected[gaps, j] = values[np.argmax(counts)]  # smallest of the most common
+                else:
+                    expected[gaps, j] = np.median(present)
+        assert impute(ds, hdata.IMPUTE_MEDIAN_MODE).features.tobytes() == expected.tobytes()
 
     def test_unknown_policy(self, tmp_path):
         ds = self.make(tmp_path, [EXAMPLE_ROW])

@@ -294,6 +294,17 @@ class TestSerialization:
         with pytest.raises(FormatError, match="format_version"):
             network_from_dict(payload)
 
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+    def test_format_version_must_be_the_integer_1(self, tmp_path, version):
+        # equal to 1 in Python, but not the integer the format names, like seed
+        payload = network_to_dict(new_network((3, 2), 0))
+        payload["format_version"] = version
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        expected = f"{path}: format_version {version!r} is not supported (expected 1)"
+        with pytest.raises(FormatError, match=re.escape(expected)):
+            load_network(path)
+
     def test_corrupt_json(self, tmp_path):
         # not JSON, not UTF-8, and nested deeper than the parser recurses
         path = tmp_path / "model.json"

@@ -6,7 +6,8 @@ fixture (``heart.csv``) and a few tables and files derived from it.  For
 each run ``<name>`` the tool saves ``<name>.out``, ``<name>.err`` and
 ``<name>.code`` (stdout, stderr and exit code); a run that writes
 artifacts writes them into ``<name>/``.  Nothing in OUTDIR depends on
-where the checkout lives, so two checkouts compare with ``diff -r``::
+where the checkout lives or how wide the terminal is (help text is
+wrapped at ``COLUMNS=80``), so two checkouts compare with ``diff -r``::
 
     PYTHONPATH=<parent>/src python tools/cli_runs.py <dir-a>
     PYTHONPATH=<change>/src python tools/cli_runs.py <dir-b>
@@ -73,6 +74,10 @@ RUNS = TRAIN_RUNS + [
     ("all-dropped-evaluate",
      ["evaluate", "--data", "no_ca.csv", "--impute", "drop", *MODEL_AND_SCALER], 3),
     ("too-small-table", ["experiment", "--config", "few.json", "--data", "tiny.csv"], 3),
+    # help and usage text, printed by a parser that earlier runs have used
+    ("train-help", ["train", "--help"], 0),
+    ("no-subcommand", [], 2),
+    ("impute-unknown", ["train", "--data", "heart.csv", "--impute", "zeros"], 2),
 ]
 
 
@@ -145,9 +150,10 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     os.chdir(outdir)
     _write_inputs(heartnet)
+    os.environ["COLUMNS"] = "80"  # help text wraps the same from any terminal
     failed = 0
     for name, run_argv, expected in RUNS:
-        writes_out = run_argv[0] != "evaluate"
+        writes_out = bool(run_argv) and run_argv[0] != "evaluate"
         code = _run(heartnet.cli.main, name, run_argv + (["--out", name] if writes_out else []))
         if code != str(expected):
             print(f"cli_runs: {name} exited {code}, expected {expected}", file=sys.stderr)
