@@ -360,6 +360,8 @@ class Scaler:
         maxs = _frozen_array(self.maxs, np.float64)
         if not mins.shape == maxs.shape == (N_ATTRIBUTES,):
             raise ValidationError("scaler needs one min and one max for each column of the table")
+        if not (np.isfinite(mins).all() and np.isfinite(maxs).all()):
+            raise ValidationError("scaler bounds must be finite for every column")
         if (maxs - mins < 0).any():
             raise ValidationError("scaler delta must be >= 0 for every column")
         object.__setattr__(self, "mins", mins)

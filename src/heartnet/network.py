@@ -16,13 +16,14 @@ still reports raw SSE.
 :func:`forward` is the checked entry for input from outside the
 program, such as a model loaded from a file scored against a table: it
 checks the input width and calls the unchecked layer loop ``_sweep``.
-Training has two per-sample kernels in :mod:`heartnet.trainer`.
-:func:`~heartnet.trainer.train_epoch` steps one network: it checks its
-inputs once per epoch and then calls ``_sweep`` and ``_backprop``
-directly for every sample.  :func:`~heartnet.trainer.train_many` steps
-several networks of one shape as rows of a ``(K, P)`` stack, with its
-own stacked copy of the same layer arithmetic; ``_views`` lays out that
-stack's per-layer views as it does those of one network.
+Training has one epoch loop, :func:`~heartnet.trainer.train_many`, and
+two per-sample kernels, chosen by how many networks it is given.  For one
+network, :func:`~heartnet.trainer.train_epoch` checks its inputs once
+per epoch and then calls ``_sweep`` and ``_backprop`` directly for every
+sample.  For two or more networks of one shape, the rows of a ``(K, P)``
+stack step together through the trainer's own stacked copy of the same
+layer arithmetic; ``_views`` lays out that stack's per-layer views as it
+does those of one network.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ def sigmoid(x):
 
     Below x of about -709, e^-x overflows to inf and the result is exactly
     0.0.  numpy reports that overflow as a RuntimeWarning unless it runs
-    under ``np.errstate(over="ignore")``; :func:`heartnet.evaluation.evaluate`,
-    :func:`heartnet.trainer.train` and :func:`heartnet.trainer.train_many`
-    enter that state once per call.
+    under ``np.errstate(over="ignore")``; :func:`heartnet.evaluation.evaluate`
+    and the one epoch loop, :func:`heartnet.trainer.train_many` (which
+    :func:`heartnet.trainer.train` calls), enter that state once per call.
     """
     return 1.0 / (1.0 + np.exp(-x))
 

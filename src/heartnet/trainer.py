@@ -12,23 +12,23 @@ every weight and bias) are plain float64 arrays laid out like
 :attr:`~heartnet.network.Network.params`, so a momentum step, an epoch
 snapshot and a rollback are each one array operation.
 
-A training step takes one of two per-sample kernels, chosen by how many
-networks the caller trains at once; both give the same bits.
+One epoch loop, :func:`train_many`, trains one network or several of
+one shape; :func:`train` is that loop for one.  The per-sample kernel it
+calls is chosen by how many networks it is given; both give the same bits.
 
-- :func:`train_epoch`, which :func:`train` runs, steps one network.  It
-  checks the training set and the velocity once per epoch, allocates one
-  gradient buffer, and then runs every sample through the unchecked
-  forward and backward sweeps of :mod:`heartnet.network` and the
-  momentum step, with no check per sample.
-- ``_stack_epoch``, which :func:`train_many` runs, steps K networks of
-  one shape at once.  Their parameter vectors are the rows of one
-  ``(K, P)`` array, and each forward, backward and momentum step is one
-  stacked numpy call over the rows still presenting samples.  Per-sample
-  cost is bound by numpy's per-call overhead, so one call for K networks
-  is cheaper than K calls from K = 2 up; at K = 1 it is slower than
-  :func:`train_epoch`, which is why both exist.
-  :func:`heartnet.evaluation.run_experiment` trains each architecture's
-  split cells as one stack.
+- :func:`train_epoch` steps one network in place.  It checks the
+  training set and the velocity once per epoch, allocates one gradient
+  buffer, and then runs every sample through the unchecked forward and
+  backward sweeps of :mod:`heartnet.network` and the momentum step,
+  with no check per sample.
+- ``_stack_epoch`` steps two or more networks of one shape at once.
+  Their parameter vectors are the rows of one ``(K, P)`` array, and each
+  forward, backward and momentum step is one stacked numpy call over the
+  rows still presenting samples.  Per-sample cost is bound by numpy's
+  per-call overhead, so one call for K networks is cheaper than K calls
+  from K = 2 up; at K = 1 it is slower than :func:`train_epoch`, which
+  is why both exist.  :func:`heartnet.evaluation.run_experiment` trains
+  each architecture's split cells as one stack.
 """
 
 from __future__ import annotations
@@ -142,7 +142,8 @@ def adapt_learning_rate(
 
 def _check_training_set(network: Network, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
     """``inputs`` and ``targets`` as contiguous float64 matrices, checked
-    against the network's input and output widths and each other."""
+    against the network's input and output widths and each other, with
+    every value finite."""
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     t = np.ascontiguousarray(targets, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != network.layer_sizes[0]:
@@ -157,6 +158,9 @@ def _check_training_set(network: Network, inputs, targets) -> tuple[np.ndarray, 
         raise ValidationError("training set is empty")
     if t.shape[0] != x.shape[0]:
         raise ValueError("inputs and targets disagree on sample count")
+    for name, values in (("inputs", x), ("targets", t)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite (no NaN or infinity)")
     return x, t
 
 
@@ -213,40 +217,13 @@ def train(
     biases, and velocity bit-exactly and still appear in the history with
     ``accepted=False``.  The first epoch has no baseline and is always
     accepted.  Fully reproducible from (config, seed): the same inputs
-    give bit-identical weights and history.  Runs under
-    ``np.errstate(over="ignore", invalid="ignore")``: a saturated sigmoid
-    gives exactly 0.0 without a RuntimeWarning, and a NaN from a
-    non-finite weight surfaces as :class:`DivergenceError` alone.
+    give bit-identical weights and history.  :func:`train_many` of one
+    network; the :class:`DivergenceError` it returns is raised here.
     """
-    x, t = _check_training_set(network, inputs, targets)
-    rng = np.random.default_rng(config.seed)
-    velocity = np.zeros_like(network.params)
-    lr = config.initial_lr
-    prev_sse = math.inf
-    records: list[EpochRecord] = []
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(1, config.max_epochs + 1):
-            order = rng.permutation(x.shape[0])
-            saved_params = network.params.copy()
-            saved_velocity = velocity.copy()
-
-            epoch_sse = train_epoch(network, x, t, velocity, lr, config, order)
-            if not math.isfinite(epoch_sse):
-                raise DivergenceError(epoch)
-
-            next_lr, accepted = adapt_learning_rate(prev_sse, epoch_sse, lr, config)
-            records.append(EpochRecord(epoch, epoch_sse, lr, accepted))
-            if accepted:
-                prev_sse = epoch_sse
-            else:
-                network.params[:] = saved_params
-                velocity[:] = saved_velocity
-            lr = next_lr
-            if accepted and epoch_sse <= config.target_sse:
-                break
-
-    return TrainingHistory(tuple(records))
+    (result,) = train_many([network], [(inputs, targets)], config)
+    if isinstance(result, DivergenceError):
+        raise result
+    return result
 
 
 def _stack_epoch(
@@ -323,19 +300,22 @@ def train_many(
     training_sets: list[tuple],
     config: TrainConfig,
 ) -> list[TrainingHistory | DivergenceError]:
-    """:func:`train` for each of several networks of the same layer
-    sizes, trained in lockstep as one stack.
+    """Train one or more networks of the same layer sizes in lockstep:
+    the one epoch loop of this module, which :func:`train` runs for one.
 
     ``networks[i]`` trains on ``training_sets[i]``, an ``(inputs,
     targets)`` pair, and is updated in place.  The result holds, for each
-    network, the history :func:`train` would return, or the
-    :class:`DivergenceError` it would raise (not raised here).  Weights
-    and records are bit-identical to :func:`train`'s: each network keeps
-    its own shuffle generator, learning rate, accept/reject decision and
-    rollback, and one that reaches the target or diverges leaves the
-    stack at the end of that epoch.  Each numpy call serves every
-    network in the stack, which pays off over :func:`train` from about
-    two networks up.
+    network, its history, or the :class:`DivergenceError` that ended it
+    (not raised here).  Each network keeps its own shuffle generator,
+    learning rate, accept/reject decision and rollback, and one that
+    reaches the target or diverges leaves the stack at the end of that
+    epoch, so its weights and records do not depend on its stack-mates.
+    One network steps in place through :func:`train_epoch`; two or more
+    step through ``_stack_epoch``, even once the stack shrinks to one.
+
+    Runs under ``np.errstate(over="ignore", invalid="ignore")``: a
+    saturated sigmoid gives exactly 0.0 without a RuntimeWarning, and a
+    NaN from a non-finite weight surfaces as :class:`DivergenceError`.
     """
     if len(networks) != len(training_sets):
         raise ValueError(
@@ -356,7 +336,9 @@ def train_many(
     prev_sse = {i: math.inf for i in stack}
     records: dict[int, list[EpochRecord]] = {i: [] for i in stack}
     shapes = (networks[0].weights, networks[0].biases)
-    params = np.stack([networks[i].params for i in stack])
+    single = len(networks) == 1
+    # one network's stack is a view: train_epoch and rollback write its buffer
+    params = networks[0].params[None] if single else np.stack([networks[i].params for i in stack])
     velocity = np.zeros_like(params)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -365,15 +347,19 @@ def train_many(
             saved_params = params.copy()
             saved_velocity = velocity.copy()
 
-            epoch_sse = _stack_epoch(
-                params,
-                velocity,
-                shapes,
-                [checked[i][0][order] for i, order in zip(stack, orders)],
-                [checked[i][1][order] for i, order in zip(stack, orders)],
-                np.array([lrs[i] for i in stack], dtype=np.float64),
-                config.momentum,
-            )
+            if single:
+                x, t = checked[0]
+                epoch_sse = [train_epoch(networks[0], x, t, velocity[0], lrs[0], config, orders[0])]
+            else:
+                epoch_sse = _stack_epoch(
+                    params,
+                    velocity,
+                    shapes,
+                    [checked[i][0][order] for i, order in zip(stack, orders)],
+                    [checked[i][1][order] for i, order in zip(stack, orders)],
+                    np.array([lrs[i] for i in stack], dtype=np.float64),
+                    config.momentum,
+                )
             leaving = []
             for row, i in enumerate(stack):
                 sse = float(epoch_sse[row])

@@ -465,6 +465,16 @@ class TestScaler:
         with pytest.raises(ValidationError, match="delta"):
             scaler_with(Age=(77.0, 29.0))
 
+    @pytest.mark.parametrize("mins, maxs", [
+        (np.full(13, np.nan), np.zeros(13)),
+        (np.zeros(13), np.full(13, np.nan)),
+        (np.r_[-np.inf, np.zeros(12)], np.ones(13)),
+        (np.zeros(13), np.r_[np.ones(12), np.inf]),
+    ])
+    def test_non_finite_bounds_rejected(self, mins, maxs):
+        with pytest.raises(ValidationError, match="bounds must be finite"):
+            Scaler(mins, maxs)
+
     def test_bounds_per_name_checked(self):
         # one min and one max for each of the table's 13 columns, no more, no fewer
         for mins, maxs in ((np.zeros(12), np.ones(12)), (np.zeros(13), np.ones(12)),

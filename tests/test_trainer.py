@@ -230,6 +230,29 @@ class TestTrainEpoch:
             )
 
 
+def non_finite_sets():
+    """(inputs, targets, name of the bad one) for a 13-x-2 network."""
+    x, t = heart_like(n=3)
+    nan_input, inf_input, nan_target = x.copy(), x.copy(), t.copy()
+    nan_input[1, 4] = np.nan
+    inf_input[0, 0] = -np.inf
+    nan_target[2, 1] = np.nan
+    return [(nan_input, t, "inputs"), (inf_input, t, "inputs"), (x, nan_target, "targets")]
+
+
+def count_train_epoch_calls(monkeypatch):
+    """Wrap ``heartnet.trainer.train_epoch``; the list gains the sample
+    count of each call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[-1]))  # order, the last argument
+        return train_epoch(*args, **kwargs)
+
+    monkeypatch.setattr("heartnet.trainer.train_epoch", counted)
+    return calls
+
+
 def replay_train(network, x, t, config):
     """Scripted rebuild of the train() loop from public primitives,
     snapshotting and restoring state explicitly."""
@@ -391,6 +414,18 @@ class TestTrain:
             train(net, np.zeros((4, 13)), np.zeros((4, 3)), TrainConfig())
         with pytest.raises(ValidationError, match="empty"):
             train(net, np.zeros((0, 13)), np.zeros((0, 2)), TrainConfig())
+        before = net.params.copy()
+        for inputs, targets, name in non_finite_sets():
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                train(net, inputs, targets, TrainConfig(max_epochs=2))
+        assert net.params.tobytes() == before.tobytes()
+
+    def test_one_train_epoch_call_per_epoch(self, monkeypatch):
+        calls = count_train_epoch_calls(monkeypatch)
+        x, t = heart_like()
+        cfg = TrainConfig(max_epochs=4, target_sse=0.0)
+        train(new_network((13, 2), 0), x, t, cfg)
+        assert calls == [len(x)] * 4
 
 
 class TestTrainMany:
@@ -467,6 +502,22 @@ class TestTrainMany:
             train_many([net], [(np.zeros((4, 12)), np.zeros((4, 2)))], cfg)
         with pytest.raises(ValidationError, match="empty"):
             train_many([net], [(np.zeros((0, 13)), np.zeros((0, 2)))], cfg)
+        before = net.params.copy()
+        for inputs, targets, name in non_finite_sets():
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                train_many([net, new_network((13, 8, 2), 1)], [heart_like(), (inputs, targets)], cfg)
+        assert net.params.tobytes() == before.tobytes()
+
+    def test_kernel_follows_the_network_count(self, monkeypatch):
+        # one network steps through train_epoch once per epoch; a stack of
+        # two never calls it
+        calls = count_train_epoch_calls(monkeypatch)
+        cfg = TrainConfig(max_epochs=3, target_sse=0.0)
+        train_many([new_network((13, 2), 0)], [heart_like(n=9)], cfg)
+        assert calls == [9] * 3
+        calls.clear()
+        train_many([new_network((13, 2), 0) for _ in range(2)], [heart_like(), heart_like()], cfg)
+        assert calls == []
 
 
 class TestHistory:

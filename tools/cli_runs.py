@@ -51,6 +51,8 @@ RUNS = TRAIN_RUNS + [
     ("experiment-binary",
      ["experiment", "--config", "few.json", "--data", "heart.csv", "--binary"], 0),
     ("train-drop", ["train", "--config", "few.json", "--data", "heart.csv", "--impute", "drop"], 0),
+    ("experiment-one-split",  # one network per stack: the single-network kernel
+     ["experiment", "--config", "one_split.json", "--data", "heart.csv"], 0),
     ("experiment-drop",
      ["experiment", "--config", "few.json", "--data", "heart.csv", "--impute", "drop"], 0),
     ("evaluate-drop", ["evaluate", "--data", "heart.csv", "--impute", "drop", *MODEL_AND_SCALER], 0),
@@ -105,6 +107,9 @@ def _write_inputs(heartnet) -> None:
     fixture = heartnet.bundled_fixture_path()
     shutil.copyfile(fixture, "heart.csv")
     Path("few.json").write_text(json.dumps(FEW_EPOCHS), encoding="utf-8")
+    Path("one_split.json").write_text(
+        json.dumps({**FEW_EPOCHS, "splits": [[100, 200]]}), encoding="utf-8"
+    )
     rows = [line.split(",") for line in fixture.read_text(encoding="utf-8").splitlines()]
     for name, column, value, n_rows in (("constant_fbs", 5, "1", None), ("no_ca", 11, "?", 20)):
         table = [[*cells[:column], value, *cells[column + 1:]] for cells in rows[:n_rows]]
