@@ -28,6 +28,7 @@ from .evaluation import (
     evaluate,
     export_report,
     format_report,
+    layer_stack,
     run_experiment,
 )
 from .network import _is_integer, _validate_layer_sizes, load_network, new_network, save_network
@@ -68,11 +69,23 @@ def _layer_stack_problem(sizes) -> str | None:
         _validate_layer_sizes(sizes)
     except ValueError as exc:
         return f"layer sizes {list(sizes)}: {exc}"
-    if sizes[0] != hdata.N_ATTRIBUTES:
-        return f"first layer size {sizes[0]} != {hdata.N_ATTRIBUTES} input features"
-    if sizes[-1] != 2:
-        return f"last layer size {sizes[-1]} != 2 output neurons"
+    n_inputs, n_outputs = layer_stack()
+    if sizes[0] != n_inputs:
+        return f"first layer size {sizes[0]} != {n_inputs} input features"
+    if sizes[-1] != n_outputs:
+        return f"last layer size {sizes[-1]} != {n_outputs} output neurons"
     return None
+
+
+def _hidden_sizes_of(stack, name: str) -> tuple[int, ...]:
+    """The hidden sizes of the full layer ``stack`` that ``name`` gives,
+    after checking that it is a stack for the table."""
+    if not _is_size_list(stack):
+        raise ConfigError(f"{name} must be a list of integers >= 1, got {stack!r}")
+    problem = _layer_stack_problem(stack)
+    if problem:
+        raise ConfigError(problem)
+    return tuple(int(v) for v in stack[1:-1])
 
 
 @dataclass(frozen=True)
@@ -89,7 +102,6 @@ class RunConfig(TrainConfig):
     out: str | None = None
     imputation: str = hdata.IMPUTE_MEDIAN_MODE
     label_policy: str = hdata.LABELS_CLAMP
-    layer_sizes: tuple[int, ...] | None = None
     hidden_sizes: tuple[int, ...] = DEFAULT_HIDDEN_SIZES
     splits: tuple[tuple[int, int], ...] = DEFAULT_GRID
 
@@ -109,18 +121,16 @@ class RunConfig(TrainConfig):
             raise ConfigError(
                 f"label_policy must be one of {_LABEL_POLICIES}, got {self.label_policy!r}"
             )
-        for name in ("layer_sizes", "hidden_sizes"):
-            value = getattr(self, name)
-            if value is None and name == "layer_sizes":
-                continue  # null: the stack is 13, hidden_sizes, 2
-            if not _is_size_list(value):
-                raise ConfigError(f"{name} must be a list of integers >= 1, got {value!r}")
-            object.__setattr__(self, name, tuple(int(v) for v in value))
-        if not isinstance(self.splits, (list, tuple)) or not all(
+        if not _is_size_list(self.hidden_sizes):
+            raise ConfigError(
+                f"hidden_sizes must be a list of integers >= 1, got {self.hidden_sizes!r}"
+            )
+        object.__setattr__(self, "hidden_sizes", tuple(int(v) for v in self.hidden_sizes))
+        if not isinstance(self.splits, (list, tuple)) or not self.splits or not all(
             _is_size_list(pair) and len(pair) == 2 for pair in self.splits
         ):
             raise ConfigError(
-                f"splits must be a list of [n_train, n_test] pairs of integers >= 1, "
+                f"splits must be a non-empty list of [n_train, n_test] pairs of integers >= 1, "
                 f"got {self.splits!r}"
             )
         object.__setattr__(self, "splits", tuple(tuple(int(v) for v in p) for p in self.splits))
@@ -129,20 +139,34 @@ class RunConfig(TrainConfig):
             super().__post_init__()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        problem = _layer_stack_problem(self.layer_stack())
+        problem = _layer_stack_problem(layer_stack(self.hidden_sizes))
         if problem:
             raise ConfigError(problem)
 
-    def layer_stack(self) -> tuple[int, ...]:
-        """The layer sizes a ``train`` run or an ``experiment``'s
-        multi-layer cells use: ``layer_sizes`` if set, else the 13 inputs,
-        the ``hidden_sizes`` and the 2 outputs."""
-        if self.layer_sizes is not None:
-            return self.layer_sizes
-        return (hdata.N_ATTRIBUTES, *self.hidden_sizes, 2)
-
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+
+
+def _read_older_shape_key(payload: dict) -> dict:
+    """``payload`` with an older config's ``layer_sizes`` key, a full layer
+    stack, read as the ``hidden_sizes`` it sets; a ``null`` one is dropped.
+    Such a key once won over ``hidden_sizes``, so it still does, but a file
+    whose ``hidden_sizes`` is neither the default nor the stack's interior
+    sets two shapes and is refused."""
+    rest = {key: value for key, value in payload.items() if key != "layer_sizes"}
+    stack = payload.get("layer_sizes")
+    if stack is None:
+        return rest
+    hidden = _hidden_sizes_of(stack, "layer_sizes")
+    given = rest.get("hidden_sizes", DEFAULT_HIDDEN_SIZES)
+    if not _is_size_list(given):
+        return rest  # RunConfig refuses the malformed hidden_sizes
+    if tuple(given) not in (DEFAULT_HIDDEN_SIZES, hidden):
+        raise ConfigError(
+            f"layer_sizes {list(stack)} and hidden_sizes {list(given)} set different "
+            f"hidden layers; keep only hidden_sizes"
+        )
+    return {**rest, "hidden_sizes": hidden}
 
 
 def load_run_config(path) -> RunConfig:
@@ -151,10 +175,11 @@ def load_run_config(path) -> RunConfig:
     payload = _read_json(path, ConfigError)
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected a JSON object")
-    unknown = sorted(set(payload) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
     try:
+        payload = _read_older_shape_key(payload)
+        unknown = sorted(set(payload) - _CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         return RunConfig(**payload)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -172,11 +197,12 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
             overrides[key] = getattr(args, flag)
     if getattr(args, "layers", None) is not None:
         try:
-            overrides["layer_sizes"] = tuple(int(v) for v in args.layers.split(","))
+            stack = [int(v) for v in args.layers.split(",")]
         except ValueError:
             raise ConfigError(
                 f"--layers must be a comma-separated list of integers, got {args.layers!r}"
             ) from None
+        overrides["hidden_sizes"] = _hidden_sizes_of(stack, "--layers")
     return RunConfig(**overrides) if base is None else replace(base, **overrides)
 
 
@@ -242,7 +268,7 @@ def cmd_scale(config: RunConfig) -> int:
 def cmd_train(config: RunConfig) -> int:
     """Full pipeline: load, impute, scale, train, persist artifacts."""
     _require(config, "data", "out")
-    sizes = config.layer_stack()
+    sizes = layer_stack(config.hidden_sizes)
     dataset = _load_and_impute(config)
     network = new_network(sizes, config.seed)
     out_dir = _prepare_out_dir(config)
@@ -321,7 +347,7 @@ def cmd_experiment(config: RunConfig, args: argparse.Namespace) -> int:
         dataset,
         splits=config.splits,
         config=config,
-        hidden_sizes=config.layer_stack()[1:-1],
+        hidden_sizes=config.hidden_sizes,
         imputation_policy=config.imputation,
     )
     export_report(report, out_dir / "report.csv")
@@ -344,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out=True):
+    def add_common(p, out=True, layers=False):
         p.add_argument("--config", help="JSON config file (flags override it)")
         p.add_argument("--data", help="input CSV path")
         if out:
@@ -360,16 +386,17 @@ def build_parser() -> argparse.ArgumentParser:
             choices=list(_LABEL_POLICIES),
             help="out-of-range class labels: reject or clamp into 0..3",
         )
+        if layers:
+            p.add_argument(
+                "--layers",
+                help="comma-separated layer sizes, e.g. 13,8,2 (default: 13,8,2)",
+            )
 
     p_scale = sub.add_parser("scale", help="fit and export the min-max scaler")
     add_common(p_scale)
 
     p_train = sub.add_parser("train", help="train a network and save the artifacts")
-    add_common(p_train)
-    p_train.add_argument(
-        "--layers",
-        help="comma-separated layer sizes, e.g. 13,8,2 (default: 13,8,2)",
-    )
+    add_common(p_train, layers=True)
 
     p_eval = sub.add_parser("evaluate", help="score a saved model on a data file")
     add_common(p_eval, out=False)
@@ -381,11 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser(
         "experiment", help="single vs multi layer comparison over the split grid"
     )
-    add_common(p_exp)
-    p_exp.add_argument(
-        "--layers",
-        help="multi-layer shape override; interior entries set the hidden sizes",
-    )
+    add_common(p_exp, layers=True)
     p_exp.add_argument("--binary", action="store_true", help="add the binary-efficiency column")
 
     return parser

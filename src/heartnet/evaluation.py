@@ -35,6 +35,13 @@ REFERENCE_EFFICIENCY_PCT: dict[tuple[int, int], dict[str, float]] = {
 }
 
 
+def layer_stack(hidden_sizes=()) -> tuple[int, ...]:
+    """The layer sizes of a network for the table: its 13 input features,
+    the ``hidden_sizes``, and the 2 output neurons that code a class.
+    ``layer_stack()`` is the single-layer network's."""
+    return (hdata.N_ATTRIBUTES, *hidden_sizes, 2)
+
+
 @dataclass(frozen=True)
 class Metrics:
     """Exact-match efficiency plus the 4x4 confusion matrix
@@ -161,10 +168,10 @@ def run_experiment(
         training_sets.append((train_x, encode_labels(train_set.labels)))
         test_sets.append((scaler.transform(test_set.features), test_set.labels))
 
-    architectures = ((ARCH_SINGLE, ()), (ARCH_MULTI, tuple(hidden_sizes)))
+    architectures = ((ARCH_SINGLE, layer_stack()), (ARCH_MULTI, layer_stack(hidden_sizes)))
     stacks = []
-    for _, hidden in architectures:
-        networks = [new_network((hdata.N_ATTRIBUTES, *hidden, 2), config.seed) for _ in grid]
+    for _, sizes in architectures:
+        networks = [new_network(sizes, config.seed) for _ in grid]
         stacks.append(list(zip(networks, train_many(networks, training_sets, config))))
 
     cells = []

@@ -67,7 +67,7 @@ class TestConfigPlumbing:
 
     def test_flags_override_file(self, tmp_path):
         class Args:
-            config = write_config(tmp_path, {"seed": 3, "max_epochs": 9})
+            config = write_config(tmp_path, {"seed": 3, "max_epochs": 9, "hidden_sizes": [4]})
             data = None
             out = None
             seed = 8
@@ -78,7 +78,7 @@ class TestConfigPlumbing:
         merged = merge_config(Args())
         assert merged.seed == 8  # flag wins
         assert merged.max_epochs == 9  # file value survives
-        assert merged.layer_sizes == (13, 6, 2)
+        assert merged.hidden_sizes == (6,)  # --layers sets the stack's interior
         assert merged.imputation == "drop_rows"
         assert merged.label_policy == "strict"
 
@@ -103,25 +103,65 @@ class TestConfigPlumbing:
 
     def test_echo_reloads_as_the_same_config(self, tmp_path):
         cfg = RunConfig(
-            data="d.csv", out="runs", layer_sizes=(13, 6, 2), hidden_sizes=(5,),
+            data="d.csv", out="runs", hidden_sizes=(6, 5),
             splits=((20, 40),), initial_lr=0.3, max_epochs=7, seed=5,
         )
         assert load_run_config(write_config(tmp_path, asdict(cfg))) == cfg
         assert isinstance(RunConfig(), TrainConfig)
 
     def test_echo_in_the_older_key_order_reloads(self, tmp_path):
-        # echoes once listed the run-level keys first and the training keys last
+        # echoes once listed the run-level keys first and the training keys
+        # last, and held the full layer stack as well as the hidden sizes
         values = {
             "data": "d.csv", "out": "runs", "imputation": "drop_rows", "label_policy": "strict",
-            "layer_sizes": [13, 6, 2], "hidden_sizes": [5], "splits": [[20, 40]],
+            "layer_sizes": [13, 6, 2], "hidden_sizes": [6], "splits": [[20, 40]],
             "initial_lr": 0.3, "momentum": 0.5, "lr_increase": 1.1, "lr_decrease": 0.6,
             "max_sse_rise": 0.02, "max_epochs": 7, "target_sse": 0.5, "seed": 5,
         }
-        assert set(values) == {f.name for f in fields(RunConfig)}
+        settings = {key: value for key, value in values.items() if key != "layer_sizes"}
+        assert set(settings) == {f.name for f in fields(RunConfig)}
         loaded = load_run_config(write_config(tmp_path, values))
-        assert loaded == RunConfig(**values)
+        assert loaded == RunConfig(**settings)
         assert list(asdict(loaded))[:8] == [f.name for f in fields(TrainConfig)]
-        assert json.loads(json.dumps(asdict(loaded))) == values
+        assert json.loads(json.dumps(asdict(loaded))) == settings
+
+    @pytest.mark.parametrize(
+        "shape, hidden",
+        [({"layer_sizes": [13, 4, 2], "hidden_sizes": [8]}, (4,)),  # the older key won
+         ({"layer_sizes": [13, 4, 3, 2], "hidden_sizes": [4, 3]}, (4, 3)),
+         ({"layer_sizes": [13, 2]}, ()),
+         ({"layer_sizes": None, "hidden_sizes": [5]}, (5,))],
+    )
+    def test_older_layer_sizes_key_sets_hidden_sizes(self, tmp_path, shape, hidden):
+        path = write_config(tmp_path, {"max_epochs": 6, "seed": 0, **shape})
+        assert load_run_config(path) == RunConfig(max_epochs=6, hidden_sizes=hidden)
+
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    def test_two_shapes_in_one_file_are_refused(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        path = write_config(
+            tmp_path, {"max_epochs": 2, "layer_sizes": [13, 4, 2], "hidden_sizes": [6]}
+        )
+        code = main([command, "--config", path, "--data", FIXTURE, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"config error: {path}: layer_sizes [13, 4, 2] and hidden_sizes [6] set "
+            "different hidden layers; keep only hidden_sizes\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, extra", [("train", {}), ("experiment", {"splits": [[20, 40]]})]
+    )
+    def test_layers_flag_sets_hidden_sizes(self, tmp_path, command, extra):
+        out = tmp_path / "o"
+        path = write_config(tmp_path, {"max_epochs": 2, **extra})
+        code = main([command, "--config", path, "--data", FIXTURE, "--out", str(out),
+                     "--layers", "13,4,3,2"])
+        assert code == EXIT_OK
+        echo = json.loads((out / "effective_config.json").read_text(encoding="utf-8"))
+        assert echo["hidden_sizes"] == [4, 3] and "layer_sizes" not in echo
+        assert set(echo) == {f.name for f in fields(RunConfig)}
 
     def test_train_takes_a_run_config_as_its_train_config(self):
         settings = {"initial_lr": 0.2, "momentum": 0.8, "max_epochs": 12, "seed": 4}
@@ -226,6 +266,7 @@ class TestUsageErrors:
             (["experiment"], {"hidden_sizes": [4, 4, 4, 4]}, EXIT_USAGE),
             (["experiment"], {"hidden_sizes": None}, EXIT_USAGE),
             (["experiment"], {"splits": None}, EXIT_USAGE),
+            (["experiment"], {"splits": []}, EXIT_USAGE),
             (["train"], {"seed": -1}, EXIT_USAGE),
             (["experiment"], {"seed": -1}, EXIT_USAGE),
             (["train", "--seed", "-1"], {}, EXIT_USAGE),

@@ -15,8 +15,11 @@ wrapped at ``COLUMNS=80``), so two checkouts compare with ``diff -r``::
 
 ``heartnet`` must come from a ``PYTHONPATH`` entry, never from an
 installed copy.  Exit status: 0 when every run exits with the code
-listed for it and no failing run leaves its ``--out`` behind, 1
-otherwise (each such run is named on stderr), 2 when ``heartnet``
+listed for it, no run that fails on its config or data (exit 2 or 3)
+leaves its ``--out`` behind, a diverged run (exit 4) leaves only its
+``effective_config.json``, and each rerun of an earlier run's config
+writes that run's ``model.json`` and ``history.csv`` byte for byte; 1
+otherwise (each such run is named on stderr); 2 when ``heartnet``
 cannot be imported from ``PYTHONPATH`` or OUTDIR is missing from the
 command line.
 """
@@ -33,6 +36,25 @@ import traceback
 from pathlib import Path
 
 FEW_EPOCHS = {"max_epochs": 6}
+
+# An echo as heartnet wrote it while a config held the full layer stack in
+# ``layer_sizes``, which won over ``hidden_sizes``; it must still rerun the same.
+PARENT_ECHO = {
+    "initial_lr": 0.1, "momentum": 0.9, "lr_increase": 1.05, "lr_decrease": 0.7,
+    "max_sse_rise": 0.04, "max_epochs": 6, "target_sse": 0.01, "seed": 0,
+    "data": "heart.csv", "out": "train-13-16-8-2-s0", "imputation": "median_mode",
+    "label_policy": "clamp", "layer_sizes": [13, 16, 8, 2], "hidden_sizes": [8],
+    "splits": [[100, 300], [150, 200], [250, 150], [350, 100]],
+}
+CONFIGS = {
+    "few.json": FEW_EPOCHS,
+    "one_split.json": {**FEW_EPOCHS, "splits": [[100, 200]]},
+    "parent_echo.json": PARENT_ECHO,
+    "shape_conflict.json": {**FEW_EPOCHS, "layer_sizes": [13, 4, 2], "hidden_sizes": [6]},
+    "no_splits.json": {**FEW_EPOCHS, "splits": []},
+    # every epoch is accepted and multiplies the rate by 1e300, until the SSE is not finite
+    "diverge.json": {"max_epochs": 20, "lr_increase": 1e300, "max_sse_rise": 1e300},
+}
 
 TRAIN_RUNS = [
     (f"train-{layers.replace(',', '-')}-s{seed}",
@@ -62,6 +84,7 @@ RUNS = TRAIN_RUNS + [
      ["evaluate", "--data", "heart.csv", "--binary", *MODEL_AND_SCALER,
       "--json-out", "evaluate-json-out.json"], 0),
     ("rerun-from-echo", ["train", "--config", f"{TRAINED}/effective_config.json"], 0),
+    ("rerun-parent-echo", ["train", "--config", "parent_echo.json"], 0),
     # error runs
     ("seed-negative", ["train", "--data", "heart.csv", "--seed", "-1"], 2),
     ("scaler-swapped-columns",
@@ -76,11 +99,23 @@ RUNS = TRAIN_RUNS + [
     ("all-dropped-evaluate",
      ["evaluate", "--data", "no_ca.csv", "--impute", "drop", *MODEL_AND_SCALER], 3),
     ("too-small-table", ["experiment", "--config", "few.json", "--data", "tiny.csv"], 3),
+    ("shape-conflict", ["train", "--config", "shape_conflict.json", "--data", "heart.csv"], 2),
+    ("splits-empty", ["experiment", "--config", "no_splits.json", "--data", "heart.csv"], 2),
+    ("bad-table-row", ["train", "--config", "few.json", "--data", "bad_row.csv"], 3),
+    ("diverges", ["train", "--config", "diverge.json", "--data", "heart.csv"], 4),
     # help and usage text, printed by a parser that earlier runs have used
     ("train-help", ["train", "--help"], 0),
     ("no-subcommand", [], 2),
     ("impute-unknown", ["train", "--data", "heart.csv", "--impute", "zeros"], 2),
 ]
+
+# What a failing run leaves at its --out, by exit code: a run refused for
+# its config or data stops before --out is made, but a diverged train has
+# already written its echo.
+LEFT_BEHIND = {2: None, 3: None, 4: ["effective_config.json"]}
+
+# rerun -> the run whose model.json and history.csv it must write byte for byte
+RERUNS = {"rerun-from-echo": TRAINED, "rerun-parent-echo": "train-13-16-8-2-s0"}
 
 
 def _import_heartnet():
@@ -106,19 +141,19 @@ def _write_inputs(heartnet) -> None:
     """The fixture and the files derived from it, in the working directory."""
     fixture = heartnet.bundled_fixture_path()
     shutil.copyfile(fixture, "heart.csv")
-    Path("few.json").write_text(json.dumps(FEW_EPOCHS), encoding="utf-8")
-    Path("one_split.json").write_text(
-        json.dumps({**FEW_EPOCHS, "splits": [[100, 200]]}), encoding="utf-8"
-    )
+    for name, payload in CONFIGS.items():
+        Path(name).write_text(json.dumps(payload), encoding="utf-8")
     rows = [line.split(",") for line in fixture.read_text(encoding="utf-8").splitlines()]
+
+    def write_table(name, table):
+        Path(name).write_text("".join(",".join(cells) + "\n" for cells in table), encoding="utf-8")
+
     for name, column, value, n_rows in (("constant_fbs", 5, "1", None), ("no_ca", 11, "?", 20)):
-        table = [[*cells[:column], value, *cells[column + 1:]] for cells in rows[:n_rows]]
-        Path(f"{name}.csv").write_text(
-            "".join(",".join(cells) + "\n" for cells in table), encoding="utf-8"
-        )
-    Path("tiny.csv").write_text(  # too few rows for the default split grid
-        "".join(",".join(cells) + "\n" for cells in rows[:3]), encoding="utf-8"
-    )
+        write_table(f"{name}.csv",
+                    [[*cells[:column], value, *cells[column + 1:]] for cells in rows[:n_rows]])
+    write_table("tiny.csv", rows[:3])  # too few rows for the default split grid
+    bad_row = rows[4][:4] + ["high"] + rows[4][5:]  # Chol
+    write_table("bad_row.csv", [*rows[:4], bad_row, *rows[5:]])
     names = [col.name for col in heartnet.HEART_SCHEMA]
     names[0], names[3] = names[3], names[0]  # Age <-> Trestbps
     swapped = {name: {"min": 0, "max": 1} for name in names}
@@ -156,18 +191,36 @@ def main(argv=None) -> int:
     os.chdir(outdir)
     _write_inputs(heartnet)
     os.environ["COLUMNS"] = "80"  # help text wraps the same from any terminal
-    failed = 0
+    failed = set()
     for name, run_argv, expected in RUNS:
         writes_out = bool(run_argv) and run_argv[0] != "evaluate"
         code = _run(heartnet.cli.main, name, run_argv + (["--out", name] if writes_out else []))
         if code != str(expected):
             print(f"cli_runs: {name} exited {code}, expected {expected}", file=sys.stderr)
-            failed += 1
-        elif expected and Path(name).exists():
-            print(f"cli_runs: {name} failed but left its --out behind", file=sys.stderr)
-            failed += 1
-    print(f"cli_runs: {len(RUNS) - failed} of {len(RUNS)} runs exited as expected")
+            failed.add(name)
+        elif expected and _left_behind(name) != LEFT_BEHIND[expected]:
+            print(f"cli_runs: {name} failed but left {_left_behind(name)} at its --out",
+                  file=sys.stderr)
+            failed.add(name)
+    for rerun, original in RERUNS.items():
+        differ = [artifact for artifact in ("model.json", "history.csv")
+                  if not _same_bytes(Path(rerun, artifact), Path(original, artifact))]
+        if differ:
+            print(f"cli_runs: {rerun}'s {' and '.join(differ)} differ from {original}'s",
+                  file=sys.stderr)
+            failed.add(rerun)
+    print(f"cli_runs: {len(RUNS) - len(failed)} of {len(RUNS)} runs did as expected")
     return 1 if failed else 0
+
+
+def _left_behind(name: str) -> list[str] | None:
+    """The files in run ``name``'s --out, or None if it has none."""
+    out = Path(name)
+    return sorted(path.name for path in out.iterdir()) if out.is_dir() else None
+
+
+def _same_bytes(a: Path, b: Path) -> bool:
+    return a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()
 
 
 if __name__ == "__main__":
