@@ -336,6 +336,11 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_experiment(config: RunConfig, args: argparse.Namespace) -> int:
     """Run the split-grid comparison of single vs multi layer networks."""
     _require(config, "data", "out")
+    if not config.hidden_sizes:
+        raise ConfigError(
+            "hidden_sizes is empty, so the multi-layer network would be the single-layer "
+            "one; experiment needs at least one hidden layer"
+        )
     dataset = _load_and_impute(config)
     try:
         check_splits(len(dataset), config.splits)

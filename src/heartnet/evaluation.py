@@ -122,9 +122,11 @@ def fit_split_sizes(n_instances: int, n_train: int, n_test: int) -> tuple[int, i
 
 
 def check_splits(n_instances: int, splits) -> None:
-    """Raise :class:`~heartnet.data.ValidationError` for the first split
-    that, fitted to ``n_instances`` rows, leaves 0 training or 0 test
-    rows."""
+    """Raise :class:`~heartnet.data.ValidationError` for an empty grid, or
+    for the first split that, fitted to ``n_instances`` rows, leaves 0
+    training or 0 test rows."""
+    if len(splits) == 0:
+        raise ValidationError("the split grid is empty")
     for requested in splits:
         for count, kind in zip(fit_split_sizes(n_instances, *requested), ("training", "test")):
             if not count:
@@ -148,14 +150,18 @@ def run_experiment(
     evaluate on the held-out rows.  Oversized split requests are rescaled
     to the available instance count and marked in the report.
 
-    A split that leaves 0 training or 0 test rows is refused before any
-    work.  Every split is prepared before any network trains.  Each
-    architecture's networks, one per split, then train as one stack
-    (:func:`~heartnet.trainer.train_many`), with the same results as one
+    Empty ``hidden_sizes`` (the multi-layer network would be the
+    single-layer one), an empty grid and a split that leaves 0 training
+    or 0 test rows are refused before any work.  Every split is prepared
+    before any network trains.  Each architecture's networks, one per
+    split, then train as one stack (:func:`~heartnet.trainer.train_many`),
+    with the same results as one
     :func:`~heartnet.trainer.train` per cell.  If cells diverge, the
     :class:`~heartnet.trainer.DivergenceError` raised is that of the
     first of them in grid order, as if the cells had trained one by one.
     """
+    if not hidden_sizes:
+        raise ValueError("hidden_sizes is empty: the multi-layer network needs a hidden layer")
     if dataset.has_missing_values:
         raise ValidationError("dataset has missing cells; impute before running")
     check_splits(len(dataset), splits)

@@ -1,29 +1,19 @@
-"""Dense feedforward network: representation, forward sweep, hand-derived
-backpropagation, and JSON persistence.
+"""Dense feedforward network: representation, forward sweep, and JSON
+persistence.
 
 Every weight and bias lives in one flat float64 buffer,
 :attr:`Network.params`, laid out ``W0, b0, W1, b1, ...`` with each
 ``W`` row-major; ``weights[l]`` and ``biases[l]`` are views of it.  The
 trainer's gradient and momentum state are plain float64 arrays in that
 same layout, so a training step or an epoch snapshot is one array
-operation.  Each layer of a forward or backward sweep is one matrix
-product.
+operation.  Each layer of a forward sweep is one matrix product.
 
-Gradients are taken of half the sum of squared errors, which gives the
-output delta its clean ``(o - t) * o * (1 - o)`` form; training history
-still reports raw SSE.
-
-:func:`forward` is the checked entry for input from outside the
-program, such as a model loaded from a file scored against a table: it
-checks the input width and calls the unchecked layer loop ``_sweep``.
-Training has one epoch loop, :func:`~heartnet.trainer.train_many`, and
-two per-sample kernels, chosen by how many networks it is given.  For one
-network, :func:`~heartnet.trainer.train_epoch` checks its inputs once
-per epoch and then calls ``_sweep`` and ``_backprop`` directly for every
-sample.  For two or more networks of one shape, the rows of a ``(K, P)``
-stack step together through the trainer's own stacked copy of the same
-layer arithmetic; ``_views`` lays out that stack's per-layer views as it
-does those of one network.
+:func:`forward` runs one row or a matrix of rows through the layers,
+for input from outside the program such as a model loaded from a file
+scored against a table.  Training does not call it: the trainer's one
+per-sample kernel steps a ``(K, P)`` stack of K >= 1 parameter vectors
+through the same layer arithmetic, and ``_views`` lays out that stack's
+per-layer views as it does those of one network.
 """
 
 from __future__ import annotations
@@ -53,7 +43,8 @@ def sigmoid(x):
     0.0.  numpy reports that overflow as a RuntimeWarning unless it runs
     under ``np.errstate(over="ignore")``; :func:`heartnet.evaluation.evaluate`
     and the one epoch loop, :func:`heartnet.trainer.train_many` (which
-    :func:`heartnet.trainer.train` calls), enter that state once per call.
+    :func:`heartnet.trainer.train` calls), enter that state once per call,
+    around every call of the trainer's one per-sample kernel.
     """
     return 1.0 / (1.0 + np.exp(-x))
 
@@ -148,16 +139,6 @@ def new_network(layer_sizes, seed: int) -> Network:
     return Network(layer_sizes=sizes, weights=weights, biases=biases, seed=seed)
 
 
-def _sweep(network: Network, x: np.ndarray) -> list[np.ndarray]:
-    """Unchecked core of :func:`forward`: ``x`` is already a contiguous
-    float64 row or matrix of the network's input width."""
-    activations = [x]
-    for layer_weights, layer_biases in zip(network.weights, network.biases):
-        x = sigmoid(x @ layer_weights.T + layer_biases)
-        activations.append(x)
-    return activations
-
-
 def forward(network: Network, features) -> list[np.ndarray]:
     """Run one input row of shape (inputs,), or every row of an
     (n, inputs) matrix, through every layer; returns each layer's
@@ -168,32 +149,11 @@ def forward(network: Network, features) -> list[np.ndarray]:
         raise ValueError(
             f"input must have shape ({n_inputs},) or (n, {n_inputs}), got {x.shape}"
         )
-    return _sweep(network, x)
-
-
-def _backprop(
-    weights: list[np.ndarray],
-    activations: list[np.ndarray],
-    target: np.ndarray,
-    weight_grads: list[np.ndarray],
-    bias_grads: list[np.ndarray],
-) -> None:
-    """Backpropagate one sample's output error through the layers.
-
-    The output delta is ``(o - t) * o * (1 - o)``; each hidden delta is
-    the next layer's weighted delta sum scaled by the local sigmoid
-    derivative.  Writes the gradient of SSE/2 with respect to every
-    weight and bias into ``weight_grads``/``bias_grads``, views shaped
-    like ``weights`` and the biases.  Unchecked: ``activations`` come
-    from ``_sweep`` on the same weights."""
-    out = activations[-1]
-    delta = (out - target) * out * (1.0 - out)
-    for layer in range(len(weights) - 1, -1, -1):
-        below = activations[layer]
-        np.multiply(delta[:, None], below, out=weight_grads[layer])
-        bias_grads[layer][:] = delta
-        if layer:
-            delta = (weights[layer].T @ delta) * below * (1.0 - below)
+    activations = [x]
+    for layer_weights, layer_biases in zip(network.weights, network.biases):
+        x = sigmoid(x @ layer_weights.T + layer_biases)
+        activations.append(x)
+    return activations
 
 
 def network_to_dict(network: Network) -> dict:

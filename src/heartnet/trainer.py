@@ -13,22 +13,20 @@ every weight and bias) are plain float64 arrays laid out like
 snapshot and a rollback are each one array operation.
 
 One epoch loop, :func:`train_many`, trains one network or several of
-one shape; :func:`train` is that loop for one.  The per-sample kernel it
-calls is chosen by how many networks it is given; both give the same bits.
+one shape; :func:`train` is that loop for one.  Every epoch of every
+network goes through one per-sample kernel, ``_epoch``.  The parameter
+vectors of K >= 1 networks are the rows of one ``(K, P)`` array, and
+each forward, backward and momentum step is one stacked numpy call over
+the rows still presenting samples.  Per-sample cost is bound by numpy's
+per-call overhead, so one call for K networks is cheaper than K calls.
+Each sample's output error is kept, and every row's epoch SSE is summed
+once, in presentation order, after the last sample.
+:func:`heartnet.evaluation.run_experiment` trains each architecture's
+split cells as one stack.
 
-- :func:`train_epoch` steps one network in place.  It checks the
-  training set and the velocity once per epoch, allocates one gradient
-  buffer, and then runs every sample through the unchecked forward and
-  backward sweeps of :mod:`heartnet.network` and the momentum step,
-  with no check per sample.
-- ``_stack_epoch`` steps two or more networks of one shape at once.
-  Their parameter vectors are the rows of one ``(K, P)`` array, and each
-  forward, backward and momentum step is one stacked numpy call over the
-  rows still presenting samples.  Per-sample cost is bound by numpy's
-  per-call overhead, so one call for K networks is cheaper than K calls
-  from K = 2 up; at K = 1 it is slower than :func:`train_epoch`, which
-  is why both exist.  :func:`heartnet.evaluation.run_experiment` trains
-  each architecture's split cells as one stack.
+:func:`train_epoch` runs that kernel on one network, in place, with its
+training set and velocity checked first; training itself checks each
+set once per call.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import ValidationError, _write_csv
-from .network import Network, _backprop, _is_integer, _sweep, _views, sigmoid
+from .network import Network, _is_integer, _views, sigmoid
 
 
 class DivergenceError(RuntimeError):
@@ -188,21 +186,16 @@ def train_epoch(
             f"parameters {network.params.shape}"
         )
 
-    weights, params = network.weights, network.params
-    momentum = config.momentum
-    grads = np.empty_like(params)
-    weight_grads, bias_grads = _views(grads, weights, network.biases)
-    total = 0.0
-    for idx in order:
-        activations = _sweep(network, x[idx])
-        target = t[idx]
-        err = target - activations[-1]
-        total += float(np.dot(err, err))
-        _backprop(weights, activations, target, weight_grads, bias_grads)
-        velocity *= momentum
-        velocity -= lr * grads
-        params += velocity
-    return total
+    (sse,) = _epoch(
+        network.params[None],
+        velocity[None],
+        (network.weights, network.biases),
+        [x[order]],
+        [t[order]],
+        np.array([lr], dtype=np.float64),
+        config.momentum,
+    )
+    return float(sse)
 
 
 def train(
@@ -226,7 +219,7 @@ def train(
     return result
 
 
-def _stack_epoch(
+def _epoch(
     params: np.ndarray,
     velocity: np.ndarray,
     shapes: tuple[list[np.ndarray], list[np.ndarray]],
@@ -242,9 +235,17 @@ def _stack_epoch(
     weights and biases.  ``inputs[r]`` and ``targets[r]`` are row r's
     samples in presentation order, and the rows are sorted by sample
     count, largest first, so the rows still presenting samples at any
-    sample index are a prefix ``[:m]`` of the stack.  Each step is the
-    one :func:`train_epoch` takes, as one stacked product or elementwise
-    operation over the active rows.
+    sample index are a prefix ``[:m]`` of the stack.
+
+    Each sample takes one forward sweep, one backward sweep and one
+    momentum step, each layer one stacked product or elementwise
+    operation over the active rows.  The output delta is
+    ``(o - t) * o * (1 - o)``, and each hidden delta is the next layer's
+    weighted delta sum scaled by the local sigmoid derivative: the
+    gradient of SSE/2.  Each sample's ``o - t`` is kept, and a row's SSE
+    is the running sum of its samples' squared errors, each taken with
+    the weights in effect when it was presented; a row's padding past its
+    last sample adds exactly 0.0.
     """
     n_rows, n_max = params.shape[0], len(inputs[0])
     x = np.empty((n_max, n_rows, 1, inputs[0].shape[1]))
@@ -252,6 +253,7 @@ def _stack_epoch(
     for row, (row_x, row_t) in enumerate(zip(inputs, targets)):
         x[: len(row_x), row, 0] = row_x
         t[: len(row_t), row, 0] = row_t
+    misses = np.zeros_like(t)
     weights_2d, biases_1d = shapes
     grads = np.empty_like(params)
     # biases as (K, 1, out), to add to the (K, 1, out) layer products
@@ -259,7 +261,6 @@ def _stack_epoch(
     weights, biases = _views(params, weights_2d, bias_shapes)
     weight_grads, bias_grads = _views(grads, weights_2d, bias_shapes)
     lr_column = lr[:, None]
-    totals = np.zeros((n_rows, 1, 1))
 
     start = 0
     for m in range(n_rows, 0, -1):  # samples [start, stop) have m active rows
@@ -271,16 +272,16 @@ def _stack_epoch(
             for w, b, gw, gb in zip(weights, biases, weight_grads, bias_grads)
         ]
         backward = layers[::-1]
-        p, v, g, rate, total = params[:m], velocity[:m], grads[:m], lr_column[:m], totals[:m]
-        for sample, target in zip(x[start:stop, :m], t[start:stop, :m]):
+        p, v, g, rate = params[:m], velocity[:m], grads[:m], lr_column[:m]
+        samples = zip(x[start:stop, :m], t[start:stop, :m], misses[start:stop, :m])
+        for sample, target, miss in samples:
             out = sample
             activations = [out]
             for _, w_t, b, _, _ in layers:
                 out = sigmoid(out @ w_t + b)
                 activations.append(out)
             # o - t squares to the same bits as t - o
-            miss = out - target
-            total += miss @ miss.transpose(0, 2, 1)
+            np.subtract(out, target, out=miss)
             delta = miss * out * (1.0 - out)
             for layer, (w, _, _, gw, gb) in zip(range(len(layers) - 1, -1, -1), backward):
                 below = activations[layer]
@@ -292,7 +293,10 @@ def _stack_epoch(
             v -= rate * g
             p += v
         start = stop
-    return totals[:, 0, 0]
+    # cumsum adds in presentation order, as a running total would; sum
+    # adds pairwise, which gives other bits.  An epoch of no samples has SSE 0.
+    squared = misses @ misses.swapaxes(-1, -2)
+    return np.cumsum(squared, axis=0)[-1, :, 0, 0] if n_max else np.zeros(n_rows)
 
 
 def train_many(
@@ -310,8 +314,8 @@ def train_many(
     learning rate, accept/reject decision and rollback, and one that
     reaches the target or diverges leaves the stack at the end of that
     epoch, so its weights and records do not depend on its stack-mates.
-    One network steps in place through :func:`train_epoch`; two or more
-    step through ``_stack_epoch``, even once the stack shrinks to one.
+    Each training set is checked once, before any weight moves; every
+    epoch is one ``_epoch`` call on the networks still training.
 
     Runs under ``np.errstate(over="ignore", invalid="ignore")``: a
     saturated sigmoid gives exactly 0.0 without a RuntimeWarning, and a
@@ -336,9 +340,7 @@ def train_many(
     prev_sse = {i: math.inf for i in stack}
     records: dict[int, list[EpochRecord]] = {i: [] for i in stack}
     shapes = (networks[0].weights, networks[0].biases)
-    single = len(networks) == 1
-    # one network's stack is a view: train_epoch and rollback write its buffer
-    params = networks[0].params[None] if single else np.stack([networks[i].params for i in stack])
+    params = np.stack([networks[i].params for i in stack])
     velocity = np.zeros_like(params)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -347,19 +349,15 @@ def train_many(
             saved_params = params.copy()
             saved_velocity = velocity.copy()
 
-            if single:
-                x, t = checked[0]
-                epoch_sse = [train_epoch(networks[0], x, t, velocity[0], lrs[0], config, orders[0])]
-            else:
-                epoch_sse = _stack_epoch(
-                    params,
-                    velocity,
-                    shapes,
-                    [checked[i][0][order] for i, order in zip(stack, orders)],
-                    [checked[i][1][order] for i, order in zip(stack, orders)],
-                    np.array([lrs[i] for i in stack], dtype=np.float64),
-                    config.momentum,
-                )
+            epoch_sse = _epoch(
+                params,
+                velocity,
+                shapes,
+                [checked[i][0][order] for i, order in zip(stack, orders)],
+                [checked[i][1][order] for i, order in zip(stack, orders)],
+                np.array([lrs[i] for i in stack], dtype=np.float64),
+                config.momentum,
+            )
             leaving = []
             for row, i in enumerate(stack):
                 sse = float(epoch_sse[row])

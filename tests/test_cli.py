@@ -736,6 +736,22 @@ class TestExperiment:
         assert capsys.readouterr().err == f"data error: {data}: {problem}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, payload", [(["--layers", "13,2"], {}), ([], {"hidden_sizes": []})]
+    )
+    def test_no_hidden_layer_is_config_error(self, tmp_path, capsys, flags, payload):
+        out = tmp_path / "o"
+        config = quick_config(tmp_path, **payload)
+        argv = ["--config", config, "--data", FIXTURE, "--out", str(out), *flags]
+        code = main(["experiment", *argv])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "hidden_sizes" in err
+        assert not out.exists()
+        # the same shape trains alone
+        assert main(["train", *argv]) == EXIT_OK
+        assert json.loads((out / "model.json").read_text(encoding="utf-8"))["layer_sizes"] == [13, 2]
+
     def test_deterministic_report(self, tmp_path):
         cfg = self.config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -20,6 +20,7 @@ from heartnet.evaluation import (
     ARCH_SINGLE,
     DEFAULT_GRID,
     Metrics,
+    check_splits,
     evaluate,
     export_report,
     fit_split_sizes,
@@ -218,6 +219,20 @@ class TestRunExperiment:
         with pytest.raises(ValidationError) as err:
             run_experiment(small_dataset(3), splits=splits, config=self.CFG)
         assert str(err.value) == problem
+
+    @pytest.mark.parametrize("hidden_sizes", [(), []])
+    def test_no_hidden_layer_is_refused(self, hidden_sizes):
+        # the multi-layer cells would train the single-layer network again
+        with pytest.raises(ValueError, match="hidden_sizes is empty"):
+            run_experiment(
+                small_dataset(), splits=((20, 30),), config=self.CFG, hidden_sizes=hidden_sizes
+            )
+
+    def test_empty_grid_is_refused(self):
+        with pytest.raises(ValidationError, match="split grid is empty"):
+            check_splits(60, ())
+        with pytest.raises(ValidationError, match="split grid is empty"):
+            run_experiment(small_dataset(), splits=(), config=self.CFG)
 
     def test_rejects_unimputed_data(self):
         ds = load_dataset(bundled_fixture_path())

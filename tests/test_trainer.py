@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import heartnet.trainer
 from heartnet.data import ValidationError
 from heartnet.network import Network, load_network, new_network, save_network
 from heartnet.trainer import (
@@ -240,16 +241,17 @@ def non_finite_sets():
     return [(nan_input, t, "inputs"), (inf_input, t, "inputs"), (x, nan_target, "targets")]
 
 
-def count_train_epoch_calls(monkeypatch):
-    """Wrap ``heartnet.trainer.train_epoch``; the list gains the sample
-    count of each call."""
+def count_epoch_calls(monkeypatch):
+    """Wrap the per-sample kernel ``heartnet.trainer._epoch``; the list
+    gains, for each call, the sample count of each row it steps."""
     calls = []
+    kernel = heartnet.trainer._epoch
 
-    def counted(*args, **kwargs):
-        calls.append(len(args[-1]))  # order, the last argument
-        return train_epoch(*args, **kwargs)
+    def counted(params, velocity, shapes, inputs, *rest):
+        calls.append([len(x) for x in inputs])
+        return kernel(params, velocity, shapes, inputs, *rest)
 
-    monkeypatch.setattr("heartnet.trainer.train_epoch", counted)
+    monkeypatch.setattr(heartnet.trainer, "_epoch", counted)
     return calls
 
 
@@ -421,11 +423,13 @@ class TestTrain:
         assert net.params.tobytes() == before.tobytes()
 
     def test_one_train_epoch_call_per_epoch(self, monkeypatch):
-        calls = count_train_epoch_calls(monkeypatch)
+        # train steps one network through the per-sample kernel once per
+        # epoch, on a one-row stack holding every sample
+        calls = count_epoch_calls(monkeypatch)
         x, t = heart_like()
         cfg = TrainConfig(max_epochs=4, target_sse=0.0)
         train(new_network((13, 2), 0), x, t, cfg)
-        assert calls == [len(x)] * 4
+        assert calls == [[len(x)]] * 4
 
 
 class TestTrainMany:
@@ -509,15 +513,17 @@ class TestTrainMany:
         assert net.params.tobytes() == before.tobytes()
 
     def test_kernel_follows_the_network_count(self, monkeypatch):
-        # one network steps through train_epoch once per epoch; a stack of
-        # two never calls it
-        calls = count_train_epoch_calls(monkeypatch)
+        # one network and a stack of two step through the same kernel,
+        # once per epoch, with one row per network in that one call
+        calls = count_epoch_calls(monkeypatch)
         cfg = TrainConfig(max_epochs=3, target_sse=0.0)
         train_many([new_network((13, 2), 0)], [heart_like(n=9)], cfg)
-        assert calls == [9] * 3
+        assert calls == [[9]] * 3
         calls.clear()
-        train_many([new_network((13, 2), 0) for _ in range(2)], [heart_like(), heart_like()], cfg)
-        assert calls == []
+        train_many(
+            [new_network((13, 2), 0) for _ in range(2)], [heart_like(n=7), heart_like(n=9)], cfg
+        )
+        assert calls == [[9, 7]] * 3
 
 
 class TestHistory:

@@ -73,7 +73,7 @@ RUNS = TRAIN_RUNS + [
     ("experiment-binary",
      ["experiment", "--config", "few.json", "--data", "heart.csv", "--binary"], 0),
     ("train-drop", ["train", "--config", "few.json", "--data", "heart.csv", "--impute", "drop"], 0),
-    ("experiment-one-split",  # one network per stack: the single-network kernel
+    ("experiment-one-split",  # one network per architecture: a one-row stack
      ["experiment", "--config", "one_split.json", "--data", "heart.csv"], 0),
     ("experiment-drop",
      ["experiment", "--config", "few.json", "--data", "heart.csv", "--impute", "drop"], 0),
@@ -101,6 +101,8 @@ RUNS = TRAIN_RUNS + [
     ("too-small-table", ["experiment", "--config", "few.json", "--data", "tiny.csv"], 3),
     ("shape-conflict", ["train", "--config", "shape_conflict.json", "--data", "heart.csv"], 2),
     ("splits-empty", ["experiment", "--config", "no_splits.json", "--data", "heart.csv"], 2),
+    ("experiment-no-hidden",
+     ["experiment", "--config", "few.json", "--data", "heart.csv", "--layers", "13,2"], 2),
     ("bad-table-row", ["train", "--config", "few.json", "--data", "bad_row.csv"], 3),
     ("diverges", ["train", "--config", "diverge.json", "--data", "heart.csv"], 4),
     # help and usage text, printed by a parser that earlier runs have used
