@@ -241,7 +241,7 @@ def _format_confusion(confusion) -> str:
     return "\n".join(lines)
 
 
-def cmd_scale(config: RunConfig) -> int:
+def cmd_scale(config: RunConfig, args: argparse.Namespace) -> int:
     """Fit the min-max scaler on the whole file and write the scaler plus
     the scaled table for inspection."""
     _require(config, "data", "out")
@@ -265,7 +265,7 @@ def cmd_scale(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_train(config: RunConfig) -> int:
+def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
     """Full pipeline: load, impute, scale, train, persist artifacts."""
     _require(config, "data", "out")
     sizes = layer_stack(config.hidden_sizes)
@@ -419,17 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    config = merge_config(args)
-    if args.command == "scale":
-        return cmd_scale(config)
-    if args.command == "train":
-        return cmd_train(config)
-    if args.command == "evaluate":
-        return cmd_evaluate(config, args)
-    if args.command == "experiment":
-        return cmd_experiment(config, args)
-    raise ConfigError(f"unknown command {args.command!r}")
+# Each handler takes the merged config and the parsed flags; argparse's
+# required subparsers exit 2 on any other command.
+_COMMANDS = {
+    "scale": cmd_scale,
+    "train": cmd_train,
+    "evaluate": cmd_evaluate,
+    "experiment": cmd_experiment,
+}
 
 
 def main(argv=None) -> int:
@@ -439,7 +436,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _dispatch(args)
+        return _COMMANDS[args.command](merge_config(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

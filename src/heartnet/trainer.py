@@ -23,10 +23,6 @@ Each sample's output error is kept, and every row's epoch SSE is summed
 once, in presentation order, after the last sample.
 :func:`heartnet.evaluation.run_experiment` trains each architecture's
 split cells as one stack.
-
-:func:`train_epoch` runs that kernel on one network, in place, with its
-training set and velocity checked first; training itself checks each
-set once per call.
 """
 
 from __future__ import annotations
@@ -44,8 +40,8 @@ from .network import Network, _is_integer, _views, sigmoid
 class DivergenceError(RuntimeError):
     """Training produced a non-finite SSE."""
 
-    def __init__(self, epoch: int, message: str | None = None):
-        super().__init__(message or f"non-finite SSE at epoch {epoch}")
+    def __init__(self, epoch: int):
+        super().__init__(f"non-finite SSE at epoch {epoch}")
         self.epoch = epoch
 
 
@@ -162,42 +158,6 @@ def _check_training_set(network: Network, inputs, targets) -> tuple[np.ndarray, 
     return x, t
 
 
-def train_epoch(
-    network: Network,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    velocity: np.ndarray,
-    lr: float,
-    config: TrainConfig,
-    order: np.ndarray,
-) -> float:
-    """One presentation of the training set; returns the epoch SSE.
-
-    The samples are presented in ``order`` and the weights move after
-    every one; each sample's SSE uses the weights in effect when it was
-    presented.  ``velocity``, laid out like ``network.params``, holds
-    every weight's previous step and is updated in place.  Shapes are
-    checked once, before any weight moves.
-    """
-    x, t = _check_training_set(network, inputs, targets)
-    if velocity.shape != network.params.shape:
-        raise ValueError(
-            f"velocity shape {velocity.shape} does not match the network's "
-            f"parameters {network.params.shape}"
-        )
-
-    (sse,) = _epoch(
-        network.params[None],
-        velocity[None],
-        (network.weights, network.biases),
-        [x[order]],
-        [t[order]],
-        np.array([lr], dtype=np.float64),
-        config.momentum,
-    )
-    return float(sse)
-
-
 def train(
     network: Network,
     inputs,
@@ -233,9 +193,10 @@ def _epoch(
     Row ``r`` of ``params`` (and of ``velocity``) is one network's
     parameter vector; ``shapes`` holds arrays shaped like one network's
     weights and biases.  ``inputs[r]`` and ``targets[r]`` are row r's
-    samples in presentation order, and the rows are sorted by sample
-    count, largest first, so the rows still presenting samples at any
-    sample index are a prefix ``[:m]`` of the stack.
+    samples in presentation order, at least one per row; nothing is
+    checked here.  The rows are sorted by sample count, largest first, so
+    the rows still presenting samples at any sample index are a prefix
+    ``[:m]`` of the stack.
 
     Each sample takes one forward sweep, one backward sweep and one
     momentum step, each layer one stacked product or elementwise
@@ -294,9 +255,8 @@ def _epoch(
             p += v
         start = stop
     # cumsum adds in presentation order, as a running total would; sum
-    # adds pairwise, which gives other bits.  An epoch of no samples has SSE 0.
-    squared = misses @ misses.swapaxes(-1, -2)
-    return np.cumsum(squared, axis=0)[-1, :, 0, 0] if n_max else np.zeros(n_rows)
+    # adds pairwise, which gives other bits.
+    return np.cumsum(misses @ misses.swapaxes(-1, -2), axis=0)[-1, :, 0, 0]
 
 
 def train_many(

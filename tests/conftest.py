@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 BLAS_THREAD_COUNTS = (1, 2)
 
@@ -17,7 +18,8 @@ BLAS_THREAD_COUNTS = (1, 2)
 def under_blas_threads():
     """Run a Python snippet once for each count in ``BLAS_THREAD_COUNTS``,
     each time in a fresh interpreter whose BLAS library is held to that
-    many threads, and return the lines printed by each run.
+    many threads, and return the lines printed by each run.  The snippet
+    can import the helper modules in ``tests/``, such as ``gradient_oracle``.
 
     The batched numpy path is where training runs in parallel now, and
     BLAS reads its thread count once, when it loads, so each count needs
@@ -27,7 +29,9 @@ def under_blas_threads():
     def run_once(snippet: str, threads: int) -> list[str]:
         env = dict(os.environ)
         env.update({var: str(threads) for var in BLAS_THREAD_VARS})
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), str(TESTS), env.get("PYTHONPATH")])
+        )
         done = subprocess.run(
             [sys.executable, "-c", textwrap.dedent(snippet)],
             env=env,

@@ -123,11 +123,12 @@ def test_parallel_determinism(under_blas_threads):
     runs = under_blas_threads("""
         import hashlib
         import numpy as np
+        from gradient_oracle import kernel_epoch
         from heartnet.data import bundled_fixture_path, encode_labels, fit_scaler
         from heartnet.data import impute, load_dataset
         from heartnet.evaluation import run_experiment
         from heartnet.network import forward, new_network
-        from heartnet.trainer import TrainConfig, train, train_epoch
+        from heartnet.trainer import TrainConfig, train
 
         def digest(array):
             print(hashlib.sha256(array.tobytes()).hexdigest())
@@ -140,8 +141,7 @@ def test_parallel_determinism(under_blas_threads):
         probe = new_network((13, 1024, 2), 7)
         digest(forward(probe, x[0])[-1])
         velocity = np.zeros_like(probe.params)  # ends at minus the gradient
-        train_epoch(probe, x[:1], t[:1], velocity, 1.0, TrainConfig(momentum=0.0),
-                    order=np.arange(1))
+        kernel_epoch(probe, x[:1], t[:1], velocity, 1.0, 0.0)
         digest(velocity)
 
         net = new_network((13, 96, 2), 3)

@@ -217,6 +217,8 @@ class TestUsageErrors:
             # a file takes JSON lists; the comma string is --layers' format
             ({"layer_sizes": "13,8,2"}, "layer_sizes"),
             ({"hidden_sizes": "8"}, "hidden_sizes"),
+            ({"layer_sizes": [13, 8, 2], "hidden_sizes": "8"}, "hidden_sizes"),
+            ({"label_policy": "lenient"}, "label_policy"),  # a string, but no policy's name
         ],
     )
     def test_wrong_type_is_config_error(self, tmp_path, capsys, payload, key):
@@ -577,6 +579,23 @@ class TestEvaluate:
         assert capsys.readouterr().err == (
             f"data error: {short}: 12 columns but the table has 13\n"
         )
+
+    @pytest.mark.parametrize(
+        "flag, code, error",
+        [("--config", EXIT_USAGE, "config error: {}: expected a JSON object\n"),
+         ("--model", EXIT_DATA, "data error: {}: expected a JSON object\n"),
+         ("--scaler", EXIT_DATA, "data error: {}: expected a JSON object of columns\n")],
+        ids=["config", "model", "scaler"],
+    )
+    def test_json_that_is_not_an_object_is_refused(
+        self, trained, tmp_path, capsys, flag, code, error
+    ):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]", encoding="utf-8")
+        paths = {"--model": trained / "model.json", "--scaler": trained / "scaler.json", flag: bad}
+        argv = [arg for pair in paths.items() for arg in map(str, pair)]
+        assert main(["evaluate", *argv, "--data", FIXTURE]) == code
+        assert capsys.readouterr().err == error.format(bad)
 
     def test_nan_model_output_is_data_error(self, trained, tmp_path, capsys):
         model = json.loads((trained / "model.json").read_text(encoding="utf-8"))

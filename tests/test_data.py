@@ -362,6 +362,11 @@ class TestScaler:
         with pytest.raises(ValidationError, match="impute"):
             fit_scaler(ds)
 
+    def test_fit_refuses_an_empty_dataset(self):
+        empty = impute(load_dataset(bundled_fixture_path())).subset(np.arange(0))
+        with pytest.raises(ValidationError, match="empty dataset"):
+            fit_scaler(empty)
+
     def test_save_load_round_trip(self, tmp_path):
         _, scaler = self.fixture_scaler()
         path = tmp_path / "scaler.json"
@@ -637,6 +642,11 @@ class TestSplit:
         with pytest.raises(ValidationError, match="350.*100|100.*350"):
             split(ds, 350, 100, seed=0)
 
+    def test_negative_size_refused(self):
+        ds = impute(load_dataset(bundled_fixture_path()))
+        with pytest.raises(ValidationError, match="non-negative"):
+            split(ds, -1, 5, seed=0)
+
 
 class TestDataset:
     def test_label_bounds_enforced(self):
@@ -647,11 +657,13 @@ class TestDataset:
             )
 
     def test_shape_agreement_enforced(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="labels length"):
             Dataset(
                 features=np.zeros((2, 13)),
                 labels=np.array([0]),
             )
+        with pytest.raises(ValidationError, match=re.escape("features must be (n, 13)")):
+            Dataset(features=np.zeros((3, 12)), labels=np.zeros(3, dtype=np.int64))
 
     def test_subset(self):
         ds = load_dataset(bundled_fixture_path())

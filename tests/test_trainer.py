@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import heartnet.trainer
+from gradient_oracle import kernel_epoch
 from heartnet.data import ValidationError
 from heartnet.network import Network, load_network, new_network, save_network
 from heartnet.trainer import (
@@ -17,7 +18,6 @@ from heartnet.trainer import (
     TrainingHistory,
     adapt_learning_rate,
     train,
-    train_epoch,
     train_many,
     write_history_csv,
 )
@@ -172,6 +172,8 @@ def pure_python_epoch(net, x, t, order, lr, momentum, velocity):
 
 
 class TestTrainEpoch:
+    """One epoch of the per-sample kernel on one network."""
+
     @pytest.mark.parametrize("sizes", [(2, 2), (3, 4, 2)], ids=["2-2", "3-4-2"])
     @pytest.mark.parametrize(
         "lr, momentum, carry, order",
@@ -193,42 +195,10 @@ class TestTrainEpoch:
         expected_params, expected_velocity, expected_sse = pure_python_epoch(
             net, x, t, order, lr, momentum, velocity
         )
-        cfg = TrainConfig(initial_lr=lr, momentum=momentum)
-        got_sse = train_epoch(net, x, t, velocity, lr, cfg, order=order)
+        got_sse = kernel_epoch(net, x[order], t[order], velocity, lr, momentum)
         np.testing.assert_allclose(net.params, expected_params, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(velocity, expected_velocity, rtol=1e-12, atol=1e-15)
         assert got_sse == pytest.approx(expected_sse, rel=1e-12)
-
-    @pytest.mark.parametrize(
-        "inputs, targets, velocity_sizes",
-        [
-            ((6, 12), (6, 2), (13, 8, 2)),
-            ((6,), (6, 2), (13, 8, 2)),
-            ((6, 13), (6, 3), (13, 8, 2)),
-            ((6, 13), (5, 2), (13, 8, 2)),
-            ((6, 13), (6, 2), (13, 4, 2)),
-            ((6, 13), (6, 2), (13, 8, 8, 2)),
-        ],
-    )
-    def test_bad_shapes_rejected_before_any_weight_moves(self, inputs, targets, velocity_sizes):
-        net = new_network((13, 8, 2), 0)
-        velocity = np.full_like(new_network(velocity_sizes, 0).params, 0.5)
-        params, steps = net.params.copy(), velocity.copy()
-        with pytest.raises(ValueError):
-            train_epoch(
-                net, np.full(inputs, 0.5), np.ones(targets), velocity, 0.1,
-                TrainConfig(), order=np.arange(6),
-            )
-        np.testing.assert_array_equal(net.params, params)
-        np.testing.assert_array_equal(velocity, steps)
-
-    def test_empty_set_rejected(self):
-        net = new_network((2, 1), 0)
-        with pytest.raises(ValidationError, match="empty"):
-            train_epoch(
-                net, np.zeros((0, 2)), np.zeros((0, 1)), np.zeros_like(net.params), 0.1,
-                TrainConfig(), order=np.arange(0),
-            )
 
 
 def non_finite_sets():
@@ -256,8 +226,8 @@ def count_epoch_calls(monkeypatch):
 
 
 def replay_train(network, x, t, config):
-    """Scripted rebuild of the train() loop from public primitives,
-    snapshotting and restoring state explicitly."""
+    """Scripted rebuild of the train() loop from the per-sample kernel and
+    public primitives, snapshotting and restoring state explicitly."""
     rng = np.random.default_rng(config.seed)
     velocity = np.zeros_like(network.params)
     lr = config.initial_lr
@@ -268,7 +238,7 @@ def replay_train(network, x, t, config):
         saved_w = [w.copy() for w in network.weights]
         saved_b = [b.copy() for b in network.biases]
         saved_v = velocity.copy()
-        epoch_sse = train_epoch(network, x, t, velocity, lr, config, order=order)
+        epoch_sse = kernel_epoch(network, x[order], t[order], velocity, lr, config.momentum)
         next_lr, accepted = adapt_learning_rate(prev, epoch_sse, lr, config)
         records.append(EpochRecord(epoch, epoch_sse, lr, accepted))
         if accepted:
@@ -507,8 +477,13 @@ class TestTrainMany:
         with pytest.raises(ValidationError, match="empty"):
             train_many([net], [(np.zeros((0, 13)), np.zeros((0, 2)))], cfg)
         before = net.params.copy()
-        for inputs, targets, name in non_finite_sets():
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
+        bad_sets = [
+            (np.full(6, 0.5), np.ones((6, 2)), "inputs must be"),
+            (np.full((6, 13), 0.5), np.ones((5, 2)), "sample count"),
+            *((x, t, f"{name} must be finite") for x, t, name in non_finite_sets()),
+        ]
+        for inputs, targets, message in bad_sets:
+            with pytest.raises(ValueError, match=message):
                 train_many([net, new_network((13, 8, 2), 1)], [heart_like(), (inputs, targets)], cfg)
         assert net.params.tobytes() == before.tobytes()
 
