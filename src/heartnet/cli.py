@@ -188,13 +188,8 @@ def load_run_config(path) -> RunConfig:
 def merge_config(args: argparse.Namespace) -> RunConfig:
     """File config (if any), checked whole, under flag overrides."""
     base = load_run_config(args.config) if getattr(args, "config", None) else None
-    overrides = {}
-    for flag, key in (
-        ("data", "data"), ("out", "out"), ("seed", "seed"),
-        ("impute", "imputation"), ("labels", "label_policy"),
-    ):
-        if getattr(args, flag, None) is not None:
-            overrides[key] = getattr(args, flag)
+    # every flag but --layers stores under its config key
+    overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
     if getattr(args, "layers", None) is not None:
         try:
             stack = [int(v) for v in args.layers.split(",")]
@@ -383,11 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="RNG seed (default 0)")
         p.add_argument(
             "--impute",
+            dest="imputation",
             choices=["drop", "median"],
             help="missing-value policy: drop rows or fill median/mode",
         )
         p.add_argument(
             "--labels",
+            dest="label_policy",
             choices=list(_LABEL_POLICIES),
             help="out-of-range class labels: reject or clamp into 0..3",
         )

@@ -19,11 +19,9 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -152,31 +150,31 @@ def _looks_like_header(tokens: list[str]) -> bool:
     return not any(tok == MISSING_TOKEN or _is_number(tok) for tok in tokens)
 
 
-def _raise_line_error(path, line_no: int, tokens: list[str], label_policy: str) -> NoReturn:
-    """Raise the error of the bad data row ``tokens`` from line ``line_no``
-    of file ``path``: its first failing check, in the order field count,
-    feature cells left to right, class label, non-finite feature cells."""
+def _parse_line(path, line_no: int, tokens: list[str], label_policy: str) -> list[float]:
+    """The values of the data row ``tokens`` from line ``line_no`` of file
+    ``path``, ``?`` read as NaN; or the error of its first failing check,
+    in the order field count, feature cells left to right, class label,
+    non-finite feature cells."""
     where = f"{path}: line {line_no}:"
     if len(tokens) != N_ATTRIBUTES + 1:
         raise ParseError(f"{where} expected {N_ATTRIBUTES + 1} fields, got {len(tokens)}")
-    cells = [(col.name, token) for col, token in zip(HEART_SCHEMA, tokens)]
-    for column, token in [*cells, ("class", tokens[-1])]:
+    for column, token in zip([*(col.name for col in HEART_SCHEMA), "class"], tokens):
         if token != MISSING_TOKEN and not _is_number(token):
             raise ParseError(f"{where} non-numeric value {token!r} in column {column}")
-    label_token = tokens[N_ATTRIBUTES]
+    values = [math.nan if token == MISSING_TOKEN else float(token) for token in tokens]
+    label_token, label = tokens[N_ATTRIBUTES], values[N_ATTRIBUTES]
     if label_token == MISSING_TOKEN:
         raise ParseError(f"{where} missing class label")
-    label = float(label_token)
     if not math.isfinite(label):
         raise ParseError(f"{where} non-finite value {label_token!r} in column class")
     if not label.is_integer():
         raise ValidationError(f"{where} non-integer class label {label_token!r}")
     if label_policy == LABELS_STRICT and not 0 <= label < N_CLASSES:
         raise ValidationError(f"{where} class label {int(label)} outside 0..{N_CLASSES - 1}")
-    for column, token in cells:
-        if token != MISSING_TOKEN and not math.isfinite(float(token)):
-            raise ParseError(f"{where} non-finite value {token!r} in column {column}")
-    raise AssertionError(f"{where} flagged bad, yet it passes every check")
+    for col, token, value in zip(HEART_SCHEMA, tokens, values):
+        if token != MISSING_TOKEN and not math.isfinite(value):
+            raise ParseError(f"{where} non-finite value {token!r} in column {col.name}")
+    return values
 
 
 def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
@@ -192,9 +190,10 @@ def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
     One bulk pass splits each line once, converts every cell with one
     ``map(float, ...)`` and checks labels and features as whole arrays.
     A file with bad rows raises the error of its earliest bad line, the
-    first failing check of that line as :func:`_raise_line_error` orders
-    them; only that line is walked cell by cell, to name its token.  Like
-    a file that is not UTF-8 text, it names the file and the line.
+    first failing check of that line as :func:`_parse_line` orders them,
+    naming the file and the line.  When ``float`` refuses a cell, the
+    table is parsed again line by line by :func:`_parse_line`, which
+    raises at the earliest bad line or reads cells padded with ``\\x1f``.
     """
     if label_policy not in (LABELS_STRICT, LABELS_CLAMP):
         raise ValueError(f"unknown label_policy {label_policy!r}")
@@ -231,15 +230,10 @@ def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
     try:
         values = np.fromiter(map(float, chain.from_iterable(rows[:n_ok])), np.float64)
     except ValueError:
-        # float() skips the whitespace str.strip() does, bar \x1c-\x1f, so
-        # this slow pass strips; it stops at the first row with a non-number
-        parsed = []
-        for row in rows[:n_ok]:
-            try:
-                parsed.append(list(map(float, map(str.strip, row))))
-            except ValueError:
-                break
-        n_ok, values = len(parsed), np.array(parsed, dtype=np.float64)
+        # float() refuses \x1f, the one whitespace str.strip() drops that a
+        # line can hold; this pass strips and raises at the earliest bad line
+        values = np.array([_parse_line(path, line_no, _tokens(line), label_policy)
+                           for line_no, line in zip(line_numbers, lines[:n_ok])])
     values, missing = values.reshape(n_ok, n_fields), missing[:n_ok, :N_ATTRIBUTES]
 
     features, raw_labels = values[:, :N_ATTRIBUTES], values[:, N_ATTRIBUTES]
@@ -254,7 +248,8 @@ def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
         bad |= out_of_range
     if bad.any() or n_ok < len(rows):
         first = int(np.argmax(bad)) if bad.any() else n_ok
-        _raise_line_error(path, line_numbers[first], _tokens(lines[first]), label_policy)
+        _parse_line(path, line_numbers[first], _tokens(lines[first]), label_policy)
+        raise AssertionError(f"{path}: line {line_numbers[first]}: flagged bad, yet it passes")
 
     warnings = tuple(
         f"line {line_numbers[i]}: class label {int(labels[i])} clamped to "
@@ -269,10 +264,10 @@ def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
 
 
 def _column_mode(values: np.ndarray) -> float:
-    # Ties break toward the smallest value so imputation is deterministic.
-    counts = Counter(values.tolist())
-    best = max(counts.items(), key=lambda item: (item[1], -item[0]))
-    return float(best[0])
+    # Ties go to the smallest value; a zero mode keeps the sign it first has.
+    uniques, counts = np.unique(values, return_counts=True)
+    mode = uniques[np.argmax(counts)]
+    return float(values[values == mode][0])
 
 
 def impute(dataset: Dataset, policy: str = IMPUTE_MEDIAN_MODE) -> Dataset:

@@ -1,12 +1,14 @@
 """Dense feedforward network: representation, forward sweep, and JSON
 persistence.
 
-Every weight and bias lives in one flat float64 buffer,
-:attr:`Network.params`, laid out ``W0, b0, W1, b1, ...`` with each
-``W`` row-major; ``weights[l]`` and ``biases[l]`` are views of it.  The
-trainer's gradient and momentum state are plain float64 arrays in that
-same layout, so a training step or an epoch snapshot is one array
-operation.  Each layer of a forward sweep is one matrix product.
+A network is its layer sizes and one flat float64 vector of every
+weight and bias, :attr:`Network.params`, laid out ``W0, b0, W1, b1, ...``
+with each ``W`` row-major.  ``weights[l]`` and ``biases[l]`` are views
+of it that ``_views``, the one statement of that layout, derives from
+the layer sizes.  The trainer's gradient and momentum state are plain
+float64 arrays in that same layout, so a training step or an epoch
+snapshot is one array operation.  Each layer of a forward sweep is one
+matrix product.
 
 :func:`forward` runs one row or a matrix of rows through the layers,
 for input from outside the program such as a model loaded from a file
@@ -49,46 +51,49 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _views(flat: np.ndarray, weights, biases) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Views of ``flat`` shaped like ``weights`` and ``biases``, laid out
-    ``W0, b0, W1, b1, ...`` along its last axis.  A ``(K, P)`` stack of
-    K parameter vectors gives ``(K, *w.shape)`` and ``(K, *b.shape)``
-    views."""
+def _views(flat: np.ndarray, layer_sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The per-layer weight and bias views of ``flat``: the one statement
+    of the layout ``W0, b0, W1, b1, ...`` along its last axis, each ``W``
+    of shape (out, in) and row-major.  A ``(K, P)`` stack of K parameter
+    vectors gives ``(K, out, in)`` and ``(K, out)`` views."""
     lead = flat.shape[:-1]
-    weight_views = []
-    bias_views = []
+    weights, biases = [], []
     start = 0
-    for w, b in zip(weights, biases):
-        stop = start + w.size
-        weight_views.append(flat[..., start:stop].reshape(lead + w.shape))
-        start, stop = stop, stop + b.size
-        bias_views.append(flat[..., start:stop].reshape(lead + b.shape))
-        start = stop
-    return weight_views, bias_views
+    for n_in, n_out in zip(layer_sizes, layer_sizes[1:]):
+        stop = start + n_out * n_in
+        weights.append(flat[..., start:stop].reshape(lead + (n_out, n_in)))
+        biases.append(flat[..., stop : stop + n_out])
+        start = stop + n_out
+    return weights, biases
 
 
-@dataclass
+def _n_params(layer_sizes) -> int:
+    return sum((n_in + 1) * n_out for n_in, n_out in zip(layer_sizes, layer_sizes[1:]))
+
+
+@dataclass(eq=False)
 class Network:
-    """Ordered dense layers; ``weights[l]`` has shape (out, in).
+    """Ordered dense layers, held as one flat parameter vector.
 
-    Construction copies the given arrays into :attr:`params`; afterwards
-    ``weights`` and ``biases`` are views of it, so writing into either
-    writes the other.
+    Construction checks ``layer_sizes`` and copies ``params``, which
+    holds exactly the layers' weights and biases; ``weights[l]`` (out,
+    in) and ``biases[l]`` (out,) are views of the copy, so writing into
+    either writes ``params``.  ``==`` is identity.
     """
 
     layer_sizes: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray = field(repr=False)
     seed: int | None = None
-    params: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
-        biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
-        self.params = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)))
-        self.weights, self.biases = _views(self.params, weights, biases)
-        for view, values in zip(self.weights + self.biases, weights + biases):
-            view[...] = values
+        self.layer_sizes = _validate_layer_sizes(self.layer_sizes)
+        self.params = np.array(self.params, dtype=np.float64)
+        n_params = _n_params(self.layer_sizes)
+        if self.params.shape != (n_params,):
+            raise ValueError(f"params must have shape ({n_params},), got {self.params.shape}")
+        self.weights, self.biases = _views(self.params, self.layer_sizes)
 
 
 def _is_integer(value) -> bool:
@@ -131,12 +136,8 @@ def new_network(layer_sizes, seed: int) -> Network:
     network bit for bit."""
     sizes = _validate_layer_sizes(layer_sizes)
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(rng.uniform(-INIT_WEIGHT_RANGE, INIT_WEIGHT_RANGE, (n_out, n_in)))
-        biases.append(rng.uniform(-INIT_WEIGHT_RANGE, INIT_WEIGHT_RANGE, n_out))
-    return Network(layer_sizes=sizes, weights=weights, biases=biases, seed=seed)
+    params = rng.uniform(-INIT_WEIGHT_RANGE, INIT_WEIGHT_RANGE, _n_params(sizes))
+    return Network(layer_sizes=sizes, params=params, seed=seed)
 
 
 def forward(network: Network, features) -> list[np.ndarray]:
@@ -199,12 +200,8 @@ def network_from_dict(payload: dict, source: str = "model") -> Network:
         for kind, values in (("weights", weights[idx]), ("biases", biases[idx])):
             if not np.isfinite(values).all():
                 raise FormatError(f"{source}: non-finite {kind} in layer {idx + 1}")
-    return Network(
-        layer_sizes=sizes,
-        weights=weights,
-        biases=biases,
-        seed=seed,
-    )
+    params = np.concatenate([v.ravel() for layer in zip(weights, biases) for v in layer])
+    return Network(layer_sizes=sizes, params=params, seed=seed)
 
 
 def save_network(network: Network, path) -> None:

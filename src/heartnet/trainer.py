@@ -182,7 +182,7 @@ def train(
 def _epoch(
     params: np.ndarray,
     velocity: np.ndarray,
-    shapes: tuple[list[np.ndarray], list[np.ndarray]],
+    layer_sizes: tuple[int, ...],
     inputs: list[np.ndarray],
     targets: list[np.ndarray],
     lr: np.ndarray,
@@ -191,12 +191,11 @@ def _epoch(
     """One epoch of every network in the stack; returns each one's epoch SSE.
 
     Row ``r`` of ``params`` (and of ``velocity``) is one network's
-    parameter vector; ``shapes`` holds arrays shaped like one network's
-    weights and biases.  ``inputs[r]`` and ``targets[r]`` are row r's
-    samples in presentation order, at least one per row; nothing is
-    checked here.  The rows are sorted by sample count, largest first, so
-    the rows still presenting samples at any sample index are a prefix
-    ``[:m]`` of the stack.
+    parameter vector, laid out for ``layer_sizes`` by ``network._views``.
+    ``inputs[r]`` and ``targets[r]`` are row r's samples in presentation
+    order, at least one per row; nothing is checked here.  The rows are
+    sorted by sample count, largest first, so the rows still presenting
+    samples at any sample index are a prefix ``[:m]`` of the stack.
 
     Each sample takes one forward sweep, one backward sweep and one
     momentum step, each layer one stacked product or elementwise
@@ -215,12 +214,13 @@ def _epoch(
         x[: len(row_x), row, 0] = row_x
         t[: len(row_t), row, 0] = row_t
     misses = np.zeros_like(t)
-    weights_2d, biases_1d = shapes
     grads = np.empty_like(params)
-    # biases as (K, 1, out), to add to the (K, 1, out) layer products
-    bias_shapes = [b[None, :] for b in biases_1d]
-    weights, biases = _views(params, weights_2d, bias_shapes)
-    weight_grads, bias_grads = _views(grads, weights_2d, bias_shapes)
+    weights, biases = _views(params, layer_sizes)
+    weight_grads, bias_grads = _views(grads, layer_sizes)
+    # biases as (K, 1, out), to add to the (K, 1, out) layer products;
+    # reshape, not b[:, None], whose length-1 axis has stride 0 and steps slower
+    biases = [b.reshape(n_rows, 1, -1) for b in biases]
+    bias_grads = [b.reshape(n_rows, 1, -1) for b in bias_grads]
     lr_column = lr[:, None]
 
     start = 0
@@ -299,7 +299,6 @@ def train_many(
     lrs = {i: config.initial_lr for i in stack}
     prev_sse = {i: math.inf for i in stack}
     records: dict[int, list[EpochRecord]] = {i: [] for i in stack}
-    shapes = (networks[0].weights, networks[0].biases)
     params = np.stack([networks[i].params for i in stack])
     velocity = np.zeros_like(params)
 
@@ -312,7 +311,7 @@ def train_many(
             epoch_sse = _epoch(
                 params,
                 velocity,
-                shapes,
+                networks[0].layer_sizes,
                 [checked[i][0][order] for i, order in zip(stack, orders)],
                 [checked[i][1][order] for i, order in zip(stack, orders)],
                 np.array([lrs[i] for i in stack], dtype=np.float64),

@@ -29,7 +29,7 @@ def kernel_epoch(network, inputs, targets, velocity, lr, momentum):
     (sse,) = _epoch(
         network.params[None],
         velocity[None],
-        (network.weights, network.biases),
+        network.layer_sizes,
         [inputs],
         [targets],
         np.array([lr], dtype=np.float64),
@@ -47,7 +47,7 @@ def one_sample_epoch(network, x, target):
     """
     velocity = np.zeros_like(network.params)
     sample_sse = kernel_epoch(
-        Network(network.layer_sizes, network.weights, network.biases, network.seed),
+        Network(network.layer_sizes, network.params, network.seed),
         np.atleast_2d(np.asarray(x, dtype=np.float64)),
         np.atleast_2d(np.asarray(target, dtype=np.float64)),
         velocity, 1.0, 0.0,

@@ -66,34 +66,23 @@ class TestConfigPlumbing:
         assert load_run_config(path).imputation == "median_mode"
 
     def test_flags_override_file(self, tmp_path):
-        class Args:
-            config = write_config(tmp_path, {"seed": 3, "max_epochs": 9, "hidden_sizes": [4]})
-            data = None
-            out = None
-            seed = 8
-            layers = "13,6,2"
-            impute = "drop"
-            labels = "strict"
+        config = write_config(tmp_path, {"seed": 3, "max_epochs": 9, "hidden_sizes": [4]})
+        args = cli.build_parser().parse_args([
+            "train", "--config", config, "--seed", "8", "--layers", "13,6,2",
+            "--impute", "drop", "--labels", "strict",
+        ])
 
-        merged = merge_config(Args())
+        merged = merge_config(args)
         assert merged.seed == 8  # flag wins
         assert merged.max_epochs == 9  # file value survives
         assert merged.hidden_sizes == (6,)  # --layers sets the stack's interior
         assert merged.imputation == "drop_rows"
         assert merged.label_policy == "strict"
 
-    def test_bad_layers_flag(self, tmp_path):
-        class Args:
-            config = None
-            data = None
-            out = None
-            seed = None
-            layers = "13,two,2"
-            impute = None
-            labels = None
-
+    def test_bad_layers_flag(self):
+        args = cli.build_parser().parse_args(["train", "--layers", "13,two,2"])
         with pytest.raises(ConfigError, match="--layers"):
-            merge_config(Args())
+            merge_config(args)
 
     def test_round_trip_through_json(self):
         cfg = RunConfig(data="d.csv", out="runs", seed=5)

@@ -123,6 +123,16 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="line 1: non-finite value 'inf' in column Chol"):
             load_dataset(write_csv(tmp_path, line_1 + "\n" + line_2 + "\n"))
 
+    def test_cells_padded_with_unit_separators_load_as_plain(self, tmp_path):
+        # float() refuses "\x1f", so this table is parsed line by line
+        plain = load_dataset(bundled_fixture_path())
+        lines = bundled_fixture_path().read_text(encoding="utf-8").splitlines()
+        padded = "".join(",".join(f"\x1f{c}\x1f" for c in line.split(",")) + "\n" for line in lines)
+        loaded = load_dataset(write_csv(tmp_path, padded))
+        assert loaded.features.tobytes() == plain.features.tobytes()
+        np.testing.assert_array_equal(loaded.labels, plain.labels)
+        assert loaded.warnings == plain.warnings
+
     def test_missing_label_rejected(self, tmp_path):
         bad = EXAMPLE_ROW[: EXAMPLE_ROW.rfind(",")] + ",?"
         with pytest.raises(ParseError, match="missing class label"):
@@ -229,6 +239,16 @@ class TestImpute:
         ]
         out = impute(self.make(tmp_path, rows), hdata.IMPUTE_MEDIAN_MODE)
         assert out.features[4, 12] == 3.0
+
+    @pytest.mark.parametrize("zeros", [(-0.0, 0.0), (0.0, -0.0)], ids=["minus-first", "plus-first"])
+    def test_mode_fill_keeps_the_sign_of_the_first_zero(self, zeros):
+        # Thal observed as two zeros and a 7: the mode is zero, signed as first seen
+        features = np.tile(np.arange(13.0), (4, 1))
+        features[:, 12] = [*zeros, 7.0, np.nan]
+        ds = Dataset(features=features, labels=np.zeros(4, dtype=int))
+        fill = impute(ds, hdata.IMPUTE_MEDIAN_MODE).features[3, 12]
+        assert fill == 0.0
+        assert math.copysign(1.0, fill) == math.copysign(1.0, zeros[0])
 
     def test_fills_nan_in_a_built_dataset(self):
         # a cell is missing exactly when it is NaN, however the Dataset was made

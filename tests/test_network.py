@@ -16,6 +16,7 @@ from gradient_oracle import fd_gradients, one_sample_epoch
 from heartnet.data import FormatError
 from heartnet.evaluation import evaluate
 from heartnet.network import (
+    Network,
     forward,
     load_network,
     network_from_dict,
@@ -79,6 +80,31 @@ class TestSigmoid:
             metrics = evaluate(net, np.zeros((4, 3)), np.zeros(4, dtype=int))
         np.testing.assert_array_equal(outputs, np.tile([0.0, 1.0], (4, 1)))
         assert metrics.confusion[0, 1] == 4
+
+
+class TestNetwork:
+    def test_views_follow_the_layer_sizes(self):
+        net = Network((2, 2, 1), np.arange(9.0))
+        np.testing.assert_array_equal(net.weights[0], [[0.0, 1.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(net.biases[0], [4.0, 5.0])
+        np.testing.assert_array_equal(net.weights[1], [[6.0, 7.0]])
+        np.testing.assert_array_equal(net.biases[1], [8.0])
+
+    @pytest.mark.parametrize("shape", [(0,), (129,), (131,), (1, 130)])
+    def test_params_of_the_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"params must have shape \(130,\), got"):
+            Network((13, 8, 2), np.zeros(shape))
+
+    def test_layer_sizes_checked_and_kept_as_a_tuple(self):
+        with pytest.raises(ValueError, match="at least one neuron"):
+            Network((13, 0, 2), np.zeros(2))
+        assert Network([13, 2], np.zeros(28)).layer_sizes == (13, 2)
+
+    def test_equality_is_identity(self):
+        a = new_network((13, 8, 2), 0)
+        b = new_network((13, 8, 2), 0)
+        assert (a == b) is False  # compared without raising on the arrays
+        assert a == a
 
 
 class TestNewNetwork:

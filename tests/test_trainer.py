@@ -262,7 +262,7 @@ class TestTrain:
         x, t = heart_like()
         cfg = TrainConfig(initial_lr=1.2, max_sse_rise=0.0, max_epochs=40, target_sse=0.0)
         net = new_network((13, 8, 2), 1)
-        reference = Network(net.layer_sizes, net.weights, net.biases, net.seed)
+        reference = Network(net.layer_sizes, net.params, net.seed)
 
         history = train(net, x, t, cfg)
         expected = replay_train(reference, x, t, cfg)
@@ -367,7 +367,7 @@ class TestTrain:
         x, t = heart_like()
         net = new_network((13, 8, 2), 1)
         assert_views(net)
-        copied = Network(net.layer_sizes, net.weights, net.biases, net.seed)
+        copied = Network(net.layer_sizes, net.params, net.seed)
         assert_views(copied)
         assert not np.shares_memory(copied.params, net.params)
         save_network(net, tmp_path / "model.json")

@@ -17,8 +17,9 @@ wrapped at ``COLUMNS=80``), so two checkouts compare with ``diff -r``::
 installed copy.  Exit status: 0 when every run exits with the code
 listed for it, no run that fails on its config or data (exit 2 or 3)
 leaves its ``--out`` behind, a diverged run (exit 4) leaves only its
-``effective_config.json``, and each rerun of an earlier run's config
-writes that run's ``model.json`` and ``history.csv`` byte for byte; 1
+``effective_config.json``, and each rerun of an earlier run's config,
+like the run on that run's table with ``\\x1f``-padded cells, writes
+that run's ``model.json`` and ``history.csv`` byte for byte; 1
 otherwise (each such run is named on stderr); 2 when ``heartnet``
 cannot be imported from ``PYTHONPATH`` or OUTDIR is missing from the
 command line.
@@ -85,6 +86,10 @@ RUNS = TRAIN_RUNS + [
       "--json-out", "evaluate-json-out.json"], 0),
     ("rerun-from-echo", ["train", "--config", f"{TRAINED}/effective_config.json"], 0),
     ("rerun-parent-echo", ["train", "--config", "parent_echo.json"], 0),
+    # cells that float() refuses until they are stripped: the line-by-line parse
+    ("train-padded-cells",
+     ["train", "--config", "few.json", "--data", "padded.csv", "--layers", "13,8,2",
+      "--seed", "0"], 0),
     # error runs
     ("seed-negative", ["train", "--data", "heart.csv", "--seed", "-1"], 2),
     ("scaler-swapped-columns",
@@ -116,8 +121,12 @@ RUNS = TRAIN_RUNS + [
 # already written its echo.
 LEFT_BEHIND = {2: None, 3: None, 4: ["effective_config.json"]}
 
-# rerun -> the run whose model.json and history.csv it must write byte for byte
-RERUNS = {"rerun-from-echo": TRAINED, "rerun-parent-echo": "train-13-16-8-2-s0"}
+# rerun -> the earlier run whose model.json and history.csv it must write byte for byte
+RERUNS = {
+    "rerun-from-echo": TRAINED,
+    "rerun-parent-echo": "train-13-16-8-2-s0",
+    "train-padded-cells": TRAINED,
+}
 
 
 def _import_heartnet():
@@ -156,6 +165,7 @@ def _write_inputs(heartnet) -> None:
     write_table("tiny.csv", rows[:3])  # too few rows for the default split grid
     bad_row = rows[4][:4] + ["high"] + rows[4][5:]  # Chol
     write_table("bad_row.csv", [*rows[:4], bad_row, *rows[5:]])
+    write_table("padded.csv", [[f"\x1f{cell}\x1f" for cell in cells] for cells in rows])
     names = [col.name for col in heartnet.HEART_SCHEMA]
     names[0], names[3] = names[3], names[0]  # Age <-> Trestbps
     swapped = {name: {"min": 0, "max": 1} for name in names}
