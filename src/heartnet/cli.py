@@ -57,6 +57,18 @@ _IMPUTE_ALIASES = {
 _LABEL_POLICIES = (hdata.LABELS_STRICT, hdata.LABELS_CLAMP)
 
 
+def _ascii_int(text: str) -> int:
+    """The integer ``text`` spells in ASCII decimal digits, with an optional
+    sign and surrounding whitespace; ``int`` alone also reads ``1_0`` and
+    ``１０``.  Anything else is an :class:`argparse.ArgumentTypeError`."""
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _is_size_list(value) -> bool:
     """A list of integers >= 1: ``8.7`` and ``8.0`` are refused, not
     truncated, and ``true`` is not 1."""
@@ -192,8 +204,8 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
     if getattr(args, "layers", None) is not None:
         try:
-            stack = [int(v) for v in args.layers.split(",")]
-        except ValueError:
+            stack = [_ascii_int(v) for v in args.layers.split(",")]
+        except argparse.ArgumentTypeError:
             raise ConfigError(
                 f"--layers must be a comma-separated list of integers, got {args.layers!r}"
             ) from None
@@ -375,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", help="input CSV path")
         if out:
             p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="RNG seed (default 0)")
+        p.add_argument("--seed", type=_ascii_int, help="RNG seed (default 0)")
         p.add_argument(
             "--impute",
             dest="imputation",

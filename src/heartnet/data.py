@@ -1,8 +1,8 @@
 """Heart-disease table ingestion (parsing, imputation, min-max scaling,
 class codes, seeded splits) and :func:`_write`, the artifact writer.
 
-:func:`load_dataset` parses a table in one bulk pass and, when it has
-bad rows, names its file and its earliest bad line.
+:func:`load_dataset` parses a table with one ``np.loadtxt`` call and,
+when it has bad rows, names its file and its earliest bad line.
 
 A :class:`Scaler` holds the bounds of the :data:`HEART_SCHEMA` columns
 once, in read-only float64 arrays; ``transform`` and ``inverse_transform``
@@ -22,6 +22,7 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -137,6 +138,11 @@ def _tokens(line: str) -> list[str]:
 
 
 def _is_number(token: str) -> bool:
+    """True iff the stripped cell ``token`` is a number as ``np.loadtxt``
+    reads one: ASCII, no ``_``, and ``float`` reads it.  ``float`` alone
+    also reads digit-group underscores and non-ASCII digits."""
+    if not token.isascii() or "_" in token:
+        return False
     try:
         float(token)
     except ValueError:
@@ -150,11 +156,11 @@ def _looks_like_header(tokens: list[str]) -> bool:
     return not any(tok == MISSING_TOKEN or _is_number(tok) for tok in tokens)
 
 
-def _parse_line(path, line_no: int, tokens: list[str], label_policy: str) -> list[float]:
-    """The values of the data row ``tokens`` from line ``line_no`` of file
-    ``path``, ``?`` read as NaN; or the error of its first failing check,
-    in the order field count, feature cells left to right, class label,
-    non-finite feature cells."""
+def _parse_line(path, line_no: int, tokens: list[str], label_policy: str) -> None:
+    """Raise the error of the first failing check of the data row
+    ``tokens`` from line ``line_no`` of file ``path``, in the order field
+    count, feature cells left to right, class label, non-finite feature
+    cells; return if the row passes them all."""
     where = f"{path}: line {line_no}:"
     if len(tokens) != N_ATTRIBUTES + 1:
         raise ParseError(f"{where} expected {N_ATTRIBUTES + 1} fields, got {len(tokens)}")
@@ -174,7 +180,13 @@ def _parse_line(path, line_no: int, tokens: list[str], label_policy: str) -> lis
     for col, token, value in zip(HEART_SCHEMA, tokens, values):
         if token != MISSING_TOKEN and not math.isfinite(value):
             raise ParseError(f"{where} non-finite value {token!r} in column {col.name}")
-    return values
+
+
+def _raise_earliest_bad_line(path, lines, line_numbers, label_policy) -> NoReturn:
+    """Raise the error of the earliest of ``lines`` that :func:`_parse_line` refuses."""
+    for line_no, line in zip(line_numbers, lines):
+        _parse_line(path, line_no, _tokens(line), label_policy)
+    raise AssertionError(f"{path}: the table was refused, yet every line passes")
 
 
 def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
@@ -187,13 +199,11 @@ def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
     outside 0..3 (the raw Cleveland file uses 0..4): ``strict`` rejects
     them, ``clamp`` maps them to the nearest bound and records a warning.
 
-    One bulk pass splits each line once, converts every cell with one
-    ``map(float, ...)`` and checks labels and features as whole arrays.
-    A file with bad rows raises the error of its earliest bad line, the
-    first failing check of that line as :func:`_parse_line` orders them,
-    naming the file and the line.  When ``float`` refuses a cell, the
-    table is parsed again line by line by :func:`_parse_line`, which
-    raises at the earliest bad line or reads cells padded with ``\\x1f``.
+    One ``np.loadtxt`` call parses every cell in C, and labels and
+    features are checked as whole arrays.  Only when the parse or a check
+    refuses the table does :func:`_parse_line` walk it line by line, to
+    raise the error of the earliest bad line, the first failing check of
+    that line, naming the file and the line.
     """
     if label_policy not in (LABELS_STRICT, LABELS_CLAMP):
         raise ValueError(f"unknown label_policy {label_policy!r}")
@@ -218,38 +228,37 @@ def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
     if not lines:
         raise ParseError(f"{path}: no data rows")
 
-    # rows[:n_ok] have the right field count and every cell a number
+    # "?" cells are read as NaN; only the lines that hold a "?" are split
+    cells, marked = list(lines), {}
+    for i, line in enumerate(lines):
+        if MISSING_TOKEN in line:
+            tokens = _tokens(line)
+            marked[i] = [tok == MISSING_TOKEN for tok in tokens]
+            cells[i] = ",".join("nan" if gone else tok for tok, gone in zip(tokens, marked[i]))
     n_fields = N_ATTRIBUTES + 1
-    rows = [line.split(",") for line in lines]
-    n_ok = next((i for i, row in enumerate(rows) if len(row) != n_fields), len(rows))
-    missing = np.zeros((n_ok, n_fields), dtype=bool)
-    for i in range(n_ok):
-        if MISSING_TOKEN in lines[i]:
-            missing[i] = [tok.strip() == MISSING_TOKEN for tok in rows[i]]
-            rows[i] = ["nan" if gone else tok for tok, gone in zip(rows[i], missing[i])]
     try:
-        values = np.fromiter(map(float, chain.from_iterable(rows[:n_ok])), np.float64)
+        # a table whose rows all have the same wrong field count parses,
+        # and then fails the reshape
+        values = np.loadtxt(cells, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        values = values.reshape(len(lines), n_fields)
     except ValueError:
-        # float() refuses \x1f, the one whitespace str.strip() drops that a
-        # line can hold; this pass strips and raises at the earliest bad line
-        values = np.array([_parse_line(path, line_no, _tokens(line), label_policy)
-                           for line_no, line in zip(line_numbers, lines[:n_ok])])
-    values, missing = values.reshape(n_ok, n_fields), missing[:n_ok, :N_ATTRIBUTES]
+        _raise_earliest_bad_line(path, lines, line_numbers, label_policy)
+    missing = np.zeros((len(lines), N_ATTRIBUTES), dtype=bool)
+    for i, gone in marked.items():
+        missing[i] = gone[:N_ATTRIBUTES]
 
     features, raw_labels = values[:, :N_ATTRIBUTES], values[:, N_ATTRIBUTES]
     # a "?" label was read as NaN, so it fails this test too
     label_ok = np.isfinite(raw_labels) & (raw_labels == np.floor(raw_labels))
     labels = np.where(label_ok, raw_labels, 0.0)
     out_of_range = (labels < 0) | (labels >= N_CLASSES)
-    # float() also reads nan, inf and -inf, which are neither numbers the
+    # loadtxt also reads nan, inf and -inf, which are neither numbers the
     # scaler can use nor the "?" that marks a cell missing
     bad = ~label_ok | ~(np.isfinite(features) | missing).all(axis=1)
     if label_policy == LABELS_STRICT:
         bad |= out_of_range
-    if bad.any() or n_ok < len(rows):
-        first = int(np.argmax(bad)) if bad.any() else n_ok
-        _parse_line(path, line_numbers[first], _tokens(lines[first]), label_policy)
-        raise AssertionError(f"{path}: line {line_numbers[first]}: flagged bad, yet it passes")
+    if bad.any():
+        _raise_earliest_bad_line(path, lines, line_numbers, label_policy)
 
     warnings = tuple(
         f"line {line_numbers[i]}: class label {int(labels[i])} clamped to "

@@ -173,6 +173,18 @@ class TestUsageErrors:
         assert main(["--help"]) == 0
         assert "scale" in capsys.readouterr().out
 
+    # int() alone reads digit-group underscores and non-ASCII digits
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seed", "1_0"), ("--seed", "１０"), ("--layers", "13,8_0,2"), ("--layers", "13,８,2")],
+    )
+    def test_integer_flags_take_ascii_digits_only(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        assert main(["train", "--data", FIXTURE, "--out", str(out), flag, value]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert flag in err and repr(value) in err
+        assert not out.exists()
+
     def test_missing_required_setting(self, tmp_path, capsys):
         assert main(["train", "--data", FIXTURE]) == EXIT_USAGE
         assert "out" in capsys.readouterr().err

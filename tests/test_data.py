@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heartnet import data as hdata
@@ -44,6 +44,12 @@ def write_csv(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def padded_fixture_text() -> str:
+    """The bundled table with every cell wrapped in "\x1f"."""
+    lines = bundled_fixture_path().read_text(encoding="utf-8").splitlines()
+    return "".join(",".join(f"\x1f{c}\x1f" for c in line.split(",")) + "\n" for line in lines)
 
 
 class TestLoadDataset:
@@ -91,9 +97,12 @@ class TestLoadDataset:
             load_dataset(write_csv(tmp_path, EXAMPLE_ROW + "\n1,2,3\n"))
 
     def test_non_numeric_cell_names_line_and_column(self, tmp_path):
-        bad = EXAMPLE_ROW.replace("233", "abc")
-        with pytest.raises(ParseError, match="line 1.*'abc'.*Chol"):
-            load_dataset(write_csv(tmp_path, bad + "\n"))
+        # float() alone reads "2_33" and the full-width "２３３" as 233
+        for token in ("abc", "2_33", "２３３"):
+            bad = EXAMPLE_ROW.replace("233", token)
+            message = f"line 1: non-numeric value {token!r} in column Chol"
+            with pytest.raises(ParseError, match=re.escape(message)):
+                load_dataset(write_csv(tmp_path, bad + "\n"))
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
     def test_non_finite_cell_names_line_and_column(self, tmp_path, token):
@@ -124,14 +133,25 @@ class TestLoadDataset:
             load_dataset(write_csv(tmp_path, line_1 + "\n" + line_2 + "\n"))
 
     def test_cells_padded_with_unit_separators_load_as_plain(self, tmp_path):
-        # float() refuses "\x1f", so this table is parsed line by line
+        # np.loadtxt strips "\x1f" around a cell as str.strip() does, so
+        # this table is parsed in bulk
         plain = load_dataset(bundled_fixture_path())
-        lines = bundled_fixture_path().read_text(encoding="utf-8").splitlines()
-        padded = "".join(",".join(f"\x1f{c}\x1f" for c in line.split(",")) + "\n" for line in lines)
-        loaded = load_dataset(write_csv(tmp_path, padded))
+        loaded = load_dataset(write_csv(tmp_path, padded_fixture_text()))
         assert loaded.features.tobytes() == plain.features.tobytes()
         np.testing.assert_array_equal(loaded.labels, plain.labels)
         assert loaded.warnings == plain.warnings
+
+    def test_line_walker_runs_only_on_bad_tables(self, tmp_path, monkeypatch):
+        def walked(*args):
+            raise AssertionError("a table that loads was walked line by line")
+
+        missing = EXAMPLE_ROW + "\n" + EXAMPLE_ROW.replace("233", " ? ").replace(",6,", ",?,") + "\n"
+        monkeypatch.setattr(hdata, "_parse_line", walked)
+        load_dataset(bundled_fixture_path())
+        load_dataset(write_csv(tmp_path, padded_fixture_text(), "padded.csv"))
+        assert load_dataset(write_csv(tmp_path, missing)).has_missing_values
+        with pytest.raises(AssertionError, match="walked line by line"):
+            load_dataset(write_csv(tmp_path, EXAMPLE_ROW.replace("233", "abc"), "bad.csv"))
 
     def test_missing_label_rejected(self, tmp_path):
         bad = EXAMPLE_ROW[: EXAMPLE_ROW.rfind(",")] + ",?"
@@ -765,7 +785,55 @@ def read_cell_by_cell(text):
     return np.array(features), np.array(mask), labels, tuple(warnings)
 
 
+# Pieces of cell text near the edge of what a number is: digits ASCII and
+# not, signs, exponents, the words float() reads, "_", "?", whitespace
+# str.strip() drops (and "\x1f", which float() refuses) and a NUL.
+CELL_PIECES = st.sampled_from([
+    "0", "2", "3", "9", "２", "٣", ".", "e", "E", "+", "-", "_", "nan", "inf", "Infinity",
+    "x", "?", " ", "\t", "\x1f", "\xa0", "\u3000", "\x00",
+])
+FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+# Any text a single cell can hold: no comma, no line break.
+CELL_TEXTS = st.one_of(
+    st.lists(CELL_PIECES, max_size=6).map("".join),
+    st.floats().map(repr),
+    st.integers(1000, 10**7).map(lambda n: f"{n:_}"),  # digit groups: 1_000
+    st.integers(0, 999).map(lambda n: str(n).translate(FULL_WIDTH)),
+    st.text(max_size=8),
+).filter(lambda s: "," not in s and len(("x" + s + "x").splitlines()) == 1)
+
+
+def loadtxt_reads(cell) -> bool:
+    try:
+        np.loadtxt([f"1,{cell},2"], delimiter=",", comments=None, dtype=np.float64)
+    except ValueError:
+        return False
+    return True
+
+
 class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(cell=CELL_TEXTS)
+    @example(cell="2_33")
+    @example(cell="２３３")
+    @example(cell="\x1f233\x1f")
+    def test_bulk_parse_and_line_walker_agree_on_a_cell(self, cell):
+        # _is_number is the rule np.loadtxt follows on a cell
+        assert hdata._is_number(cell.strip()) == loadtxt_reads(cell)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            path.write_text(EXAMPLE_ROW.replace("233", cell) + "\n", encoding="utf-8")
+            try:
+                chol = load_dataset(path).features[0, 4]
+            except ParseError as exc:
+                assert str(exc).startswith(f"{path}: line 1: ")
+                assert str(exc).endswith(" in column Chol")
+                return
+        if cell.strip() == "?":
+            assert np.isnan(chol)
+        else:
+            assert np.float64(float(cell.strip())).tobytes() == chol.tobytes()
+
     @settings(max_examples=30, deadline=None)
     @given(table=heart_tables(), policy=st.sampled_from(["median_mode", "drop_rows"]))
     def test_parse_then_impute_keeps_observed_cells(self, table, policy):

@@ -86,7 +86,8 @@ RUNS = TRAIN_RUNS + [
       "--json-out", "evaluate-json-out.json"], 0),
     ("rerun-from-echo", ["train", "--config", f"{TRAINED}/effective_config.json"], 0),
     ("rerun-parent-echo", ["train", "--config", "parent_echo.json"], 0),
-    # cells that float() refuses until they are stripped: the line-by-line parse
+    # cells padded with "\x1f", which np.loadtxt strips as str.strip() does:
+    # the bulk parse reads them as the plain table
     ("train-padded-cells",
      ["train", "--config", "few.json", "--data", "padded.csv", "--layers", "13,8,2",
       "--seed", "0"], 0),
@@ -109,6 +110,10 @@ RUNS = TRAIN_RUNS + [
     ("experiment-no-hidden",
      ["experiment", "--config", "few.json", "--data", "heart.csv", "--layers", "13,2"], 2),
     ("bad-table-row", ["train", "--config", "few.json", "--data", "bad_row.csv"], 3),
+    # numbers to float() and int() alone, but not ASCII decimal digits
+    ("underscore-cell", ["train", "--config", "few.json", "--data", "underscore_cell.csv"], 3),
+    ("fullwidth-cell", ["train", "--config", "few.json", "--data", "fullwidth_cell.csv"], 3),
+    ("seed-underscore", ["train", "--data", "heart.csv", "--seed", "1_0"], 2),
     ("diverges", ["train", "--config", "diverge.json", "--data", "heart.csv"], 4),
     # help and usage text, printed by a parser that earlier runs have used
     ("train-help", ["train", "--help"], 0),
@@ -163,8 +168,11 @@ def _write_inputs(heartnet) -> None:
         write_table(f"{name}.csv",
                     [[*cells[:column], value, *cells[column + 1:]] for cells in rows[:n_rows]])
     write_table("tiny.csv", rows[:3])  # too few rows for the default split grid
-    bad_row = rows[4][:4] + ["high"] + rows[4][5:]  # Chol
-    write_table("bad_row.csv", [*rows[:4], bad_row, *rows[5:]])
+    chol = rows[4][4]
+    full_width = chol.translate(str.maketrans("0123456789", "０１２３４５６７８９"))
+    for name, cell in (("bad_row", "high"), ("underscore_cell", f"{chol[0]}_{chol[1:]}"),
+                       ("fullwidth_cell", full_width)):
+        write_table(f"{name}.csv", [*rows[:4], [*rows[4][:4], cell, *rows[4][5:]], *rows[5:]])
     write_table("padded.csv", [[f"\x1f{cell}\x1f" for cell in cells] for cells in rows])
     names = [col.name for col in heartnet.HEART_SCHEMA]
     names[0], names[3] = names[3], names[0]  # Age <-> Trestbps
