@@ -96,7 +96,7 @@ def _hidden_sizes_of(stack, name: str) -> tuple[int, ...]:
         raise ConfigError(f"{name} must be a list of integers >= 1, got {stack!r}")
     problem = _layer_stack_problem(stack)
     if problem:
-        raise ConfigError(problem)
+        raise ConfigError(f"{name}: {problem}")
     return tuple(int(v) for v in stack[1:-1])
 
 
@@ -153,7 +153,7 @@ class RunConfig(TrainConfig):
             raise ConfigError(str(exc)) from None
         problem = _layer_stack_problem(layer_stack(self.hidden_sizes))
         if problem:
-            raise ConfigError(problem)
+            raise ConfigError(f"hidden_sizes: {problem}")
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}

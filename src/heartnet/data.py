@@ -156,12 +156,16 @@ def _looks_like_header(tokens: list[str]) -> bool:
     return not any(tok == MISSING_TOKEN or _is_number(tok) for tok in tokens)
 
 
-def _parse_line(path, line_no: int, tokens: list[str], label_policy: str) -> None:
-    """Raise the error of the first failing check of the data row
-    ``tokens`` from line ``line_no`` of file ``path``, in the order field
-    count, feature cells left to right, class label, non-finite feature
-    cells; return if the row passes them all."""
+def _parse_line(path, line_no: int, line: str, label_policy: str) -> None:
+    """Raise the error of the first failing check of the stripped data
+    row ``line``, line ``line_no`` of file ``path``, in the order carriage
+    return, field count, feature cells left to right, class label,
+    non-finite feature cells; return if the row passes them all."""
     where = f"{path}: line {line_no}:"
+    if "\r" in line:
+        # np.loadtxt ends a line at "\r" too, so it refuses a row holding one
+        raise ParseError(f"{where} carriage return inside the line (lines end at \\n)")
+    tokens = _tokens(line)
     if len(tokens) != N_ATTRIBUTES + 1:
         raise ParseError(f"{where} expected {N_ATTRIBUTES + 1} fields, got {len(tokens)}")
     for column, token in zip([*(col.name for col in HEART_SCHEMA), "class"], tokens):
@@ -185,14 +189,17 @@ def _parse_line(path, line_no: int, tokens: list[str], label_policy: str) -> Non
 def _raise_earliest_bad_line(path, lines, line_numbers, label_policy) -> NoReturn:
     """Raise the error of the earliest of ``lines`` that :func:`_parse_line` refuses."""
     for line_no, line in zip(line_numbers, lines):
-        _parse_line(path, line_no, _tokens(line), label_policy)
+        _parse_line(path, line_no, line, label_policy)
     raise AssertionError(f"{path}: the table was refused, yet every line passes")
 
 
 def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
     """Read a comma-separated heart-disease file into a :class:`Dataset`.
 
-    The file is UTF-8 text and may start with a byte-order mark.  Rows
+    The file is UTF-8 text and may start with a byte-order mark.  A line
+    ends at ``\\n`` only, as ``wc -l`` counts, and surrounding whitespace,
+    a trailing ``\\r`` too, is stripped; so a ``\\r`` left inside a line,
+    as in a file with CR-only line endings, is a parse error.  Rows
     carry 13 attribute values plus a class label; ``?`` marks a missing
     cell.  Blank lines, and leading rows with no numeric or ``?``
     cell (a header), are skipped.  ``label_policy`` controls labels
@@ -211,14 +218,14 @@ def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
     try:
         text = path.read_bytes().decode("utf-8-sig")  # a leading byte-order mark is dropped
     except UnicodeDecodeError as exc:
-        # the bad byte's line: the lines of the valid text before it, plus
-        # one; exc.object is the file's bytes after any byte-order mark
+        # the bad byte's line: one more than the line ends before it;
+        # exc.object is the file's bytes after any byte-order mark
         raw = exc.object
-        line_no = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+        line_no = raw.count(b"\n", 0, exc.start) + 1
         raise ParseError(
             f"{path}: line {line_no}: not UTF-8 text (byte 0x{raw[exc.start]:02x})"
         ) from None
-    stripped = list(map(str.strip, text.splitlines()))
+    stripped = list(map(str.strip, text.split("\n")))
     line_numbers = [line_no for line_no, line in enumerate(stripped, start=1) if line]
     lines = list(filter(None, stripped))
     start = 0
@@ -228,13 +235,17 @@ def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
     if not lines:
         raise ParseError(f"{path}: no data rows")
 
-    # "?" cells are read as NaN; only the lines that hold a "?" are split
+    # "?" cells are read as NaN; only the lines that hold a "?" are split,
+    # and each "?" cell keeps its padding, so np.loadtxt still sees any "\r"
     cells, marked = list(lines), {}
     for i, line in enumerate(lines):
         if MISSING_TOKEN in line:
-            tokens = _tokens(line)
-            marked[i] = [tok == MISSING_TOKEN for tok in tokens]
-            cells[i] = ",".join("nan" if gone else tok for tok, gone in zip(tokens, marked[i]))
+            fields = line.split(",")
+            marked[i] = [tok.strip() == MISSING_TOKEN for tok in fields]
+            cells[i] = ",".join(
+                tok.replace(MISSING_TOKEN, "nan") if gone else tok
+                for tok, gone in zip(fields, marked[i])
+            )
     n_fields = N_ATTRIBUTES + 1
     try:
         # a table whose rows all have the same wrong field count parses,

@@ -33,6 +33,10 @@ MODEL_FORMAT_VERSION = 1
 
 # One input layer, up to three hidden, one output.
 MAX_LAYERS = 5
+# Neurons in any one layer.  The paper's networks are 13-x-2 with a small
+# x, far below the cap; it turns a width numpy cannot allocate into a
+# named error before any weight is drawn.
+MAX_WIDTH = 1024
 
 INIT_WEIGHT_RANGE = 0.5  # initial weights drawn uniformly from +/- this
 
@@ -43,10 +47,10 @@ def sigmoid(x):
 
     Below x of about -709, e^-x overflows to inf and the result is exactly
     0.0.  numpy reports that overflow as a RuntimeWarning unless it runs
-    under ``np.errstate(over="ignore")``; :func:`heartnet.evaluation.evaluate`
-    and the one epoch loop, :func:`heartnet.trainer.train_many` (which
-    :func:`heartnet.trainer.train` calls), enter that state once per call,
-    around every call of the trainer's one per-sample kernel.
+    under ``np.errstate(over="ignore")``, which :func:`heartnet.evaluation.evaluate`
+    enters once per call.  Training does not call this function: the
+    trainer's per-sample kernel computes the same logistic inline, in
+    place, on negated weights, to the same bits.
     """
     return 1.0 / (1.0 + np.exp(-x))
 
@@ -114,6 +118,8 @@ def _validate_layer_sizes(layer_sizes) -> tuple[int, ...]:
         raise ValueError(f"{len(sizes)} layers exceeds the cap of {MAX_LAYERS}")
     if any(s < 1 for s in sizes):
         raise ValueError(f"every layer needs at least one neuron: {sizes}")
+    if max(sizes) > MAX_WIDTH:
+        raise ValueError(f"a layer of {max(sizes)} neurons exceeds the cap of {MAX_WIDTH}")
     return sizes
 
 

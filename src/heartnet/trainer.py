@@ -18,11 +18,22 @@ network goes through one per-sample kernel, ``_epoch``.  The parameter
 vectors of K >= 1 networks are the rows of one ``(K, P)`` array, and
 each forward, backward and momentum step is one stacked numpy call over
 the rows still presenting samples.  Per-sample cost is bound by numpy's
-per-call overhead, so one call for K networks is cheaper than K calls.
+per-call overhead, so one call for K networks is cheaper than K calls,
+and the fewer calls and temporaries a sample takes, the faster it runs.
 Each sample's output error is kept, and every row's epoch SSE is summed
 once, in presentation order, after the last sample.
 :func:`heartnet.evaluation.run_experiment` trains each architecture's
 split cells as one stack.
+
+The kernel steps the stack with its parameters negated, and negates
+them back when the epoch ends.  Negating an operand negates a product or
+a sum exactly under round-to-nearest, fused multiply-add or not, so
+``x @ -W.T + -b`` is bit for bit ``-(x @ W.T + b)``: the very argument
+the logistic ``1 / (1 + e^-a)`` exponentiates, with no negation call.
+The hidden delta ``(delta @ -W) * y * (y - 1)`` and the step
+``-p - v == -(p + v)`` are likewise the plain arithmetic's bits, so every
+weight, SSE and artifact is the same as with the weights as stored; only
+a result that lands exactly on zero can differ, in the sign of that zero.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import ValidationError, _write_csv
-from .network import Network, _is_integer, _views, sigmoid
+from .network import Network, _is_integer, _views
 
 
 class DivergenceError(RuntimeError):
@@ -199,10 +210,18 @@ def _epoch(
 
     Each sample takes one forward sweep, one backward sweep and one
     momentum step, each layer one stacked product or elementwise
-    operation over the active rows.  The output delta is
+    operation over the active rows, mostly in place.  ``params`` is
+    negated on entry and negated back on exit, so each layer computes
+    ``z = x @ -W.T + -b``, which is ``-a`` exactly, and then the logistic
+    ``1 / (1 + e^z)`` in place; the step is ``p -= v`` on the negated
+    ``p``.  The velocity is not negated.  See the module docstring for
+    why these are the bits of the plain ``sigmoid(x @ W.T + b)``
+    arithmetic, which ``tests/gradient_oracle.py:reference_epoch``
+    keeps and the tests compare against.  The output delta is
     ``(o - t) * o * (1 - o)``, and each hidden delta is the next layer's
-    weighted delta sum scaled by the local sigmoid derivative: the
-    gradient of SSE/2.  Each sample's ``o - t`` is kept, and a row's SSE
+    weighted delta sum scaled by the local sigmoid derivative,
+    ``(delta @ -W) * y * (y - 1)`` on the negated weights: the gradient of
+    SSE/2.  Each sample's ``o - t`` is kept, and a row's SSE
     is the running sum of its samples' squared errors, each taken with
     the weights in effect when it was presented; a row's padding past its
     last sample adds exactly 0.0.
@@ -215,45 +234,60 @@ def _epoch(
         t[: len(row_t), row, 0] = row_t
     misses = np.zeros_like(t)
     grads = np.empty_like(params)
+    step = np.empty_like(params)
+    rates = np.repeat(lr[:, None], params.shape[1], axis=1)
     weights, biases = _views(params, layer_sizes)
     weight_grads, bias_grads = _views(grads, layer_sizes)
     # biases as (K, 1, out), to add to the (K, 1, out) layer products;
     # reshape, not b[:, None], whose length-1 axis has stride 0 and steps slower
     biases = [b.reshape(n_rows, 1, -1) for b in biases]
     bias_grads = [b.reshape(n_rows, 1, -1) for b in bias_grads]
-    lr_column = lr[:, None]
 
-    start = 0
-    for m in range(n_rows, 0, -1):  # samples [start, stop) have m active rows
-        stop = len(inputs[m - 1])
-        if stop == start:
-            continue
-        layers = [
-            (w[:m], w[:m].transpose(0, 2, 1), b[:m], gw[:m], gb[:m])
-            for w, b, gw, gb in zip(weights, biases, weight_grads, bias_grads)
-        ]
-        backward = layers[::-1]
-        p, v, g, rate = params[:m], velocity[:m], grads[:m], lr_column[:m]
-        samples = zip(x[start:stop, :m], t[start:stop, :m], misses[start:stop, :m])
-        for sample, target, miss in samples:
-            out = sample
-            activations = [out]
-            for _, w_t, b, _, _ in layers:
-                out = sigmoid(out @ w_t + b)
-                activations.append(out)
-            # o - t squares to the same bits as t - o
-            np.subtract(out, target, out=miss)
-            delta = miss * out * (1.0 - out)
-            for layer, (w, _, _, gw, gb) in zip(range(len(layers) - 1, -1, -1), backward):
-                below = activations[layer]
-                np.multiply(delta.transpose(0, 2, 1), below, out=gw)
-                gb[...] = delta
-                if layer:
-                    delta = (delta @ w) * below * (1.0 - below)
-            v *= momentum
-            v -= rate * g
-            p += v
-        start = stop
+    np.negative(params, out=params)
+    try:
+        start = 0
+        for m in range(n_rows, 0, -1):  # samples [start, stop) have m active rows
+            stop = len(inputs[m - 1])
+            if stop == start:
+                continue
+            layers = [(w[:m].transpose(0, 2, 1), b[:m]) for w, b in zip(weights, biases)]
+            backward = [
+                (layer, weights[layer][:m], weight_grads[layer][:m], bias_grads[layer][:m])
+                for layer in reversed(range(len(weights)))
+            ]
+            p, v, g, s, rate = params[:m], velocity[:m], grads[:m], step[:m], rates[:m]
+            samples = zip(x[start:stop, :m], t[start:stop, :m], misses[start:stop, :m])
+            for sample, target, miss in samples:
+                out = sample
+                activations = [out]
+                for w_t, b in layers:
+                    # -(x @ W.T + b), so its exp is the e^-a of 1 / (1 + e^-a)
+                    z = out @ w_t
+                    z += b
+                    np.exp(z, out=z)
+                    z += 1.0
+                    out = np.divide(1.0, z, out=z)
+                    activations.append(out)
+                # o - t squares to the same bits as t - o
+                np.subtract(out, target, out=miss)
+                delta = miss * out
+                delta *= 1.0 - out
+                for layer, w, gw, gb in backward:
+                    below = activations[layer]
+                    np.multiply(delta.transpose(0, 2, 1), below, out=gw)
+                    gb[...] = delta
+                    if layer:
+                        # (delta @ -W) * y * (y - 1) == (delta @ W) * y * (1 - y)
+                        delta = delta @ w
+                        delta *= below
+                        delta *= below - 1.0
+                v *= momentum
+                np.multiply(rate, g, out=s)
+                v -= s
+                p -= v  # -(p + v) for the negated p
+            start = stop
+    finally:
+        np.negative(params, out=params)
     # cumsum adds in presentation order, as a running total would; sum
     # adds pairwise, which gives other bits.
     return np.cumsum(misses @ misses.swapaxes(-1, -2), axis=0)[-1, :, 0, 0]

@@ -4,12 +4,14 @@ A sample's SSE and gradient are read from the per-sample kernel that
 every training epoch runs, ``heartnet.trainer._epoch``, on a one-row
 stack, and the gradient is checked against central finite differences
 of half the sum of squared errors, the quantity the deltas are derived
-from.
+from.  :func:`reference_epoch` is the kernel's arithmetic written
+plainly, with the weights as they are and the library sigmoid, for tests
+that compare the kernel's bits against it.
 """
 
 import numpy as np
 
-from heartnet.network import Network, forward
+from heartnet.network import Network, _views, forward, sigmoid
 from heartnet.trainer import _epoch
 
 
@@ -36,6 +38,60 @@ def kernel_epoch(network, inputs, targets, velocity, lr, momentum):
         momentum,
     )
     return float(sse)
+
+
+def reference_epoch(params, velocity, layer_sizes, inputs, targets, lr, momentum):
+    """``heartnet.trainer._epoch`` as plain arithmetic: the same arguments,
+    the same in-place updates of ``params`` and ``velocity`` and the same
+    returned SSEs, each layer written as ``sigmoid(x @ W.T + b)`` on the
+    weights as stored, and each hidden delta as
+    ``(delta @ W) * y * (1 - y)``.  The kernel must match it bit for bit.
+    """
+    n_rows, n_max = params.shape[0], len(inputs[0])
+    x = np.empty((n_max, n_rows, 1, inputs[0].shape[1]))
+    t = np.empty((n_max, n_rows, 1, targets[0].shape[1]))
+    for row, (row_x, row_t) in enumerate(zip(inputs, targets)):
+        x[: len(row_x), row, 0] = row_x
+        t[: len(row_t), row, 0] = row_t
+    misses = np.zeros_like(t)
+    grads = np.empty_like(params)
+    weights, biases = _views(params, layer_sizes)
+    weight_grads, bias_grads = _views(grads, layer_sizes)
+    biases = [b.reshape(n_rows, 1, -1) for b in biases]
+    bias_grads = [b.reshape(n_rows, 1, -1) for b in bias_grads]
+    lr_column = lr[:, None]
+
+    start = 0
+    for m in range(n_rows, 0, -1):  # samples [start, stop) have m active rows
+        stop = len(inputs[m - 1])
+        if stop == start:
+            continue
+        layers = [
+            (w[:m], w[:m].transpose(0, 2, 1), b[:m], gw[:m], gb[:m])
+            for w, b, gw, gb in zip(weights, biases, weight_grads, bias_grads)
+        ]
+        backward = layers[::-1]
+        p, v, g, rate = params[:m], velocity[:m], grads[:m], lr_column[:m]
+        samples = zip(x[start:stop, :m], t[start:stop, :m], misses[start:stop, :m])
+        for sample, target, miss in samples:
+            out = sample
+            activations = [out]
+            for _, w_t, b, _, _ in layers:
+                out = sigmoid(out @ w_t + b)
+                activations.append(out)
+            np.subtract(out, target, out=miss)
+            delta = miss * out * (1.0 - out)
+            for layer, (w, _, _, gw, gb) in zip(range(len(layers) - 1, -1, -1), backward):
+                below = activations[layer]
+                np.multiply(delta.transpose(0, 2, 1), below, out=gw)
+                gb[...] = delta
+                if layer:
+                    delta = (delta @ w) * below * (1.0 - below)
+            v *= momentum
+            v -= rate * g
+            p += v
+        start = stop
+    return np.cumsum(misses @ misses.swapaxes(-1, -2), axis=0)[-1, :, 0, 0]
 
 
 def one_sample_epoch(network, x, target):

@@ -22,7 +22,7 @@ from heartnet.cli import (
     merge_config,
 )
 from heartnet.data import bundled_fixture_path, fit_scaler, impute, load_dataset, save_scaler
-from heartnet.network import new_network, save_network
+from heartnet.network import MAX_WIDTH, new_network, save_network
 from heartnet.trainer import TrainConfig, train
 
 FIXTURE = str(bundled_fixture_path())
@@ -286,6 +286,26 @@ class TestUsageErrors:
         code = main([*argv, "--config", path, "--data", FIXTURE, "--out", str(out)])
         assert code == expected
         assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("width", [MAX_WIDTH + 1, 10**30], ids=["cap+1", "1e30"])
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    @pytest.mark.parametrize("key", ["--layers", "hidden_sizes", "layer_sizes"])
+    def test_too_wide_layer_is_a_config_error_naming_its_key(
+        self, tmp_path, capsys, key, command, width
+    ):
+        # refused before the (absent) table is read or --out is made
+        out, absent = tmp_path / "o", str(tmp_path / "absent.csv")
+        argv = [command, "--data", absent, "--out", str(out)]
+        if key == "--layers":
+            argv += ["--layers", f"13,{width},2"]
+        else:
+            stack = [width] if key == "hidden_sizes" else [13, width, 2]
+            argv += ["--config", write_config(tmp_path, {key: stack})]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"{key}: layer sizes [13, {width}, 2]: a layer of {width} neurons" in err
         assert not out.exists()
 
     def test_evaluate_checks_config_before_reading_the_model(self, tmp_path, capsys):
@@ -671,6 +691,19 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert f"data error: {bad}: malformed model payload" in err
         assert "Traceback" not in err
+
+    def test_too_wide_model_is_data_error(self, trained, tmp_path, capsys):
+        model = json.loads((trained / "model.json").read_text(encoding="utf-8"))
+        model["layer_sizes"] = [13, MAX_WIDTH + 1, 2]
+        bad = tmp_path / "wide_model.json"
+        bad.write_text(json.dumps(model), encoding="utf-8")
+        code = main(["evaluate", "--model", str(bad),
+                     "--scaler", str(trained / "scaler.json"), "--data", FIXTURE])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {bad}: malformed model payload "
+            f"(a layer of {MAX_WIDTH + 1} neurons exceeds the cap of {MAX_WIDTH})\n"
+        )
 
     def test_corrupt_model_is_data_error(self, trained, tmp_path, capsys):
         # not JSON, not UTF-8, and nested deeper than the parser recurses

@@ -198,6 +198,60 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match=r"line 4: not UTF-8 text \(byte 0xff\)"):
             load_dataset(path)
 
+    def test_non_utf8_error_counts_newlines_only(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(f"{EXAMPLE_ROW}\x0c\n63,\xff\n".encode("latin-1"))
+        with pytest.raises(ParseError, match=r"line 2: not UTF-8 text \(byte 0xff\)"):
+            load_dataset(path)
+
+    def test_form_feed_does_not_end_a_line(self, tmp_path):
+        # str.splitlines would break line 1 in two and call the bad line 3
+        text = EXAMPLE_ROW + "\x0c\n" + EXAMPLE_ROW.replace("233", "abc") + "\n"
+        with pytest.raises(ParseError, match="line 2: non-numeric value 'abc' in column Chol"):
+            load_dataset(write_csv(tmp_path, text))
+
+    def test_record_separator_inside_a_cell_stays_in_the_cell(self, tmp_path):
+        # str.splitlines would cut line 2 at the "\x1e" into rows of 5 and 10 fields
+        text = EXAMPLE_ROW + "\n" + EXAMPLE_ROW.replace("233", "2\x1e33") + "\n"
+        message = "line 2: non-numeric value '2\\x1e33' in column Chol"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_dataset(write_csv(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "pad", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_other_line_breaks_pad_cells_and_lines(self, tmp_path, pad):
+        # whitespace to str.strip, so stripped around a cell and a line alike
+        lines = bundled_fixture_path().read_text(encoding="utf-8").split("\n")
+        text = "\n".join(pad + ",".join(c + pad for c in line.split(",")) for line in lines)
+        plain = load_dataset(bundled_fixture_path())
+        loaded = load_dataset(write_csv(tmp_path, text))
+        assert loaded.features.tobytes() == plain.features.tobytes()
+        assert loaded.labels.tobytes() == plain.labels.tobytes()
+        assert loaded.warnings == plain.warnings
+
+    def test_crlf_line_ends_load_as_lf(self, tmp_path):
+        text = bundled_fixture_path().read_text(encoding="utf-8")
+        plain = load_dataset(write_csv(tmp_path, text, "lf.csv"))
+        crlf = load_dataset(write_csv(tmp_path, text.replace("\n", "\r\n"), "crlf.csv"))
+        assert crlf.features.tobytes() == plain.features.tobytes()
+        assert crlf.labels.tobytes() == plain.labels.tobytes()
+        assert crlf.warnings == plain.warnings
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            EXAMPLE_ROW + "\r" + EXAMPLE_ROW + "\r",
+            EXAMPLE_ROW + "\n" + EXAMPLE_ROW.replace("233", "233 \r") + "\n",
+            EXAMPLE_ROW + "\n" + EXAMPLE_ROW.replace("233", "?\r") + "\n",
+        ],
+        ids=["cr-only-line-ends", "cr-padding-a-cell", "cr-padding-a-missing-cell"],
+    )
+    def test_carriage_return_inside_a_line_is_refused(self, tmp_path, text):
+        line_no = 1 if text.count("\n") == 0 else 2
+        with pytest.raises(ParseError, match=f"line {line_no}: carriage return inside the line"):
+            load_dataset(write_csv(tmp_path, text))
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(ParseError, match="no data rows"):
             load_dataset(write_csv(tmp_path, "\n"))
@@ -745,7 +799,8 @@ def table_text(values, mask, labels) -> str:
 
 
 HEADER = [col.name for col in hdata.HEART_SCHEMA] + ["num"]
-PADDING = st.sampled_from(["", " ", "  ", "\t", " \t"])
+# "\x0c" and "\x1e" end a line for str.splitlines, not for load_dataset
+PADDING = st.sampled_from(["", " ", "  ", "\t", " \t", "\x0c", "\x1e "])
 
 
 @st.composite
@@ -771,7 +826,7 @@ def read_cell_by_cell(text):
     """Independent oracle for :func:`load_dataset` under ``clamp``: every
     cell read on its own with ``float(tok.strip())``, "?" as NaN."""
     features, mask, labels, warnings = [], [], [], []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         tokens = [tok.strip() for tok in line.split(",")]
         if tokens == [""] or tokens == HEADER:
             continue
@@ -787,20 +842,21 @@ def read_cell_by_cell(text):
 
 # Pieces of cell text near the edge of what a number is: digits ASCII and
 # not, signs, exponents, the words float() reads, "_", "?", whitespace
-# str.strip() drops (and "\x1f", which float() refuses) and a NUL.
+# str.strip() drops (and "\x1f", which float() refuses, and the line breaks
+# of str.splitlines that are not "\n" or "\r") and a NUL.
 CELL_PIECES = st.sampled_from([
     "0", "2", "3", "9", "２", "٣", ".", "e", "E", "+", "-", "_", "nan", "inf", "Infinity",
-    "x", "?", " ", "\t", "\x1f", "\xa0", "\u3000", "\x00",
+    "x", "?", " ", "\t", "\x1f", "\xa0", "\u3000", "\x00", "\x0c", "\x1e", "\x85", "\u2028",
 ])
 FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
-# Any text a single cell can hold: no comma, no line break.
+# Any text a single cell can hold: no comma, no "\n" or "\r".
 CELL_TEXTS = st.one_of(
     st.lists(CELL_PIECES, max_size=6).map("".join),
     st.floats().map(repr),
     st.integers(1000, 10**7).map(lambda n: f"{n:_}"),  # digit groups: 1_000
     st.integers(0, 999).map(lambda n: str(n).translate(FULL_WIDTH)),
     st.text(max_size=8),
-).filter(lambda s: "," not in s and len(("x" + s + "x").splitlines()) == 1)
+).filter(lambda s: not any(c in s for c in ",\n\r"))
 
 
 def loadtxt_reads(cell) -> bool:

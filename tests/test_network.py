@@ -16,6 +16,7 @@ from gradient_oracle import fd_gradients, one_sample_epoch
 from heartnet.data import FormatError
 from heartnet.evaluation import evaluate
 from heartnet.network import (
+    MAX_WIDTH,
     Network,
     forward,
     load_network,
@@ -141,6 +142,15 @@ class TestNewNetwork:
         with pytest.raises(ValueError, match="6 layers exceeds the cap of 5"):
             new_network((13, 8, 8, 8, 8, 2), 0)
         assert len(new_network((13, 8, 8, 8, 2), 0).weights) == 4
+
+    @pytest.mark.parametrize("width", [MAX_WIDTH + 1, 10**30], ids=["cap+1", "1e30"])
+    def test_width_cap(self, width):
+        # refused before a weight is drawn: never build a width that allocates
+        message = f"a layer of {width} neurons exceeds the cap of {MAX_WIDTH}"
+        with pytest.raises(ValueError, match=message):
+            new_network((13, width, 2), 0)
+        with pytest.raises(ValueError, match=message):
+            Network((13, width, 2), np.zeros(3))
 
     @pytest.mark.parametrize("sizes", [(13, 8.7, 2), (13, 8.0, 2), (13, True, 2)])
     def test_non_integer_size_rejected(self, sizes):

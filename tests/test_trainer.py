@@ -8,11 +8,19 @@ import numpy as np
 import pytest
 
 import heartnet.trainer
-from gradient_oracle import kernel_epoch
-from heartnet.data import ValidationError
+from gradient_oracle import kernel_epoch, reference_epoch
+from heartnet.data import (
+    ValidationError,
+    bundled_fixture_path,
+    encode_labels,
+    fit_scaler,
+    impute,
+    load_dataset,
+)
 from heartnet.network import Network, load_network, new_network, save_network
 from heartnet.trainer import (
     DivergenceError,
+    _epoch,
     EpochRecord,
     TrainConfig,
     TrainingHistory,
@@ -199,6 +207,46 @@ class TestTrainEpoch:
         np.testing.assert_allclose(net.params, expected_params, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(velocity, expected_velocity, rtol=1e-12, atol=1e-15)
         assert got_sse == pytest.approx(expected_sse, rel=1e-12)
+
+
+def scaled_fixture():
+    dataset = impute(load_dataset(bundled_fixture_path()))
+    return fit_scaler(dataset).transform(dataset.features), encode_labels(dataset.labels)
+
+
+class TestKernelMatchesReference:
+    """The kernel steps the stack with its weights negated; every bit of
+    params, velocity and SSE must still equal the plain arithmetic of
+    ``gradient_oracle.reference_epoch``, epoch after epoch."""
+
+    @pytest.mark.parametrize("sizes", [(13, 8, 2), (13, 16, 8, 2)], ids=["13-8-2", "13-16-8-2"])
+    @pytest.mark.parametrize("lengths", [(40,), (40, 33, 33, 9)], ids=["K1", "K4-unequal"])
+    @pytest.mark.parametrize("data", ["binary", "fixture", "x800-weights"])
+    def test_same_bits_as_reference_epoch(self, sizes, lengths, data):
+        rng = np.random.default_rng(7)
+        if data == "binary":  # exact 0.0 and 1.0 inputs
+            x = rng.integers(0, 2, (sum(lengths), 13)).astype(float)
+            t = rng.integers(0, 2, (sum(lengths), 2)).astype(float)
+        else:
+            x, t = scaled_fixture()
+        params = np.stack([new_network(sizes, seed).params for seed in range(len(lengths))])
+        if data == "x800-weights":  # saturated sigmoids: e^-a overflows, y is 0.0 or 1.0
+            params *= 800.0
+        lr = np.array([0.1, 0.35, 0.02, 0.9][: len(lengths)])
+        velocity = np.zeros_like(params)
+        ref_params, ref_velocity = params.copy(), velocity.copy()
+        offsets = np.cumsum((0, *lengths))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(5):
+                rows = [
+                    offsets[r] + rng.permutation(n) for r, n in enumerate(lengths)
+                ]
+                args = (sizes, [x[i] for i in rows], [t[i] for i in rows], lr, 0.9)
+                sse = _epoch(params, velocity, *args)
+                ref_sse = reference_epoch(ref_params, ref_velocity, *args)
+                assert params.tobytes() == ref_params.tobytes()
+                assert velocity.tobytes() == ref_velocity.tobytes()
+                assert sse.tobytes() == ref_sse.tobytes()
 
 
 def non_finite_sets():

@@ -18,11 +18,11 @@ installed copy.  Exit status: 0 when every run exits with the code
 listed for it, no run that fails on its config or data (exit 2 or 3)
 leaves its ``--out`` behind, a diverged run (exit 4) leaves only its
 ``effective_config.json``, and each rerun of an earlier run's config,
-like the run on that run's table with ``\\x1f``-padded cells, writes
-that run's ``model.json`` and ``history.csv`` byte for byte; 1
-otherwise (each such run is named on stderr); 2 when ``heartnet``
-cannot be imported from ``PYTHONPATH`` or OUTDIR is missing from the
-command line.
+like the runs on that run's table with ``\\x1f``-padded cells and with
+CRLF line ends, writes that run's ``model.json`` and ``history.csv``
+byte for byte; 1 otherwise (each such run is named on stderr); 2 when
+``heartnet`` cannot be imported from ``PYTHONPATH`` or OUTDIR is
+missing from the command line.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ CONFIGS = {
     "parent_echo.json": PARENT_ECHO,
     "shape_conflict.json": {**FEW_EPOCHS, "layer_sizes": [13, 4, 2], "hidden_sizes": [6]},
     "no_splits.json": {**FEW_EPOCHS, "splits": []},
+    "too_wide.json": {**FEW_EPOCHS, "hidden_sizes": [1025]},  # one over network.MAX_WIDTH
     # every epoch is accepted and multiplies the rate by 1e300, until the SSE is not finite
     "diverge.json": {"max_epochs": 20, "lr_increase": 1e300, "max_sse_rise": 1e300},
 }
@@ -91,6 +92,10 @@ RUNS = TRAIN_RUNS + [
     ("train-padded-cells",
      ["train", "--config", "few.json", "--data", "padded.csv", "--layers", "13,8,2",
       "--seed", "0"], 0),
+    # a line ends at "\n" only; the "\r" of a CRLF line end is stripped
+    ("train-crlf-line-ends",
+     ["train", "--config", "few.json", "--data", "crlf.csv", "--layers", "13,8,2",
+      "--seed", "0"], 0),
     # error runs
     ("seed-negative", ["train", "--data", "heart.csv", "--seed", "-1"], 2),
     ("scaler-swapped-columns",
@@ -114,6 +119,16 @@ RUNS = TRAIN_RUNS + [
     ("underscore-cell", ["train", "--config", "few.json", "--data", "underscore_cell.csv"], 3),
     ("fullwidth-cell", ["train", "--config", "few.json", "--data", "fullwidth_cell.csv"], 3),
     ("seed-underscore", ["train", "--data", "heart.csv", "--seed", "1_0"], 2),
+    # line 1 ends in a form feed, which str.splitlines also breaks at: the
+    # bad cell is still named on line 5
+    ("form-feed-line-end", ["train", "--config", "few.json", "--data", "form_feed.csv"], 3),
+    ("record-separator-cell",
+     ["train", "--config", "few.json", "--data", "record_separator_cell.csv"], 3),
+    ("cr-only-line-ends", ["scale", "--data", "cr_only.csv"], 3),
+    # wider than network.MAX_WIDTH: refused before the table is read
+    ("layers-too-wide",
+     ["train", "--data", "heart.csv", "--layers", "13,1000000000000000000000000000000,2"], 2),
+    ("hidden-sizes-too-wide", ["experiment", "--config", "too_wide.json", "--data", "heart.csv"], 2),
     ("diverges", ["train", "--config", "diverge.json", "--data", "heart.csv"], 4),
     # help and usage text, printed by a parser that earlier runs have used
     ("train-help", ["train", "--help"], 0),
@@ -131,6 +146,7 @@ RERUNS = {
     "rerun-from-echo": TRAINED,
     "rerun-parent-echo": "train-13-16-8-2-s0",
     "train-padded-cells": TRAINED,
+    "train-crlf-line-ends": TRAINED,
 }
 
 
@@ -171,8 +187,15 @@ def _write_inputs(heartnet) -> None:
     chol = rows[4][4]
     full_width = chol.translate(str.maketrans("0123456789", "０１２３４５６７８９"))
     for name, cell in (("bad_row", "high"), ("underscore_cell", f"{chol[0]}_{chol[1:]}"),
-                       ("fullwidth_cell", full_width)):
+                       ("fullwidth_cell", full_width),
+                       ("record_separator_cell", f"{chol[0]}\x1e{chol[1:]}")):
         write_table(f"{name}.csv", [*rows[:4], [*rows[4][:4], cell, *rows[4][5:]], *rows[5:]])
+    write_table("form_feed.csv",
+                [[*rows[0][:-1], rows[0][-1] + "\f"], *rows[1:4],
+                 [*rows[4][:4], "high", *rows[4][5:]], *rows[5:]])
+    text = Path("heart.csv").read_text(encoding="utf-8")
+    Path("crlf.csv").write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    Path("cr_only.csv").write_bytes(text.replace("\n", "\r").encode("utf-8"))
     write_table("padded.csv", [[f"\x1f{cell}\x1f" for cell in cells] for cells in rows])
     names = [col.name for col in heartnet.HEART_SCHEMA]
     names[0], names[3] = names[3], names[0]  # Age <-> Trestbps
