@@ -31,7 +31,7 @@ from .evaluation import (
     layer_stack,
     run_experiment,
 )
-from .network import _is_integer, _validate_layer_sizes, load_network, new_network, save_network
+from .network import _validate_layer_sizes, load_network, new_network, save_network
 from .trainer import DivergenceError, TrainConfig, train, write_history_csv
 
 EXIT_OK = 0
@@ -61,7 +61,7 @@ def _ascii_int(text: str) -> int:
     """The integer ``text`` spells in ASCII decimal digits, with an optional
     sign and surrounding whitespace; ``int`` alone also reads ``1_0`` and
     ``１０``.  Anything else is an :class:`argparse.ArgumentTypeError`."""
-    if text.isascii() and "_" not in text:
+    if hdata._is_number(text):
         try:
             return int(text)
         except ValueError:
@@ -72,31 +72,24 @@ def _ascii_int(text: str) -> int:
 def _is_size_list(value) -> bool:
     """A list of integers >= 1: ``8.7`` and ``8.0`` are refused, not
     truncated, and ``true`` is not 1."""
-    return isinstance(value, (list, tuple)) and all(_is_integer(v) and v >= 1 for v in value)
-
-
-def _layer_stack_problem(sizes) -> str | None:
-    """Why layer ``sizes`` cannot make a network for the table, or None."""
-    try:
-        _validate_layer_sizes(sizes)
-    except ValueError as exc:
-        return f"layer sizes {list(sizes)}: {exc}"
-    n_inputs, n_outputs = layer_stack()
-    if sizes[0] != n_inputs:
-        return f"first layer size {sizes[0]} != {n_inputs} input features"
-    if sizes[-1] != n_outputs:
-        return f"last layer size {sizes[-1]} != {n_outputs} output neurons"
-    return None
+    return isinstance(value, (list, tuple)) and all(hdata._is_integer(v) and v >= 1 for v in value)
 
 
 def _hidden_sizes_of(stack, name: str) -> tuple[int, ...]:
     """The hidden sizes of the full layer ``stack`` that ``name`` gives,
-    after checking that it is a stack for the table."""
+    after checking that it is a stack for the table: the one check of a
+    layer stack, for a flag, a config key or a model file."""
     if not _is_size_list(stack):
         raise ConfigError(f"{name} must be a list of integers >= 1, got {stack!r}")
-    problem = _layer_stack_problem(stack)
-    if problem:
-        raise ConfigError(f"{name}: {problem}")
+    try:
+        _validate_layer_sizes(stack)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: layer sizes {list(stack)}: {exc}") from None
+    n_inputs, n_outputs = layer_stack()
+    if stack[0] != n_inputs:
+        raise ConfigError(f"{name}: first layer size {stack[0]} != {n_inputs} input features")
+    if stack[-1] != n_outputs:
+        raise ConfigError(f"{name}: last layer size {stack[-1]} != {n_outputs} output neurons")
     return tuple(int(v) for v in stack[1:-1])
 
 
@@ -137,7 +130,6 @@ class RunConfig(TrainConfig):
             raise ConfigError(
                 f"hidden_sizes must be a list of integers >= 1, got {self.hidden_sizes!r}"
             )
-        object.__setattr__(self, "hidden_sizes", tuple(int(v) for v in self.hidden_sizes))
         if not isinstance(self.splits, (list, tuple)) or not self.splits or not all(
             _is_size_list(pair) and len(pair) == 2 for pair in self.splits
         ):
@@ -151,9 +143,8 @@ class RunConfig(TrainConfig):
             super().__post_init__()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        problem = _layer_stack_problem(layer_stack(self.hidden_sizes))
-        if problem:
-            raise ConfigError(f"hidden_sizes: {problem}")
+        hidden_sizes = _hidden_sizes_of(layer_stack(self.hidden_sizes), "hidden_sizes")
+        object.__setattr__(self, "hidden_sizes", hidden_sizes)
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
@@ -303,9 +294,10 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
     """Score a saved model against a (held-out) data file."""
     _require(config, "data")
     network = load_network(args.model)
-    problem = _layer_stack_problem(network.layer_sizes)
-    if problem:
-        raise hdata.FormatError(f"{args.model}: {problem}")
+    try:
+        _hidden_sizes_of(network.layer_sizes, args.model)
+    except ConfigError as exc:
+        raise hdata.FormatError(str(exc)) from None
     scaler = load_scaler(args.scaler)
     dataset = _load_and_impute(config)
 

@@ -1,5 +1,8 @@
 """Heart-disease table ingestion (parsing, imputation, min-max scaling,
-class codes, seeded splits) and :func:`_write`, the artifact writer.
+class codes, seeded splits), :func:`_write`, the artifact writer, and
+the program's number rules: :func:`_is_number` for a table cell or an
+integer flag, :func:`_is_integer` and :func:`_is_real` for a JSON or
+config value.
 
 :func:`load_dataset` parses a table with one ``np.loadtxt`` call and,
 when it has bad rows, names its file and its earliest bad line.
@@ -17,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -138,14 +142,36 @@ def _tokens(line: str) -> list[str]:
 
 
 def _is_number(token: str) -> bool:
-    """True iff the stripped cell ``token`` is a number as ``np.loadtxt``
-    reads one: ASCII, no ``_``, and ``float`` reads it.  ``float`` alone
-    also reads digit-group underscores and non-ASCII digits."""
+    """True iff the text ``token`` (a cell, or an integer flag's value) is
+    a number as ``np.loadtxt`` reads one: ASCII, no ``_``, and ``float``
+    reads it.  ``float`` alone also reads digit-group underscores and
+    non-ASCII digits."""
     if not token.isascii() or "_" in token:
         return False
     try:
         float(token)
     except ValueError:
+        return False
+    return True
+
+
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, but not ``True``/``False``."""
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
+
+
+def _is_real(value) -> bool:
+    """A real number a float64 can hold: an int, a float or a numpy
+    scalar, but not ``True``/``False``, and no integer beyond
+    +-``sys.float_info.max``.  +-inf and NaN pass; a bound refuses them."""
+    # int and float are tested before the slower ABC check
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
         return False
     return True
 
@@ -352,11 +378,6 @@ def _write_csv(path, header, rows) -> None:
     _write(path, lambda handle: csv.writer(handle).writerows(chain([header], rows)))
 
 
-def _is_json_number(value) -> bool:
-    """An int or a float, the types JSON numbers load as; not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True, eq=False)
 class Scaler:
     """Per-column linear map x -> (x - min) / (max - min) over the 13
@@ -441,7 +462,7 @@ def load_scaler(path) -> Scaler:
     for name, column in payload.items():
         pair = [column.get("min"), column.get("max")] if isinstance(column, dict) else [None]
         # abs(v) <= max is False for NaN, +-inf and integers too large for a float
-        if not all(_is_json_number(v) and abs(v) <= sys.float_info.max for v in pair):
+        if not all(_is_real(v) and abs(v) <= sys.float_info.max for v in pair):
             raise FormatError(f"{path}: column {name!r} needs finite numeric min/max")
         if pair[0] > pair[1]:
             raise FormatError(f"{path}: column {name!r} has min {pair[0]} > max {pair[1]}")

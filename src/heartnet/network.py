@@ -20,13 +20,12 @@ per-layer views as it does those of one network.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
-from .data import FormatError, _is_json_number, _read_json, _write_json
+from .data import FormatError, _is_integer, _is_real, _read_json, _write_json
 
 LOGISTIC_SIGMOID = "logistic-sigmoid"
 MODEL_FORMAT_VERSION = 1
@@ -100,13 +99,6 @@ class Network:
         self.weights, self.biases = _views(self.params, self.layer_sizes)
 
 
-def _is_integer(value) -> bool:
-    """An int or a numpy integer, but not ``True``/``False``."""
-    return type(value) is int or (
-        isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    )
-
-
 def _validate_layer_sizes(layer_sizes) -> tuple[int, ...]:
     sizes = tuple(layer_sizes)
     if not all(_is_integer(s) for s in sizes):
@@ -130,7 +122,7 @@ def _json_floats(nested) -> np.ndarray:
     leaves = [nested]
     for _ in range(values.ndim):
         leaves = list(chain.from_iterable(leaves))
-    bad = [v for v in leaves if not _is_json_number(v)]
+    bad = [v for v in leaves if not _is_real(v)]
     if bad:
         raise ValueError(f"expected JSON numbers, got {bad[0]!r}")
     return values

@@ -39,13 +39,12 @@ a result that lands exactly on zero can differ, in the sign of that zero.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import ValidationError, _write_csv
-from .network import Network, _is_integer, _views
+from .data import ValidationError, _is_integer, _is_real, _write_csv
+from .network import Network, _views
 
 
 class DivergenceError(RuntimeError):
@@ -70,18 +69,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # An int field takes an integer, a float field an int or a float;
-        # bool is neither, numpy scalars are.  f.type is the annotation's
-        # text here (postponed annotations); exact types are tested before
-        # the slower ABC check.
+        # An int field takes an integer, a float field a real number a
+        # float64 can hold (data._is_real: 10**400 is refused, NaN and
+        # +-inf meet the bounds below); bool is neither, numpy scalars
+        # are.  f.type is the annotation's text here (postponed annotations).
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int" and not _is_integer(value):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not (
-                type(value) in (int, float)
-                or (isinstance(value, numbers.Real) and not isinstance(value, bool))
-            ):
+            if f.type == "float" and not _is_real(value):
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
         # each bound is written so that NaN fails it
         if not self.initial_lr > 0:
