@@ -69,6 +69,17 @@ def _ascii_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
+# The flags, by their argparse dest, that name a file or directory.
+_PATH_FLAGS = ("config", "data", "out", "model", "scaler", "json_out")
+
+
+def _check_path(value, name: str) -> None:
+    """Refuse ``""`` as the path ``name`` gives: it names no file, and as a
+    directory it is the working directory."""
+    if value == "":
+        raise ConfigError(f"{name} must be a non-empty path")
+
+
 def _is_size_list(value) -> bool:
     """A list of integers >= 1: ``8.7`` and ``8.0`` are refused, not
     truncated, and ``true`` is not 1."""
@@ -115,6 +126,7 @@ class RunConfig(TrainConfig):
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise ConfigError(f"{name} must be a path string or null, got {value!r}")
+            _check_path(value, name)
         try:
             imputation = _IMPUTE_ALIASES[self.imputation]
         except (KeyError, TypeError):
@@ -189,7 +201,10 @@ def load_run_config(path) -> RunConfig:
 
 
 def merge_config(args: argparse.Namespace) -> RunConfig:
-    """File config (if any), checked whole, under flag overrides."""
+    """File config (if any), checked whole, under flag overrides; the path
+    flags are checked first, before any file is read."""
+    for dest in _PATH_FLAGS:
+        _check_path(getattr(args, dest, None), f"--{dest.replace('_', '-')}")
     base = load_run_config(args.config) if getattr(args, "config", None) else None
     # every flag but --layers stores under its config key
     overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}

@@ -3,8 +3,12 @@
 import argparse
 import csv
 import json
+import math
 import re
+import tempfile
 from dataclasses import asdict, fields
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ import pytest
 from heartnet import cli
 from heartnet.cli import (
     EXIT_DATA,
+    EXIT_DIVERGENCE,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -220,6 +225,8 @@ class TestUsageErrors:
             ({"hidden_sizes": "8"}, "hidden_sizes"),
             ({"layer_sizes": [13, 8, 2], "hidden_sizes": "8"}, "hidden_sizes"),
             ({"label_policy": "lenient"}, "label_policy"),  # a string, but no policy's name
+            ({"data": ""}, "data"),  # "" names no file
+            ({"out": ""}, "out"),
         ],
     )
     def test_wrong_type_is_config_error(self, tmp_path, capsys, payload, key):
@@ -278,6 +285,12 @@ class TestUsageErrors:
             (["scale"], {"layer_sizes": [13, 8, 3]}, EXIT_USAGE),
             (["scale"], {"initial_lr": -1}, EXIT_USAGE),
             (["train", "--seed", "3"], {"seed": -1}, EXIT_USAGE),  # file checked before flags
+            # integers a float64 cannot hold
+            *[([command], {key: 10**400}, EXIT_USAGE)
+              for key in ("initial_lr", "lr_increase", "max_sse_rise")
+              for command in ("train", "experiment")],
+            (["train"], {"data": ""}, EXIT_USAGE),
+            (["train"], {"out": ""}, EXIT_USAGE),
         ],
     )
     def test_rejected_config_leaves_no_out_dir(self, tmp_path, capsys, argv, payload, expected):
@@ -287,6 +300,35 @@ class TestUsageErrors:
         assert code == expected
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("train", "--config"),
+            ("train", "--data"),
+            ("train", "--out"),
+            ("experiment", "--out"),
+            ("scale", "--out"),
+            ("evaluate", "--data"),
+            ("evaluate", "--model"),
+            ("evaluate", "--scaler"),
+            ("evaluate", "--json-out"),
+        ],
+    )
+    def test_empty_path_flag_is_refused_before_any_file_is_touched(
+        self, tmp_path, monkeypatch, capsys, command, flag
+    ):
+        # "" would name the working directory; every other path is absent,
+        # so a run that got past the check would exit 5, not 2
+        monkeypatch.chdir(tmp_path)
+        others = {"--model": "m.json", "--scaler": "s.json"} if command == "evaluate" else {
+            "--out": "o"
+        }
+        given = {"--data": "absent.csv", **others, flag: ""}
+        assert main([command, *chain.from_iterable(given.items())]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"config error: {flag} must be a non-empty path"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("width", [MAX_WIDTH + 1, 10**30], ids=["cap+1", "1e30"])
     @pytest.mark.parametrize("command", ["train", "experiment"])
@@ -314,6 +356,78 @@ class TestUsageErrors:
                      "--model", absent, "--scaler", absent])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("config error:")
+
+
+# One value of each kind a JSON config can hold, and edge values of each
+# kind: integers a float64 cannot hold, one past int64, a subnormal float.
+CONFIG_VALUES = {
+    "1e400": 10**400,
+    "-1e400": -(10**400),
+    "2**63": 2**63,
+    "-1": -1,
+    "0": 0,
+    "1e-320": 1e-320,
+    "NaN": math.nan,
+    "Infinity": math.inf,
+    "-Infinity": -math.inf,
+    "true": True,
+    "false": False,
+    "null": None,
+    "empty": "",
+    "string": "abc",
+    "[]": [],
+    "[1]": [1],
+    "[[1,1]]": [[1, 1]],
+    "{}": {},
+}
+
+
+class TestEveryConfigValue:
+    """Each key a config file takes, set to each value of
+    :data:`CONFIG_VALUES`, runs through ``main`` in-process: every run
+    ends in a documented exit code, a refused config names its key and
+    writes nothing, and a finished run writes nothing outside ``--out``."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """A directory holding the 30-row table and one directory per run."""
+        runs = tmp_path_factory.mktemp("runs")
+        with open(FIXTURE, encoding="utf-8") as fixture:
+            table = "".join(next(fixture) for _ in range(30))
+        (runs / "table.csv").write_text(table, encoding="utf-8")
+        return runs
+
+    @pytest.mark.parametrize("value", CONFIG_VALUES.values(), ids=CONFIG_VALUES.keys())
+    @pytest.mark.parametrize("key", [*(f.name for f in fields(RunConfig)), "layer_sizes"])
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    def test_one_key_set_to_one_value(
+        self, runs, monkeypatch, capsys, command, key, value
+    ):
+        # not tmp_path, whose numbered directories take longer than the run
+        cwd = Path(tempfile.mkdtemp(dir=runs))
+        monkeypatch.chdir(cwd)
+        payload = {"max_epochs": 2, key: value}
+        if key == "max_epochs" and isinstance(value, int) and value > 3:
+            # a valid cap this high would train until a locked run reached
+            # it; the first accepted epoch meets an infinite target
+            payload["target_sse"] = math.inf
+        write_config(cwd, payload)
+        argv = [command, "--config", "config.json"]
+        # a flag overrides the file, so the key under test is left unflagged
+        if key != "data":
+            argv += ["--data", str(runs / "table.csv")]
+        if key != "out":
+            argv += ["--out", "out"]
+        code = main(argv)
+        assert code in {EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_DIVERGENCE, EXIT_IO}
+        err = capsys.readouterr().err
+        left = sorted(path.name for path in cwd.iterdir())
+        if code == EXIT_USAGE:
+            last = err.splitlines()[-1]
+            assert last.startswith("config error:") and key in last
+            assert left == ["config.json"]
+        if code == EXIT_OK:
+            assert left == sorted(["config.json", value if key == "out" else "out"])
 
 
 class TestRepeatedCalls:

@@ -67,6 +67,10 @@ class TestTrainConfig:
             {"seed": 1.5},
             {"initial_lr": "0.1"},
             {"momentum": True},
+            # integers a float64 cannot hold
+            {"initial_lr": 10**400},
+            {"lr_increase": 10**400},
+            {"max_sse_rise": 10**400},
         ],
     )
     def test_bounds(self, kwargs):

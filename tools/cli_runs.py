@@ -56,6 +56,7 @@ CONFIGS = {
     "too_wide.json": {**FEW_EPOCHS, "hidden_sizes": [1025]},  # one over network.MAX_WIDTH
     # every epoch is accepted and multiplies the rate by 1e300, until the SSE is not finite
     "diverge.json": {"max_epochs": 20, "lr_increase": 1e300, "max_sse_rise": 1e300},
+    "lr_too_large.json": {**FEW_EPOCHS, "initial_lr": 10**400},  # more than a float64 holds
 }
 
 TRAIN_RUNS = [
@@ -129,6 +130,9 @@ RUNS = TRAIN_RUNS + [
     ("layers-too-wide",
      ["train", "--data", "heart.csv", "--layers", "13,1000000000000000000000000000000,2"], 2),
     ("hidden-sizes-too-wide", ["experiment", "--config", "too_wide.json", "--data", "heart.csv"], 2),
+    ("initial-lr-too-large", ["train", "--config", "lr_too_large.json", "--data", "heart.csv"], 2),
+    # "" names no file; it is refused before the model is read
+    ("json-out-empty", ["evaluate", "--data", "heart.csv", *MODEL_AND_SCALER, "--json-out", ""], 2),
     ("diverges", ["train", "--config", "diverge.json", "--data", "heart.csv"], 4),
     # help and usage text, printed by a parser that earlier runs have used
     ("train-help", ["train", "--help"], 0),
