@@ -166,8 +166,9 @@ def _is_real(value) -> bool:
     """A real number a float64 can hold: an int, a float or a numpy
     scalar, but not ``True``/``False``, and no integer beyond
     +-``sys.float_info.max``.  +-inf and NaN pass; a bound refuses them."""
-    # int and float are tested before the slower ABC check
-    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+    if type(value) is float:  # the common case, tested before the slower ABC check
+        return True
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Real)):
         return False
     try:
         float(value)

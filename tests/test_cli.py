@@ -321,10 +321,10 @@ class TestUsageErrors:
         # "" would name the working directory; every other path is absent,
         # so a run that got past the check would exit 5, not 2
         monkeypatch.chdir(tmp_path)
-        others = {"--model": "m.json", "--scaler": "s.json"} if command == "evaluate" else {
-            "--out": "o"
-        }
-        given = {"--data": "absent.csv", **others, flag: ""}
+        given = {"--data": "absent.csv", "--out": "o"}
+        if command == "evaluate":
+            given = {"--data": "absent.csv", "--model": "m.json", "--scaler": "s.json"}
+        given[flag] = ""
         assert main([command, *chain.from_iterable(given.items())]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == f"config error: {flag} must be a non-empty path"
@@ -400,9 +400,7 @@ class TestEveryConfigValue:
     @pytest.mark.parametrize("value", CONFIG_VALUES.values(), ids=CONFIG_VALUES.keys())
     @pytest.mark.parametrize("key", [*(f.name for f in fields(RunConfig)), "layer_sizes"])
     @pytest.mark.parametrize("command", ["train", "experiment"])
-    def test_one_key_set_to_one_value(
-        self, runs, monkeypatch, capsys, command, key, value
-    ):
+    def test_one_key_set_to_one_value(self, runs, monkeypatch, capsys, command, key, value):
         # not tmp_path, whose numbered directories take longer than the run
         cwd = Path(tempfile.mkdtemp(dir=runs))
         monkeypatch.chdir(cwd)
