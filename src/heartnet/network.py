@@ -6,9 +6,8 @@ weight and bias, :attr:`Network.params`, laid out ``W0, b0, W1, b1, ...``
 with each ``W`` row-major.  ``weights[l]`` and ``biases[l]`` are views
 of it that ``_views``, the one statement of that layout, derives from
 the layer sizes.  The trainer's gradient and momentum state are plain
-float64 arrays in that same layout, so a training step or an epoch
-snapshot is one array operation.  Each layer of a forward sweep is one
-matrix product.
+float64 arrays in that same layout, so a training step is one array
+operation.  Each layer of a forward sweep is one matrix product.
 
 :func:`forward` runs one row or a matrix of rows through the layers,
 for input from outside the program such as a model loaded from a file

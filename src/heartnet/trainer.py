@@ -4,26 +4,29 @@ rate.
 Each weight step is ``-lr * gradient + momentum * previous_step``.  After
 every epoch the learning rate adapts against the last accepted epoch's
 SSE: improvement raises it, a rise beyond the tolerance band lowers it
-and rolls the epoch back bit-exactly, and a small rise inside the band
-keeps both the weights and the rate.
+and rejects the epoch, and a small rise inside the band keeps both the
+weights and the rate.
 
 The gradient and the momentum state (the velocity: the previous step of
 every weight and bias) are plain float64 arrays laid out like
-:attr:`~heartnet.network.Network.params`, so a momentum step, an epoch
-snapshot and a rollback are each one array operation.
+:attr:`~heartnet.network.Network.params`, so a momentum step is one
+array operation.
 
 One epoch loop, :func:`train_many`, trains one network or several of
 one shape; :func:`train` is that loop for one.  Every epoch of every
-network goes through one per-sample kernel, ``_epoch``.  The parameter
-vectors of K >= 1 networks are the rows of one ``(K, P)`` array, and
-each forward, backward and momentum step is one stacked numpy call over
-the rows still presenting samples.  Per-sample cost is bound by numpy's
+network goes through one per-sample kernel, ``_epoch``.  Each epoch
+stacks copies of the parameter vectors and velocities of the K >= 1
+networks still training as the rows of ``(K, P)`` arrays, and each
+forward, backward and momentum step is one stacked numpy call over the
+rows still presenting samples.  Per-sample cost is bound by numpy's
 per-call overhead, so one call for K networks is cheaper than K calls,
 and the fewer calls and temporaries a sample takes, the faster it runs.
 Each sample's output error is kept, and every row's epoch SSE is summed
-once, in presentation order, after the last sample.
-:func:`heartnet.evaluation.run_experiment` trains each architecture's
-split cells as one stack.
+once, in presentation order, after the last sample.  Only an accepted
+epoch's row is written back into its network, so a network's ``params``
+always hold its last accepted epoch, and a rejected epoch is dropped
+with its copy.  :func:`heartnet.evaluation.run_experiment` trains each
+architecture's split cells as one stack.
 
 The kernel steps the stack with its parameters negated, and negates
 them back when the epoch ends.  Negating an operand negates a product or
@@ -80,12 +83,12 @@ class TrainConfig:
             if f.type == "float" and not _is_real(value):
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
         # each bound is written so that NaN fails it
-        if not self.initial_lr > 0:
-            raise ValueError("initial_lr must be > 0")
+        if not 0 < self.initial_lr < math.inf:
+            raise ValueError("initial_lr must be > 0 and finite")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
-        if not self.lr_increase > 1:
-            raise ValueError("lr_increase must be > 1")
+        if not 1 < self.lr_increase < math.inf:
+            raise ValueError("lr_increase must be > 1 and finite")
         if not 0 < self.lr_decrease < 1:
             raise ValueError("lr_decrease must lie in (0, 1)")
         if not self.max_sse_rise >= 0:
@@ -173,12 +176,13 @@ def train(
 ) -> TrainingHistory:
     """Run epochs until the SSE target or the epoch cap is hit.
 
-    The network is updated in place.  Rejected epochs restore weights,
-    biases, and velocity bit-exactly and still appear in the history with
-    ``accepted=False``.  The first epoch has no baseline and is always
-    accepted.  Fully reproducible from (config, seed): the same inputs
-    give bit-identical weights and history.  :func:`train_many` of one
-    network; the :class:`DivergenceError` it returns is raised here.
+    The network is updated in place, by accepted epochs only: a rejected
+    epoch leaves its weights, biases and velocity as they were and still
+    appears in the history with ``accepted=False``.  The first epoch has
+    no baseline and is always accepted.  Fully reproducible from (config,
+    seed): the same inputs give bit-identical weights and history.
+    :func:`train_many` of one network; the :class:`DivergenceError` it
+    returns is raised here, with the network at its last accepted epoch.
     """
     (result,) = train_many([network], [(inputs, targets)], config)
     if isinstance(result, DivergenceError):
@@ -207,8 +211,10 @@ def _epoch(
     Each sample takes one forward sweep, one backward sweep and one
     momentum step, each layer one stacked product or elementwise
     operation over the active rows, mostly in place.  ``params`` is
-    negated on entry and negated back on exit, so each layer computes
-    ``z = x @ -W.T + -b``, which is ``-a`` exactly, and then the logistic
+    negated on entry and negated back when the epoch ends (an exception
+    leaves it negated; ``train_many`` passes a copy that it then drops),
+    so each layer computes ``z = x @ -W.T + -b``, which is ``-a``
+    exactly, and then the logistic
     ``1 / (1 + e^z)`` in place; the step is ``p -= v`` on the negated
     ``p``.  The velocity is not negated.  See the module docstring for
     why these are the bits of the plain ``sigmoid(x @ W.T + b)``
@@ -240,50 +246,48 @@ def _epoch(
     bias_grads = [b.reshape(n_rows, 1, -1) for b in bias_grads]
 
     np.negative(params, out=params)
-    try:
-        start = 0
-        for m in range(n_rows, 0, -1):  # samples [start, stop) have m active rows
-            stop = len(inputs[m - 1])
-            if stop == start:
-                continue
-            layers = [(w[:m].transpose(0, 2, 1), b[:m]) for w, b in zip(weights, biases)]
-            backward = [
-                (layer, weights[layer][:m], weight_grads[layer][:m], bias_grads[layer][:m])
-                for layer in reversed(range(len(weights)))
-            ]
-            p, v, g, s, rate = params[:m], velocity[:m], grads[:m], step[:m], rates[:m]
-            samples = zip(x[start:stop, :m], t[start:stop, :m], misses[start:stop, :m])
-            for sample, target, miss in samples:
-                out = sample
-                activations = [out]
-                for w_t, b in layers:
-                    # -(x @ W.T + b), so its exp is the e^-a of 1 / (1 + e^-a)
-                    z = out @ w_t
-                    z += b
-                    np.exp(z, out=z)
-                    z += 1.0
-                    out = np.divide(1.0, z, out=z)
-                    activations.append(out)
-                # o - t squares to the same bits as t - o
-                np.subtract(out, target, out=miss)
-                delta = miss * out
-                delta *= 1.0 - out
-                for layer, w, gw, gb in backward:
-                    below = activations[layer]
-                    np.multiply(delta.transpose(0, 2, 1), below, out=gw)
-                    gb[...] = delta
-                    if layer:
-                        # (delta @ -W) * y * (y - 1) == (delta @ W) * y * (1 - y)
-                        delta = delta @ w
-                        delta *= below
-                        delta *= below - 1.0
-                v *= momentum
-                np.multiply(rate, g, out=s)
-                v -= s
-                p -= v  # -(p + v) for the negated p
-            start = stop
-    finally:
-        np.negative(params, out=params)
+    start = 0
+    for m in range(n_rows, 0, -1):  # samples [start, stop) have m active rows
+        stop = len(inputs[m - 1])
+        if stop == start:
+            continue
+        layers = [(w[:m].transpose(0, 2, 1), b[:m]) for w, b in zip(weights, biases)]
+        backward = [
+            (layer, weights[layer][:m], weight_grads[layer][:m], bias_grads[layer][:m])
+            for layer in reversed(range(len(weights)))
+        ]
+        p, v, g, s, rate = params[:m], velocity[:m], grads[:m], step[:m], rates[:m]
+        samples = zip(x[start:stop, :m], t[start:stop, :m], misses[start:stop, :m])
+        for sample, target, miss in samples:
+            out = sample
+            activations = [out]
+            for w_t, b in layers:
+                # -(x @ W.T + b), so its exp is the e^-a of 1 / (1 + e^-a)
+                z = out @ w_t
+                z += b
+                np.exp(z, out=z)
+                z += 1.0
+                out = np.divide(1.0, z, out=z)
+                activations.append(out)
+            # o - t squares to the same bits as t - o
+            np.subtract(out, target, out=miss)
+            delta = miss * out
+            delta *= 1.0 - out
+            for layer, w, gw, gb in backward:
+                below = activations[layer]
+                np.multiply(delta.transpose(0, 2, 1), below, out=gw)
+                gb[...] = delta
+                if layer:
+                    # (delta @ -W) * y * (y - 1) == (delta @ W) * y * (1 - y)
+                    delta = delta @ w
+                    delta *= below
+                    delta *= below - 1.0
+            v *= momentum
+            np.multiply(rate, g, out=s)
+            v -= s
+            p -= v  # -(p + v) for the negated p
+        start = stop
+    np.negative(params, out=params)
     # cumsum adds in presentation order, as a running total would; sum
     # adds pairwise, which gives other bits.
     return np.cumsum(misses @ misses.swapaxes(-1, -2), axis=0)[-1, :, 0, 0]
@@ -298,14 +302,19 @@ def train_many(
     the one epoch loop of this module, which :func:`train` runs for one.
 
     ``networks[i]`` trains on ``training_sets[i]``, an ``(inputs,
-    targets)`` pair, and is updated in place.  The result holds, for each
-    network, its history, or the :class:`DivergenceError` that ended it
-    (not raised here).  Each network keeps its own shuffle generator,
-    learning rate, accept/reject decision and rollback, and one that
-    reaches the target or diverges leaves the stack at the end of that
-    epoch, so its weights and records do not depend on its stack-mates.
-    Each training set is checked once, before any weight moves; every
-    epoch is one ``_epoch`` call on the networks still training.
+    targets)`` pair.  The result holds, for each network, its history, or
+    the :class:`DivergenceError` that ended it (not raised here).  Each
+    network keeps its own shuffle generator, learning rate, velocity and
+    accept/reject decision, and one that reaches the target or diverges
+    trains no further epoch, so its weights and records do not depend on
+    its stack-mates.  Each training set is checked once, before any
+    weight moves; every epoch is one ``_epoch`` call on a fresh stack of
+    copies of the networks still training.
+
+    A network's ``params`` are written only when one of its epochs is
+    accepted, so they always hold its last accepted epoch, or its initial
+    params if none was.  That holds after a divergence, whose epoch is
+    not accepted, and after an exception escapes mid-training too.
 
     Runs under ``np.errstate(over="ignore", invalid="ignore")``: a
     saturated sigmoid gives exactly 0.0 without a RuntimeWarning, and a
@@ -329,15 +338,13 @@ def train_many(
     lrs = {i: config.initial_lr for i in stack}
     prev_sse = {i: math.inf for i in stack}
     records: dict[int, list[EpochRecord]] = {i: [] for i in stack}
-    params = np.stack([networks[i].params for i in stack])
-    velocity = np.zeros_like(params)
+    velocities = {i: np.zeros_like(networks[i].params) for i in stack}
 
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.max_epochs + 1):
             orders = [rngs[i].permutation(checked[i][0].shape[0]) for i in stack]
-            saved_params = params.copy()
-            saved_velocity = velocity.copy()
-
+            params = np.stack([networks[i].params for i in stack])
+            velocity = np.stack([velocities[i] for i in stack])
             epoch_sse = _epoch(
                 params,
                 velocity,
@@ -347,36 +354,25 @@ def train_many(
                 np.array([lrs[i] for i in stack], dtype=np.float64),
                 config.momentum,
             )
-            leaving = []
+            training = []
             for row, i in enumerate(stack):
                 sse = float(epoch_sse[row])
                 if not math.isfinite(sse):
                     results[i] = DivergenceError(epoch)
-                    leaving.append(row)
                     continue
                 next_lr, accepted = adapt_learning_rate(prev_sse[i], sse, lrs[i], config)
                 records[i].append(EpochRecord(epoch, sse, lrs[i], accepted))
+                lrs[i] = next_lr
                 if accepted:
                     prev_sse[i] = sse
-                else:
-                    params[row] = saved_params[row]
-                    velocity[row] = saved_velocity[row]
-                lrs[i] = next_lr
-                if accepted and sse <= config.target_sse:
-                    leaving.append(row)
-            if leaving:
-                # Leaving rows take their weights with them; the rest stay a
-                # prefix-ordered stack.
-                for row in leaving:
-                    networks[stack[row]].params[:] = params[row]
-                kept = [row for row in range(len(stack)) if row not in leaving]
-                stack = [stack[row] for row in kept]
-                params, velocity = params[kept], velocity[kept]
-                if not stack:
-                    break
+                    networks[i].params[:] = params[row]
+                    velocities[i] = velocity[row]
+                if not (accepted and sse <= config.target_sse):
+                    training.append(i)
+            stack = training  # a subsequence, so still largest first
+            if not stack:
+                break
 
-    for row, i in enumerate(stack):
-        networks[i].params[:] = params[row]
     return [
         result if result is not None else TrainingHistory(tuple(records[i]))
         for i, result in enumerate(results)

@@ -291,6 +291,10 @@ class TestUsageErrors:
               for command in ("train", "experiment")],
             (["train"], {"data": ""}, EXIT_USAGE),
             (["train"], {"out": ""}, EXIT_USAGE),
+            # a rate that cannot train
+            *[([command], {key: math.inf}, EXIT_USAGE)
+              for key in ("initial_lr", "lr_increase")
+              for command in ("train", "experiment")],
         ],
     )
     def test_rejected_config_leaves_no_out_dir(self, tmp_path, capsys, argv, payload, expected):

@@ -71,6 +71,9 @@ class TestTrainConfig:
             {"initial_lr": 10**400},
             {"lr_increase": 10**400},
             {"max_sse_rise": 10**400},
+            # a rate that cannot train
+            {"initial_lr": math.inf},
+            {"lr_increase": math.inf},
         ],
     )
     def test_bounds(self, kwargs):
@@ -366,6 +369,37 @@ class TestTrain:
         with pytest.raises(DivergenceError) as err:
             train(net, x, t, TrainConfig(max_epochs=10))
         assert err.value.epoch == 1
+
+    def test_diverged_network_keeps_its_initial_params(self):
+        # the diverged epoch 1 is not accepted, and no epoch before it was
+        net = new_network((2, 2), 0)
+        net.weights[0][0, 0] = np.inf  # inf * 0.0 input -> nan activation
+        before = net.params.tobytes()
+        with pytest.raises(DivergenceError):
+            train(net, np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]]), TrainConfig(max_epochs=10))
+        assert net.params.tobytes() == before
+
+    def test_interrupted_run_keeps_its_last_accepted_epoch(self, monkeypatch):
+        x, t = heart_like()
+        settings = dict(initial_lr=1.2, max_sse_rise=0.0, target_sse=0.0)
+        three_epochs = new_network((13, 8, 2), 1)
+        train(three_epochs, x, t, TrainConfig(**settings, max_epochs=3))
+
+        # epoch 4's kernel steps its stack, then an exception escapes it
+        kernel = heartnet.trainer._epoch
+        calls = []
+
+        def interrupted(*args):
+            calls.append(kernel(*args))
+            if len(calls) == 4:
+                raise KeyboardInterrupt
+            return calls[-1]
+
+        monkeypatch.setattr(heartnet.trainer, "_epoch", interrupted)
+        net = new_network((13, 8, 2), 1)
+        with pytest.raises(KeyboardInterrupt):
+            train(net, x, t, TrainConfig(**settings, max_epochs=10))
+        assert net.params.tobytes() == three_epochs.params.tobytes()
 
     def test_seed_determinism(self):
         x, t = heart_like()

@@ -57,6 +57,9 @@ CONFIGS = {
     # every epoch is accepted and multiplies the rate by 1e300, until the SSE is not finite
     "diverge.json": {"max_epochs": 20, "lr_increase": 1e300, "max_sse_rise": 1e300},
     "lr_too_large.json": {**FEW_EPOCHS, "initial_lr": 10**400},  # more than a float64 holds
+    # a rate that cannot train: refused, not left to diverge
+    "lr_infinite.json": {**FEW_EPOCHS, "initial_lr": float("inf")},
+    "lr_increase_infinite.json": {**FEW_EPOCHS, "lr_increase": float("inf")},
 }
 
 TRAIN_RUNS = [
@@ -131,6 +134,9 @@ RUNS = TRAIN_RUNS + [
      ["train", "--data", "heart.csv", "--layers", "13,1000000000000000000000000000000,2"], 2),
     ("hidden-sizes-too-wide", ["experiment", "--config", "too_wide.json", "--data", "heart.csv"], 2),
     ("initial-lr-too-large", ["train", "--config", "lr_too_large.json", "--data", "heart.csv"], 2),
+    ("initial-lr-infinite", ["train", "--config", "lr_infinite.json", "--data", "heart.csv"], 2),
+    ("lr-increase-infinite",
+     ["train", "--config", "lr_increase_infinite.json", "--data", "heart.csv"], 2),
     # "" names no file; it is refused before the model is read
     ("json-out-empty", ["evaluate", "--data", "heart.csv", *MODEL_AND_SCALER, "--json-out", ""], 2),
     ("diverges", ["train", "--config", "diverge.json", "--data", "heart.csv"], 4),
