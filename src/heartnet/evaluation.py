@@ -10,7 +10,7 @@ import numpy as np
 from . import data as hdata
 from .data import Dataset, ValidationError, _write_csv, encode_labels, fit_scaler
 from .network import Network, forward, new_network
-from .trainer import DivergenceError, TrainConfig, train_many
+from .trainer import TrainConfig, train_many
 
 ARCH_SINGLE = "single"  # inputs wired straight to the output neurons
 ARCH_MULTI = "multi"  # one or more hidden layers in between
@@ -153,9 +153,9 @@ def run_experiment(
     Empty ``hidden_sizes`` (the multi-layer network would be the
     single-layer one), an empty grid and a split that leaves 0 training
     or 0 test rows are refused before any work.  Every split is prepared
-    before any network trains.  Each architecture's networks, one per
-    split, then train as one stack (:func:`~heartnet.trainer.train_many`),
-    with the same results as one
+    before any network trains.  Then all cells train in one
+    :func:`~heartnet.trainer.train_many` call, in one epoch loop with one
+    stack per architecture, with the same results as one
     :func:`~heartnet.trainer.train` per cell.  If cells diverge, the
     :class:`~heartnet.trainer.DivergenceError` raised is that of the
     first of them in grid order, as if the cells had trained one by one.
@@ -165,42 +165,34 @@ def run_experiment(
     if dataset.has_missing_values:
         raise ValidationError("dataset has missing cells; impute before running")
     check_splits(len(dataset), splits)
-    grid = [(*requested, *fit_split_sizes(len(dataset), *requested)) for requested in splits]
-    training_sets, test_sets = [], []
-    for _, _, n_train, n_test in grid:
+    architectures = ((ARCH_SINGLE, layer_stack()), (ARCH_MULTI, layer_stack(hidden_sizes)))
+    # one entry per cell, in grid order: each split's single, then multi
+    grid, networks, training_sets, test_sets = [], [], [], []
+    for requested_train, requested_test in splits:
+        n_train, n_test = fit_split_sizes(len(dataset), requested_train, requested_test)
         train_set, test_set = hdata.split(dataset, n_train, n_test, config.seed)
         scaler = fit_scaler(train_set)
-        train_x = scaler.transform(train_set.features)
-        training_sets.append((train_x, encode_labels(train_set.labels)))
-        test_sets.append((scaler.transform(test_set.features), test_set.labels))
+        training_set = (scaler.transform(train_set.features), encode_labels(train_set.labels))
+        test = (scaler.transform(test_set.features), test_set.labels)
+        for architecture, sizes in architectures:
+            grid.append((requested_train, requested_test, n_train, n_test, architecture))
+            networks.append(new_network(sizes, config.seed))
+            training_sets.append(training_set)
+            test_sets.append(test)
 
-    architectures = ((ARCH_SINGLE, layer_stack()), (ARCH_MULTI, layer_stack(hidden_sizes)))
-    stacks = []
-    for _, sizes in architectures:
-        networks = [new_network(sizes, config.seed) for _ in grid]
-        stacks.append(list(zip(networks, train_many(networks, training_sets, config))))
-
+    histories = train_many(networks, training_sets, config)
     cells = []
-    for index, (requested_train, requested_test, n_train, n_test) in enumerate(grid):
-        test_x, test_labels = test_sets[index]
-        for (architecture, _), stack in zip(architectures, stacks):
-            net, history = stack[index]
-            if isinstance(history, DivergenceError):
-                raise history
-            metrics = evaluate(net, test_x, test_labels)
-            cells.append(
-                ExperimentCell(
-                    requested_train=requested_train,
-                    requested_test=requested_test,
-                    n_train=n_train,
-                    n_test=n_test,
-                    architecture=architecture,
-                    efficiency_pct=metrics.efficiency_pct,
-                    binary_efficiency_pct=metrics.binary_efficiency_pct,
-                    final_sse=history.final_sse,
-                    epochs_run=history.epochs_run,
-                )
+    for entry, net, test, history in zip(grid, networks, test_sets, histories):
+        metrics = evaluate(net, *test)
+        cells.append(
+            ExperimentCell(
+                *entry,
+                efficiency_pct=metrics.efficiency_pct,
+                binary_efficiency_pct=metrics.binary_efficiency_pct,
+                final_sse=history.final_sse,
+                epochs_run=history.epochs_run,
             )
+        )
     return ExperimentReport(
         cells=tuple(cells),
         n_instances=len(dataset),

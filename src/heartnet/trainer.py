@@ -13,20 +13,21 @@ every weight and bias) are plain float64 arrays laid out like
 array operation.
 
 One epoch loop, :func:`train_many`, trains one network or several of
-one shape; :func:`train` is that loop for one.  Every epoch of every
+any shapes; :func:`train` is that loop for one.  Every epoch of every
 network goes through one per-sample kernel, ``_epoch``.  Each epoch
-stacks copies of the parameter vectors and velocities of the K >= 1
-networks still training as the rows of ``(K, P)`` arrays, and each
-forward, backward and momentum step is one stacked numpy call over the
-rows still presenting samples.  Per-sample cost is bound by numpy's
-per-call overhead, so one call for K networks is cheaper than K calls,
-and the fewer calls and temporaries a sample takes, the faster it runs.
-Each sample's output error is kept, and every row's epoch SSE is summed
-once, in presentation order, after the last sample.  Only an accepted
-epoch's row is written back into its network, so a network's ``params``
-always hold its last accepted epoch, and a rejected epoch is dropped
-with its copy.  :func:`heartnet.evaluation.run_experiment` trains each
-architecture's split cells as one stack.
+stacks copies of the parameter vectors and velocities of one shape's
+K >= 1 networks still training as the rows of ``(K, P)`` arrays, one
+stack and one ``_epoch`` call per shape, and each forward, backward and
+momentum step is one stacked numpy call over the rows still presenting
+samples.  Per-sample cost is bound by numpy's per-call overhead, so one
+call for K networks is cheaper than K calls, and the fewer calls and
+temporaries a sample takes, the faster it runs.  Each sample's output
+error is kept, and every row's epoch SSE is summed once, in
+presentation order, after the last sample.  Only an accepted epoch's
+row is written back into its network, so a network's ``params`` always
+hold its last accepted epoch, and a rejected epoch is dropped with its
+copy.  :func:`heartnet.evaluation.run_experiment` trains all
+its cells in one call, so each architecture's split cells are one stack.
 
 The kernel steps the stack with its parameters negated, and negates
 them back when the epoch ends.  Negating an operand negates a product or
@@ -41,6 +42,7 @@ a result that lands exactly on zero can differ, in the sign of that zero.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -181,13 +183,10 @@ def train(
     appears in the history with ``accepted=False``.  The first epoch has
     no baseline and is always accepted.  Fully reproducible from (config,
     seed): the same inputs give bit-identical weights and history.
-    :func:`train_many` of one network; the :class:`DivergenceError` it
-    returns is raised here, with the network at its last accepted epoch.
+    :func:`train_many` of one network, so a :class:`DivergenceError`
+    leaves the network at its last accepted epoch.
     """
-    (result,) = train_many([network], [(inputs, targets)], config)
-    if isinstance(result, DivergenceError):
-        raise result
-    return result
+    return train_many([network], [(inputs, targets)], config)[0]
 
 
 def _epoch(
@@ -297,19 +296,23 @@ def train_many(
     networks: list[Network],
     training_sets: list[tuple],
     config: TrainConfig,
-) -> list[TrainingHistory | DivergenceError]:
-    """Train one or more networks of the same layer sizes in lockstep:
-    the one epoch loop of this module, which :func:`train` runs for one.
+) -> list[TrainingHistory]:
+    """Train networks of any layer sizes in lockstep: the one epoch loop
+    of this module, which :func:`train` runs for one.
 
     ``networks[i]`` trains on ``training_sets[i]``, an ``(inputs,
-    targets)`` pair.  The result holds, for each network, its history, or
-    the :class:`DivergenceError` that ended it (not raised here).  Each
+    targets)`` pair, and the result holds each network's history.  Each
     network keeps its own shuffle generator, learning rate, velocity and
     accept/reject decision, and one that reaches the target or diverges
     trains no further epoch, so its weights and records do not depend on
     its stack-mates.  Each training set is checked once, before any
-    weight moves; every epoch is one ``_epoch`` call on a fresh stack of
-    copies of the networks still training.
+    weight moves.  Every epoch steps the networks still training with one
+    ``_epoch`` call per shape, on a fresh stack of copies of that shape's
+    networks, largest training set first (ties keep their given order).
+
+    When every network has stopped, the :class:`DivergenceError` of the
+    first diverged network in the given order is raised, after the other
+    networks have trained to their own end.
 
     A network's ``params`` are written only when one of its epochs is
     accepted, so they always hold its last accepted epoch, or its initial
@@ -324,59 +327,60 @@ def train_many(
         raise ValueError(
             f"{len(networks)} networks but {len(training_sets)} training sets"
         )
-    if not networks:
-        return []
-    if any(net.layer_sizes != networks[0].layer_sizes for net in networks):
-        raise ValueError("networks trained as one stack must share their layer sizes")
     checked = [
         _check_training_set(net, x, t) for net, (x, t) in zip(networks, training_sets)
     ]
-    results: list[TrainingHistory | DivergenceError | None] = [None] * len(networks)
-    # Largest training set first; ties keep their given order.
-    stack = sorted(range(len(networks)), key=lambda i: -len(checked[i][0]))
-    rngs = {i: np.random.default_rng(config.seed) for i in stack}
-    lrs = {i: config.initial_lr for i in stack}
-    prev_sse = {i: math.inf for i in stack}
-    records: dict[int, list[EpochRecord]] = {i: [] for i in stack}
-    velocities = {i: np.zeros_like(networks[i].params) for i in stack}
+
+    def shape(i):
+        return networks[i].layer_sizes
+
+    # By shape, then largest training set first; ties keep their given order.
+    active = sorted(range(len(networks)), key=lambda i: (shape(i), -len(checked[i][0])))
+    rngs = [np.random.default_rng(config.seed) for _ in networks]
+    lrs = [config.initial_lr] * len(networks)
+    prev_sse = [math.inf] * len(networks)
+    records: list[list[EpochRecord]] = [[] for _ in networks]
+    velocities = [np.zeros_like(net.params) for net in networks]
+    diverged: dict[int, int] = {}  # network index -> the epoch it diverged at
 
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.max_epochs + 1):
-            orders = [rngs[i].permutation(checked[i][0].shape[0]) for i in stack]
-            params = np.stack([networks[i].params for i in stack])
-            velocity = np.stack([velocities[i] for i in stack])
-            epoch_sse = _epoch(
-                params,
-                velocity,
-                networks[0].layer_sizes,
-                [checked[i][0][order] for i, order in zip(stack, orders)],
-                [checked[i][1][order] for i, order in zip(stack, orders)],
-                np.array([lrs[i] for i in stack], dtype=np.float64),
-                config.momentum,
-            )
             training = []
-            for row, i in enumerate(stack):
-                sse = float(epoch_sse[row])
-                if not math.isfinite(sse):
-                    results[i] = DivergenceError(epoch)
-                    continue
-                next_lr, accepted = adapt_learning_rate(prev_sse[i], sse, lrs[i], config)
-                records[i].append(EpochRecord(epoch, sse, lrs[i], accepted))
-                lrs[i] = next_lr
-                if accepted:
-                    prev_sse[i] = sse
-                    networks[i].params[:] = params[row]
-                    velocities[i] = velocity[row]
-                if not (accepted and sse <= config.target_sse):
-                    training.append(i)
-            stack = training  # a subsequence, so still largest first
-            if not stack:
+            for sizes, group in itertools.groupby(active, key=shape):
+                stack = list(group)
+                orders = [rngs[i].permutation(checked[i][0].shape[0]) for i in stack]
+                params = np.stack([networks[i].params for i in stack])
+                velocity = np.stack([velocities[i] for i in stack])
+                epoch_sse = _epoch(
+                    params,
+                    velocity,
+                    sizes,
+                    [checked[i][0][order] for i, order in zip(stack, orders)],
+                    [checked[i][1][order] for i, order in zip(stack, orders)],
+                    np.array([lrs[i] for i in stack], dtype=np.float64),
+                    config.momentum,
+                )
+                for row, i in enumerate(stack):
+                    sse = float(epoch_sse[row])
+                    if not math.isfinite(sse):
+                        diverged[i] = epoch
+                        continue
+                    next_lr, accepted = adapt_learning_rate(prev_sse[i], sse, lrs[i], config)
+                    records[i].append(EpochRecord(epoch, sse, lrs[i], accepted))
+                    lrs[i] = next_lr
+                    if accepted:
+                        prev_sse[i] = sse
+                        networks[i].params[:] = params[row]
+                        velocities[i] = velocity[row]
+                    if not (accepted and sse <= config.target_sse):
+                        training.append(i)
+            active = training  # a subsequence, so still sorted
+            if not active:
                 break
 
-    return [
-        result if result is not None else TrainingHistory(tuple(records[i]))
-        for i, result in enumerate(results)
-    ]
+    if diverged:
+        raise DivergenceError(diverged[min(diverged)])
+    return [TrainingHistory(tuple(r)) for r in records]
 
 
 def write_history_csv(history: TrainingHistory, path) -> None:

@@ -181,7 +181,9 @@ class TestUsageErrors:
     # int() alone reads digit-group underscores and non-ASCII digits
     @pytest.mark.parametrize(
         "flag, value",
-        [("--seed", "1_0"), ("--seed", "１０"), ("--layers", "13,8_0,2"), ("--layers", "13,８,2")],
+        [("--seed", "1_0"), ("--seed", "１０"), ("--layers", "13,8_0,2"), ("--layers", "13,８,2"),
+         # ASCII digits, a sign and a dot or exponent: a number, but no int
+         ("--seed", "1.5"), ("--seed", "1e3"), ("--layers", "13,8.0,2")],
     )
     def test_integer_flags_take_ascii_digits_only(self, tmp_path, capsys, flag, value):
         out = tmp_path / "o"
@@ -870,6 +872,21 @@ class TestImputationLeavesNothing:
         assert code == EXIT_DATA
         assert capsys.readouterr().err == f"data error: {data}: column Ca has no observed values\n"
         assert not out.exists()
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    def test_diverged_run_exits_4_and_leaves_only_its_echo(self, tmp_path, capsys, command):
+        # every epoch is accepted and multiplies the rate by 1e300, until the SSE is not finite
+        config = write_config(
+            tmp_path, {"max_epochs": 20, "lr_increase": 1e300, "max_sse_rise": 1e300}
+        )
+        out = tmp_path / "o"
+        code = main([command, "--config", config, "--data", FIXTURE, "--out", str(out)])
+        assert code == EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "training diverged: non-finite SSE at epoch 4"
+        assert [path.name for path in out.iterdir()] == ["effective_config.json"]
 
 
 class TestExperiment:

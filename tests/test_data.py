@@ -104,6 +104,15 @@ class TestLoadDataset:
             with pytest.raises(ParseError, match=re.escape(message)):
                 load_dataset(write_csv(tmp_path, bad + "\n"))
 
+    @pytest.mark.parametrize("token", ["-?", "+?", "1?", "??"])
+    def test_question_mark_in_a_longer_cell_is_non_numeric(self, tmp_path, token):
+        # only a cell that is "?" alone is missing; np.loadtxt reads "-nan" as NaN,
+        # so "-?" must not become "-nan" on the way
+        bad = EXAMPLE_ROW.replace("233", token)
+        message = f"line 1: non-numeric value {token!r} in column Chol"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_dataset(write_csv(tmp_path, bad + "\n"))
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
     def test_non_finite_cell_names_line_and_column(self, tmp_path, token):
         bad = EXAMPLE_ROW.replace("233", token)

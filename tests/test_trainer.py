@@ -490,7 +490,7 @@ class TestTrain:
 
 class TestTrainMany:
     """The stacked trainer equals one ``train`` per network, bit for bit:
-    weights, records, and the divergence ``train`` would raise."""
+    weights, records, and the first divergence in the given order."""
 
     @staticmethod
     def one_by_one(networks, training_sets, config):
@@ -503,20 +503,27 @@ class TestTrainMany:
         return results
 
     def assert_same_as_train(self, sizes, training_sets, config, prepare=lambda nets: None):
-        alone = [new_network(sizes, config.seed) for _ in training_sets]
-        stacked = [new_network(sizes, config.seed) for _ in training_sets]
+        """Train fresh networks of ``sizes`` (one layer-size tuple for all,
+        or a list of one per network) in one ``train_many`` call and alone;
+        returns what each one's own ``train`` gave, its history or its
+        :class:`DivergenceError`."""
+        shapes = sizes if isinstance(sizes, list) else [sizes] * len(training_sets)
+        alone = [new_network(shape, config.seed) for shape in shapes]
+        stacked = [new_network(shape, config.seed) for shape in shapes]
         prepare(alone)
         prepare(stacked)
         expected = self.one_by_one(alone, training_sets, config)
-        got = train_many(stacked, training_sets, config)
-        for want, have, net_a, net_b in zip(expected, got, alone, stacked):
-            if isinstance(want, DivergenceError):
-                assert isinstance(have, DivergenceError)
-                assert (have.epoch, str(have)) == (want.epoch, str(want))
-            else:
-                assert repr(have) == repr(want)
+        diverged = [want for want in expected if isinstance(want, DivergenceError)]
+        if diverged:
+            with pytest.raises(DivergenceError) as err:
+                train_many(stacked, training_sets, config)
+            assert (err.value.epoch, str(err.value)) == (diverged[0].epoch, str(diverged[0]))
+        else:
+            got = train_many(stacked, training_sets, config)
+            assert [repr(have) for have in got] == [repr(want) for want in expected]
+        for net_a, net_b in zip(alone, stacked):
             assert net_b.params.tobytes() == net_a.params.tobytes()
-        return got
+        return expected
 
     @pytest.mark.parametrize("sizes", [(13, 2), (13, 8, 2), (13, 6, 4, 2)])
     def test_unequal_training_sets(self, sizes):
@@ -539,6 +546,7 @@ class TestTrainMany:
         assert histories[1].final_sse <= cfg.target_sse
 
     def test_diverging_network_leaves_the_others_alone(self):
+        # the divergence is raised once the others have trained to their end
         def plant_infinity(networks):
             networks[1].weights[0][0, 0] = np.inf  # inf * 0.0 input -> nan
 
@@ -550,14 +558,37 @@ class TestTrainMany:
         assert isinstance(results[1], DivergenceError) and results[1].epoch == 1
         assert [r.epochs_run for r in (results[0], results[2])] == [5, 5]
 
+    def test_first_diverged_network_in_the_given_order_is_raised(self):
+        # The rate overflows to inf after a few accepted epochs, and each
+        # network's own accept/reject sequence sets at which epoch.
+        shapes = [(13, 8, 2), (13, 2), (13, 2), (13, 8, 2)]
+        training_sets = [heart_like(n, seed) for seed, n in enumerate((5, 9, 17, 24))]
+        cfg = TrainConfig(
+            initial_lr=1.0, lr_increase=1e20, lr_decrease=1e-10, max_epochs=40, target_sse=0.0
+        )
+        results = self.assert_same_as_train(shapes, training_sets, cfg)
+        epochs = [r.epoch for r in results if isinstance(r, DivergenceError)]
+        # the first network diverges, but it is not the first to in time
+        assert isinstance(results[0], DivergenceError)
+        assert len(epochs) >= 2 and epochs[0] > min(epochs)
+
+    def test_interleaved_shapes_train_as_if_alone(self, monkeypatch):
+        shapes = [(13, 2), (13, 8, 2), (13, 8, 2), (13, 2), (13, 2), (13, 8, 2)]
+        training_sets = [heart_like(n, seed) for seed, n in enumerate((17, 30, 5, 30, 9, 12))]
+        cfg = TrainConfig(initial_lr=1.2, max_sse_rise=0.0, max_epochs=8, target_sse=0.0)
+        histories = self.assert_same_as_train(shapes, training_sets, cfg)
+        assert any(not r.accepted for h in histories for r in h.records)  # rejections ran
+        # one kernel call per shape and epoch, each stack largest first
+        calls = count_epoch_calls(monkeypatch)
+        train_many([new_network(shape, cfg.seed) for shape in shapes], training_sets, cfg)
+        assert calls == [[30, 17, 9], [30, 12, 5]] * cfg.max_epochs
+
     def test_input_validation(self):
         net = new_network((13, 8, 2), 0)
         cfg = TrainConfig(max_epochs=1)
         assert train_many([], [], cfg) == []
         with pytest.raises(ValueError, match="2 training sets"):
             train_many([net], [heart_like(), heart_like()], cfg)
-        with pytest.raises(ValueError, match="share their layer sizes"):
-            train_many([net, new_network((13, 2), 0)], [heart_like(), heart_like()], cfg)
         with pytest.raises(ValueError, match="inputs"):
             train_many([net], [(np.zeros((4, 12)), np.zeros((4, 2)))], cfg)
         with pytest.raises(ValidationError, match="empty"):

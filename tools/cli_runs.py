@@ -128,6 +128,9 @@ RUNS = TRAIN_RUNS + [
     ("form-feed-line-end", ["train", "--config", "few.json", "--data", "form_feed.csv"], 3),
     ("record-separator-cell",
      ["train", "--config", "few.json", "--data", "record_separator_cell.csv"], 3),
+    # only a cell that is "?" alone is missing; np.loadtxt reads "-nan" as NaN
+    ("signed-missing-cell",
+     ["train", "--config", "few.json", "--data", "signed_missing_cell.csv"], 3),
     ("cr-only-line-ends", ["scale", "--data", "cr_only.csv"], 3),
     # wider than network.MAX_WIDTH: refused before the table is read
     ("layers-too-wide",
@@ -140,6 +143,7 @@ RUNS = TRAIN_RUNS + [
     # "" names no file; it is refused before the model is read
     ("json-out-empty", ["evaluate", "--data", "heart.csv", *MODEL_AND_SCALER, "--json-out", ""], 2),
     ("diverges", ["train", "--config", "diverge.json", "--data", "heart.csv"], 4),
+    ("experiment-diverges", ["experiment", "--config", "diverge.json", "--data", "heart.csv"], 4),
     # help and usage text, printed by a parser that earlier runs have used
     ("train-help", ["train", "--help"], 0),
     ("no-subcommand", [], 2),
@@ -147,8 +151,8 @@ RUNS = TRAIN_RUNS + [
 ]
 
 # What a failing run leaves at its --out, by exit code: a run refused for
-# its config or data stops before --out is made, but a diverged train has
-# already written its echo.
+# its config or data stops before --out is made, but a diverged train or
+# experiment has already written its echo.
 LEFT_BEHIND = {2: None, 3: None, 4: ["effective_config.json"]}
 
 # rerun -> the earlier run whose model.json and history.csv it must write byte for byte
@@ -198,7 +202,8 @@ def _write_inputs(heartnet) -> None:
     full_width = chol.translate(str.maketrans("0123456789", "０１２３４５６７８９"))
     for name, cell in (("bad_row", "high"), ("underscore_cell", f"{chol[0]}_{chol[1:]}"),
                        ("fullwidth_cell", full_width),
-                       ("record_separator_cell", f"{chol[0]}\x1e{chol[1:]}")):
+                       ("record_separator_cell", f"{chol[0]}\x1e{chol[1:]}"),
+                       ("signed_missing_cell", "-?")):
         write_table(f"{name}.csv", [*rows[:4], [*rows[4][:4], cell, *rows[4][5:]], *rows[5:]])
     write_table("form_feed.csv",
                 [[*rows[0][:-1], rows[0][-1] + "\f"], *rows[1:4],
