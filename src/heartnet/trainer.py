@@ -21,7 +21,15 @@ stack and one ``_epoch`` call per shape, and each forward, backward and
 momentum step is one stacked numpy call over the rows still presenting
 samples.  Per-sample cost is bound by numpy's per-call overhead, so one
 call for K networks is cheaper than K calls, and the fewer calls and
-temporaries a sample takes, the faster it runs.  Each sample's output
+temporaries a sample takes, the faster it runs.  For the same reason the
+kernel's scalar operands, ``1.0`` and the momentum, are float64 0-d
+arrays made once per epoch: a Python float operand is converted to an
+array on every call, while a 0-d float64 array selects the same float64
+loop with the same double (numpy 1.24 and 2 alike), so the bits do not
+change.  Likewise each layer's bias gradient is also viewed as an
+``(m, out, 1)`` column once per block of active rows, and the weight
+gradient is the outer product of that column, written first, with the
+layer's input, so no sample builds a transposed view.  Each sample's output
 error is kept, and every row's epoch SSE is summed once, in
 presentation order, after the last sample.  Only an accepted epoch's
 row is written back into its network, so a network's ``params`` always
@@ -78,12 +86,16 @@ class TrainConfig:
         # float64 can hold (data._is_real: 10**400 is refused, NaN and
         # +-inf meet the bounds below); bool is neither, numpy scalars
         # are.  f.type is the annotation's text here (postponed annotations).
+        # A float field is stored as a float, so 1 and np.float32(0.1) run
+        # and write the same as 1.0 and float(np.float32(0.1)).
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int" and not _is_integer(value):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not _is_real(value):
-                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            if f.type == "float":
+                if not _is_real(value):
+                    raise ValueError(f"{f.name} must be a number, got {value!r}")
+                object.__setattr__(self, f.name, float(value))
         # each bound is written so that NaN fails it
         if not 0 < self.initial_lr < math.inf:
             raise ValueError("initial_lr must be > 0 and finite")
@@ -222,7 +234,11 @@ def _epoch(
     ``(o - t) * o * (1 - o)``, and each hidden delta is the next layer's
     weighted delta sum scaled by the local sigmoid derivative,
     ``(delta @ -W) * y * (y - 1)`` on the negated weights: the gradient of
-    SSE/2.  Each sample's ``o - t`` is kept, and a row's SSE
+    SSE/2.  ``1.0`` and ``momentum`` enter as 0-d float64 arrays, and each
+    weight gradient is taken from its bias gradient's ``(m, out, 1)``
+    view after ``delta`` is written there; the arrays are made once per
+    epoch and the views once per block, not once per call (see the
+    module docstring).  Each sample's ``o - t`` is kept, and a row's SSE
     is the running sum of its samples' squared errors, each taken with
     the weights in effect when it was presented; a row's padding past its
     last sample adds exactly 0.0.
@@ -237,6 +253,10 @@ def _epoch(
     grads = np.empty_like(params)
     step = np.empty_like(params)
     rates = np.repeat(lr[:, None], params.shape[1], axis=1)
+    # 0-d float64 operands: a Python float operand is converted to an
+    # array on every call, these once per epoch, with the same bits
+    one = np.array(1.0)
+    momentum = np.array(momentum, dtype=np.float64)
     weights, biases = _views(params, layer_sizes)
     weight_grads, bias_grads = _views(grads, layer_sizes)
     # biases as (K, 1, out), to add to the (K, 1, out) layer products;
@@ -251,8 +271,16 @@ def _epoch(
         if stop == start:
             continue
         layers = [(w[:m].transpose(0, 2, 1), b[:m]) for w, b in zip(weights, biases)]
+        # each bias gradient also as (m, out, 1): the outer product's left
+        # operand, so no sample builds delta.transpose(0, 2, 1)
         backward = [
-            (layer, weights[layer][:m], weight_grads[layer][:m], bias_grads[layer][:m])
+            (
+                layer,
+                weights[layer][:m],
+                weight_grads[layer][:m],
+                bias_grads[layer][:m],
+                bias_grads[layer][:m].transpose(0, 2, 1),
+            )
             for layer in reversed(range(len(weights)))
         ]
         p, v, g, s, rate = params[:m], velocity[:m], grads[:m], step[:m], rates[:m]
@@ -265,22 +293,22 @@ def _epoch(
                 z = out @ w_t
                 z += b
                 np.exp(z, out=z)
-                z += 1.0
-                out = np.divide(1.0, z, out=z)
+                z += one
+                out = np.divide(one, z, out=z)
                 activations.append(out)
             # o - t squares to the same bits as t - o
             np.subtract(out, target, out=miss)
             delta = miss * out
-            delta *= 1.0 - out
-            for layer, w, gw, gb in backward:
+            delta *= one - out
+            for layer, w, gw, gb, gb_col in backward:
                 below = activations[layer]
-                np.multiply(delta.transpose(0, 2, 1), below, out=gw)
                 gb[...] = delta
+                np.multiply(gb_col, below, out=gw)
                 if layer:
                     # (delta @ -W) * y * (y - 1) == (delta @ W) * y * (1 - y)
                     delta = delta @ w
                     delta *= below
-                    delta *= below - 1.0
+                    delta *= below - one
             v *= momentum
             np.multiply(rate, g, out=s)
             v -= s

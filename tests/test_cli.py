@@ -542,6 +542,16 @@ class TestTrain:
         assert (out_a / "model.json").read_bytes() == (out_b / "model.json").read_bytes()
         assert (out_a / "history.csv").read_bytes() == (out_b / "history.csv").read_bytes()
 
+    def test_integer_float_settings_write_the_same_bytes(self, tmp_path):
+        runs = {}
+        for name, lr, momentum in (("ints", 1, 0), ("floats", 1.0, 0.0)):
+            cfg = quick_config(tmp_path, initial_lr=lr, momentum=momentum)
+            assert main(["train", "--config", cfg, "--data", FIXTURE,
+                         "--out", str(tmp_path / name)]) == EXIT_OK
+            runs[name] = [(tmp_path / name / f).read_bytes() for f in ("model.json", "history.csv")]
+        assert runs["ints"] == runs["floats"]
+        assert b",1.0," in runs["ints"][1]  # the first epoch's learning_rate
+
     def test_effective_config_reproduces_run(self, tmp_path):
         out = tmp_path / "run"
         main(["train", "--config", quick_config(tmp_path), "--data", FIXTURE,

@@ -3,6 +3,7 @@ loop, checked against hand values, a plain-float reference epoch and a
 scripted replay of the loop."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -83,6 +84,16 @@ class TestTrainConfig:
     def test_numpy_scalars_accepted(self):
         cfg = TrainConfig(initial_lr=np.float64(0.1), max_epochs=np.int64(3), seed=np.int64(2))
         assert cfg.initial_lr == 0.1 and cfg.max_epochs == 3 and cfg.seed == 2
+
+    def test_float_settings_are_floats(self):
+        cfg = TrainConfig(initial_lr=np.float32(0.1), momentum=0, lr_increase=2, max_sse_rise=0)
+        for f in fields(TrainConfig):
+            if f.type == "float":
+                assert type(getattr(cfg, f.name)) is float
+        assert cfg.initial_lr == float(np.float32(0.1))
+        x, t = heart_like()
+        history = train(new_network((13, 4, 2), seed=0), x, t, replace(cfg, max_epochs=3))
+        assert all(type(r.learning_rate) is float for r in history.records)
 
 
 class TestAdaptLearningRate:
@@ -224,12 +235,27 @@ def scaled_fixture():
 class TestKernelMatchesReference:
     """The kernel steps the stack with its weights negated; every bit of
     params, velocity and SSE must still equal the plain arithmetic of
-    ``gradient_oracle.reference_epoch``, epoch after epoch."""
+    ``gradient_oracle.reference_epoch``, epoch after epoch.  13-2 is a
+    single-layer stack, whose backward takes no hidden delta."""
 
-    @pytest.mark.parametrize("sizes", [(13, 8, 2), (13, 16, 8, 2)], ids=["13-8-2", "13-16-8-2"])
-    @pytest.mark.parametrize("lengths", [(40,), (40, 33, 33, 9)], ids=["K1", "K4-unequal"])
+    SIZES = pytest.mark.parametrize(
+        "sizes", [(13, 8, 2), (13, 16, 8, 2), (13, 2)], ids=["13-8-2", "13-16-8-2", "13-2"]
+    )
+    LENGTHS = pytest.mark.parametrize("lengths", [(40,), (40, 33, 33, 9)], ids=["K1", "K4-unequal"])
+
+    @SIZES
+    @LENGTHS
     @pytest.mark.parametrize("data", ["binary", "fixture", "x800-weights"])
     def test_same_bits_as_reference_epoch(self, sizes, lengths, data):
+        self.check(sizes, lengths, data, 0.9)
+
+    @SIZES
+    @LENGTHS
+    def test_same_bits_without_momentum(self, sizes, lengths):
+        self.check(sizes, lengths, "fixture", 0.0)
+
+    @staticmethod
+    def check(sizes, lengths, data, momentum):
         rng = np.random.default_rng(7)
         if data == "binary":  # exact 0.0 and 1.0 inputs
             x = rng.integers(0, 2, (sum(lengths), 13)).astype(float)
@@ -248,7 +274,7 @@ class TestKernelMatchesReference:
                 rows = [
                     offsets[r] + rng.permutation(n) for r, n in enumerate(lengths)
                 ]
-                args = (sizes, [x[i] for i in rows], [t[i] for i in rows], lr, 0.9)
+                args = (sizes, [x[i] for i in rows], [t[i] for i in rows], lr, momentum)
                 sse = _epoch(params, velocity, *args)
                 ref_sse = reference_epoch(ref_params, ref_velocity, *args)
                 assert params.tobytes() == ref_params.tobytes()
