@@ -31,11 +31,17 @@ change.  Likewise each layer's bias gradient is also viewed as an
 gradient is the outer product of that column, written first, with the
 layer's input, so no sample builds a transposed view.  Each sample's output
 error is kept, and every row's epoch SSE is summed once, in
-presentation order, after the last sample.  Only an accepted epoch's
-row is written back into its network, so a network's ``params`` always
-hold its last accepted epoch, and a rejected epoch is dropped with its
-copy.  :func:`heartnet.evaluation.run_experiment` trains all
-its cells in one call, so each architecture's split cells are one stack.
+presentation order, after the last sample.
+
+Each network's state between epochs (its checked training set,
+generator, rate, velocity, last accepted SSE and records) is one
+``_Run`` record, and ``_Run.settle`` is the one place an epoch's SSE is
+judged: it records the epoch, adapts the rate, writes an accepted row
+back and says whether the run trains on.  Only an accepted epoch's row
+is written back into its network, so a network's ``params`` always hold
+its last accepted epoch, and a rejected epoch is dropped with its copy.
+:func:`heartnet.evaluation.run_experiment` trains all its cells in one
+call, so each architecture's split cells are one stack.
 
 The kernel steps the stack with its parameters negated, and negates
 them back when the epoch ends.  Negating an operand negates a product or
@@ -52,7 +58,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -320,6 +326,40 @@ def _epoch(
     return np.cumsum(misses @ misses.swapaxes(-1, -2), axis=0)[-1, :, 0, 0]
 
 
+@dataclass
+class _Run:
+    """One network's training state in :func:`train_many`: its checked
+    training set, shuffle generator, rate, velocity, last accepted SSE and
+    records, and the epoch it diverged at, if it did."""
+
+    network: Network
+    inputs: np.ndarray
+    targets: np.ndarray
+    rng: np.random.Generator
+    lr: float
+    velocity: np.ndarray
+    prev_sse: float = math.inf
+    records: list[EpochRecord] = field(default_factory=list)
+    diverged_at: int | None = None
+
+    def settle(self, epoch, sse, params_row, velocity_row, config) -> bool:
+        """Settle one epoch of this run, stepped as ``params_row`` and
+        ``velocity_row``: record it, adapt the rate, write an accepted row
+        back into the network, and return whether the run trains on.  A
+        non-finite SSE is recorded only as the divergence epoch."""
+        if not math.isfinite(sse):
+            self.diverged_at = epoch
+            return False
+        next_lr, accepted = adapt_learning_rate(self.prev_sse, sse, self.lr, config)
+        self.records.append(EpochRecord(epoch, sse, self.lr, accepted))
+        self.lr = next_lr
+        if accepted:
+            self.prev_sse = sse
+            self.network.params[:] = params_row
+            self.velocity = velocity_row
+        return not (accepted and sse <= config.target_sse)
+
+
 def train_many(
     networks: list[Network],
     training_sets: list[tuple],
@@ -330,13 +370,15 @@ def train_many(
 
     ``networks[i]`` trains on ``training_sets[i]``, an ``(inputs,
     targets)`` pair, and the result holds each network's history.  Each
-    network keeps its own shuffle generator, learning rate, velocity and
-    accept/reject decision, and one that reaches the target or diverges
+    network is one ``_Run`` record, with its own shuffle generator,
+    learning rate, velocity and records, and ``_Run.settle`` makes its
+    accept/reject decision; one that reaches the target or diverges
     trains no further epoch, so its weights and records do not depend on
-    its stack-mates.  Each training set is checked once, before any
-    weight moves.  Every epoch steps the networks still training with one
-    ``_epoch`` call per shape, on a fresh stack of copies of that shape's
-    networks, largest training set first (ties keep their given order).
+    its stack-mates.  A network may appear once, and each training set is
+    checked once, before any weight moves.  Every epoch steps the runs
+    still training with one ``_epoch`` call per shape, on a fresh stack
+    of copies of that shape's networks, largest training set first (ties
+    keep their given order).
 
     When every network has stopped, the :class:`DivergenceError` of the
     first diverged network in the given order is raised, after the other
@@ -355,60 +397,39 @@ def train_many(
         raise ValueError(
             f"{len(networks)} networks but {len(training_sets)} training sets"
         )
-    checked = [
-        _check_training_set(net, x, t) for net, (x, t) in zip(networks, training_sets)
+    if len({id(net) for net in networks}) < len(networks):
+        raise ValueError("a network appears more than once; each trains on one set")
+    runs = [
+        _Run(net, *_check_training_set(net, x, t), np.random.default_rng(config.seed),
+             config.initial_lr, np.zeros_like(net.params))
+        for net, (x, t) in zip(networks, training_sets)
     ]
 
-    def shape(i):
-        return networks[i].layer_sizes
-
     # By shape, then largest training set first; ties keep their given order.
-    active = sorted(range(len(networks)), key=lambda i: (shape(i), -len(checked[i][0])))
-    rngs = [np.random.default_rng(config.seed) for _ in networks]
-    lrs = [config.initial_lr] * len(networks)
-    prev_sse = [math.inf] * len(networks)
-    records: list[list[EpochRecord]] = [[] for _ in networks]
-    velocities = [np.zeros_like(net.params) for net in networks]
-    diverged: dict[int, int] = {}  # network index -> the epoch it diverged at
-
+    active = sorted(runs, key=lambda run: (run.network.layer_sizes, -len(run.inputs)))
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.max_epochs + 1):
             training = []
-            for sizes, group in itertools.groupby(active, key=shape):
+            for sizes, group in itertools.groupby(active, key=lambda run: run.network.layer_sizes):
                 stack = list(group)
-                orders = [rngs[i].permutation(checked[i][0].shape[0]) for i in stack]
-                params = np.stack([networks[i].params for i in stack])
-                velocity = np.stack([velocities[i] for i in stack])
-                epoch_sse = _epoch(
-                    params,
-                    velocity,
-                    sizes,
-                    [checked[i][0][order] for i, order in zip(stack, orders)],
-                    [checked[i][1][order] for i, order in zip(stack, orders)],
-                    np.array([lrs[i] for i in stack], dtype=np.float64),
-                    config.momentum,
-                )
-                for row, i in enumerate(stack):
-                    sse = float(epoch_sse[row])
-                    if not math.isfinite(sse):
-                        diverged[i] = epoch
-                        continue
-                    next_lr, accepted = adapt_learning_rate(prev_sse[i], sse, lrs[i], config)
-                    records[i].append(EpochRecord(epoch, sse, lrs[i], accepted))
-                    lrs[i] = next_lr
-                    if accepted:
-                        prev_sse[i] = sse
-                        networks[i].params[:] = params[row]
-                        velocities[i] = velocity[row]
-                    if not (accepted and sse <= config.target_sse):
-                        training.append(i)
+                orders = [run.rng.permutation(len(run.inputs)) for run in stack]
+                inputs = [run.inputs[order] for run, order in zip(stack, orders)]
+                targets = [run.targets[order] for run, order in zip(stack, orders)]
+                params = np.stack([run.network.params for run in stack])
+                velocity = np.stack([run.velocity for run in stack])
+                lrs = np.array([run.lr for run in stack], dtype=np.float64)
+                epoch_sse = _epoch(params, velocity, sizes, inputs, targets, lrs, config.momentum)
+                for row, run in enumerate(stack):
+                    if run.settle(epoch, float(epoch_sse[row]), params[row], velocity[row], config):
+                        training.append(run)
             active = training  # a subsequence, so still sorted
             if not active:
                 break
 
+    diverged = [run.diverged_at for run in runs if run.diverged_at is not None]
     if diverged:
-        raise DivergenceError(diverged[min(diverged)])
-    return [TrainingHistory(tuple(r)) for r in records]
+        raise DivergenceError(diverged[0])
+    return [TrainingHistory(tuple(run.records)) for run in runs]
 
 
 def write_history_csv(history: TrainingHistory, path) -> None:

@@ -3,6 +3,7 @@ results; no benchmark runs."""
 
 import importlib.util
 import json
+import operator
 from pathlib import Path
 
 import pytest
@@ -85,19 +86,42 @@ def test_summary_arithmetic(bench_pairs):
     assert summary["ops"] == {
         "attempted": {"parent": 46, "change": 46}, "failed": {"parent": 0, "change": 1}
     }
+    assert summary["workloads"]["train"]["ops"] == summary["ops"]
     assert summary["all_runs_correct"] is False
+
+    # |change median - parent median| against the parent's q3 - q1:
+    # 7.5 is within 8.75, 1.8 is beyond 0, and no move is beyond 0
+    assert {name: metric["beyond_parent_iqr"] for name, metric in metrics.items()} == {
+        "samples_per_s": False, "op_ms.p50": True, "efficiency_pct": False, "final_sse": False
+    }
+
+
+def test_ops_per_workload_and_over_all(bench_pairs):
+    pairs = canned()["train"]
+    summary = bench_pairs.summarize({"train": pairs, "score": pairs[:2]}, SPECS)
+    assert summary["workloads"]["score"]["ops"] == {
+        "attempted": {"parent": 21, "change": 21}, "failed": {"parent": 0, "change": 0}
+    }
+    assert summary["ops"] == {
+        "attempted": {"parent": 67, "change": 67}, "failed": {"parent": 0, "change": 1}
+    }
 
 
 def test_summary_has_the_committed_layout(bench_pairs):
-    """The keys of a committed BENCH_*.json summary."""
-    committed = json.loads((ROOT / "BENCH_24.json").read_text(encoding="utf-8"))
+    """The keys of the newest committed BENCH_*.json summary, which hold
+    every key of an older one (BENCH_24, before per-workload ops)."""
+    newest = json.loads((ROOT / "BENCH_27.json").read_text(encoding="utf-8"))
+    older = json.loads((ROOT / "BENCH_24.json").read_text(encoding="utf-8"))
     summary = bench_pairs.summarize(canned(), SPECS)
     for key in ("all_runs_correct", "ops", "regressions_beyond_bound",
                 "spread_wider_than_bound", "identical_across_all_pairs"):
-        assert type(summary[key]) is type(committed[key])
+        assert type(summary[key]) is type(newest[key])
     ours = summary["workloads"]["train"]
-    theirs = committed["workloads"]["train"]
-    assert ours.keys() == theirs.keys()
-    assert ours["metrics"]["final_sse"].keys() == theirs["metrics"]["final_sse"].keys()
-    for side in ("parent", "change"):
-        assert ours["metrics"]["final_sse"][side].keys() == theirs["metrics"]["final_sse"][side].keys()
+    assert ours["ops"].keys() == newest["workloads"]["train"]["ops"].keys()
+    for committed, same in ((newest, operator.eq), (older, operator.ge)):
+        theirs = committed["workloads"]["train"]
+        assert same(ours.keys(), theirs.keys())
+        ours_sse, theirs_sse = ours["metrics"]["final_sse"], theirs["metrics"]["final_sse"]
+        assert same(ours_sse.keys(), theirs_sse.keys())
+        for side in ("parent", "change"):
+            assert ours_sse[side].keys() == theirs_sse[side].keys()

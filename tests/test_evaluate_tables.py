@@ -1,9 +1,11 @@
-"""Generated tables through ``heartnet evaluate``, in-process: each one is
-scored (exit 0) or refused as a data error that names the table (exit
-3), and none ends in a traceback."""
+"""Generated tables, and mutated model and scaler files, through
+``heartnet evaluate``, in-process: each one is scored (exit 0) or refused
+as a data error that names the bad file (exit 3), and none ends in a
+traceback."""
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -72,33 +74,90 @@ def table_bytes(draw):
     return data
 
 
-class TestEvaluateOnGeneratedTables:
-    @pytest.fixture(scope="class")
-    def files(self, tmp_path_factory):
-        """A 13-8-2 model trained for 2 epochs on the bundled fixture, its
-        scaler, and the path each example writes its table to."""
-        folder = tmp_path_factory.mktemp("evaluate")
-        dataset = impute(load_dataset(bundled_fixture_path()))
-        scaler = fit_scaler(dataset)
-        network = new_network((13, 8, 2), 0)
-        x, t = scaler.transform(dataset.features), encode_labels(dataset.labels)
-        train(network, x, t, TrainConfig(max_epochs=2))
-        save_network(network, folder / "model.json")
-        save_scaler(scaler, folder / "scaler.json")
-        return folder / "model.json", folder / "scaler.json", folder / "table.csv"
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A 13-8-2 model trained for 2 epochs on the bundled fixture, its
+    scaler, and the path each example writes its table to."""
+    folder = tmp_path_factory.mktemp("evaluate")
+    dataset = impute(load_dataset(bundled_fixture_path()))
+    scaler = fit_scaler(dataset)
+    network = new_network((13, 8, 2), 0)
+    x, t = scaler.transform(dataset.features), encode_labels(dataset.labels)
+    train(network, x, t, TrainConfig(max_epochs=2))
+    save_network(network, folder / "model.json")
+    save_scaler(scaler, folder / "scaler.json")
+    return folder / "model.json", folder / "scaler.json", folder / "table.csv"
 
+
+def evaluate(data, model, scaler):
+    """``heartnet evaluate`` in-process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(
+            ["evaluate", "--data", str(data), "--model", str(model), "--scaler", str(scaler)]
+        )
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestEvaluateOnGeneratedTables:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(data=table_bytes())
     def test_scored_or_refused_naming_the_table(self, files, data):
         model, scaler, table = files
         table.write_bytes(data)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(
-                ["evaluate", "--data", str(table), "--model", str(model), "--scaler", str(scaler)]
-            )
+        code, out, err = evaluate(table, model, scaler)
         assert code in (EXIT_OK, EXIT_DATA)
         if code == EXIT_DATA:
-            assert err.getvalue().splitlines()[-1].startswith(f"data error: {table}:")
+            assert err.splitlines()[-1].startswith(f"data error: {table}:")
         else:
-            assert out.getvalue().startswith("samples: ")
+            assert out.startswith("samples: ")
+
+
+# what a mutation puts in place of one value; DELETE drops its key or element
+DELETE = object()
+REPLACEMENTS = [None, True, 0, -1, 1.5, -0.0, 1e308, 10**400, "", "1", [], [[None]], {}, DELETE]
+
+
+def value_paths(value, prefix=()):
+    """The path (keys and indices from the top) of every value nested in
+    ``value``, ``value`` itself excluded."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from value_paths(child, prefix + (key,))
+
+
+class TestEvaluateOnMutatedArtifacts:
+    """ROADMAP item 13's model and scaler slice: one value of the trained
+    ``model.json`` or ``scaler.json`` replaced or deleted."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_scored_or_refused_naming_the_file(self, files, data):
+        model, scaler, _ = files
+        which = data.draw(st.sampled_from([model, scaler]))
+        document = json.loads(which.read_text(encoding="utf-8"))
+        *parents, key = data.draw(st.sampled_from(list(value_paths(document))))
+        holder = document
+        for parent in parents:
+            holder = holder[parent]
+        replacement = data.draw(st.sampled_from(REPLACEMENTS))
+        if replacement is DELETE:
+            del holder[key]
+        else:
+            holder[key] = replacement
+        mutant = which.with_name("mutant-" + which.name)
+        mutant.write_text(json.dumps(document), encoding="utf-8")
+        args = (mutant, scaler) if which == model else (model, mutant)
+        code, out, err = evaluate(bundled_fixture_path(), *args)
+        assert code in (EXIT_OK, EXIT_DATA)
+        if code == EXIT_DATA:
+            last = err.splitlines()[-1]
+            assert last.startswith("data error:") and str(mutant) in last
+        else:
+            assert out.startswith("samples: ")

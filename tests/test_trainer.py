@@ -630,6 +630,17 @@ class TestTrainMany:
                 train_many([net, new_network((13, 8, 2), 1)], [heart_like(), (inputs, targets)], cfg)
         assert net.params.tobytes() == before.tobytes()
 
+    def test_a_network_passed_twice_is_refused(self):
+        # two runs would step and write back one params vector in turn
+        net = new_network((13, 8, 2), 0)
+        before = net.params.tobytes()
+        sets = [heart_like(n=9), heart_like(n=7, seed=1)]
+        with pytest.raises(ValueError, match="more than once"):
+            train_many([net, net], sets, TrainConfig(max_epochs=3, target_sse=0.0))
+        with pytest.raises(ValueError, match="more than once"):
+            train_many([net, new_network((13, 2), 0), net], [*sets, sets[0]], TrainConfig())
+        assert net.params.tobytes() == before
+
     def test_kernel_follows_the_network_count(self, monkeypatch):
         # one network and a stack of two step through the same kernel,
         # once per epoch, with one row per network in that one call

@@ -17,11 +17,14 @@ stdout.  Each side runs its own ``perfbench/``.  The workloads, the
 end-to-end metrics, their bounds and the default ``--seconds`` come from
 ``BENCHMARK.json``; this tool changes neither it nor ``perfbench/``.
 
-It writes one JSON object: per workload and metric, the parent's and
-the change's ``median``, ``q1``, ``q3`` (``numpy.percentile``, linear)
-and ``runs``, the pairs the change wins and ties, and the ratio of the
-medians (change / parent); then the ops attempted and failed on each
-side, the metrics whose change median is worse than the parent's by
+It writes one JSON object: per workload, the ops attempted and failed
+on each side, and per workload and metric, the parent's and the
+change's ``median``, ``q1``, ``q3`` (``numpy.percentile``, linear) and
+``runs``, the pairs the change wins and ties, the ratio of the medians
+(change / parent), and whether the medians lie further apart than the
+parent's interquartile range (``beyond_parent_iqr``); then the ops
+attempted and failed on each side over every workload, the metrics
+whose change median is worse than the parent's by
 more than the bound (``regressions_beyond_bound``), those whose parent
 interquartile range exceeds the bound as a fraction of the parent
 median (``spread_wider_than_bound``), and whether each workload's
@@ -47,6 +50,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # metrics whose every run must read the same on both sides of a pair
 DETERMINISTIC = ("efficiency_pct", "final_sse")
 SIDES = ("parent", "change")
+OP_COUNTS = ("attempted", "failed")
 
 
 def run_order(seed: int) -> tuple[str, str]:
@@ -75,12 +79,12 @@ def summarize(results: dict, end_to_end: list[dict]) -> dict:
     ``BENCHMARK.json``'s list of ``{"name", "better", "bound", ...}``."""
     workloads, regressions, wide = {}, [], []
     identical = {}
-    ops = {"attempted": dict.fromkeys(SIDES, 0), "failed": dict.fromkeys(SIDES, 0)}
     for workload, pairs in results.items():
-        for pair in pairs:
-            for side in SIDES:
-                ops["attempted"][side] += pair[side]["attempted"]
-                ops["failed"][side] += pair[side]["failed"]
+        # peak_rss_mb grows with the ops a run completes, so compare it at these counts
+        ops = {
+            count: {side: sum(pair[side][count] for pair in pairs) for side in SIDES}
+            for count in OP_COUNTS
+        }
         metrics = {}
         for spec in end_to_end:
             name, better, bound = spec["name"], spec["better"], spec["bound"]
@@ -98,6 +102,8 @@ def summarize(results: dict, end_to_end: list[dict]) -> dict:
                 "change_wins": wins,
                 "ties": ties,
                 "median_ratio": round(c_med / p_med, 6) if p_med else None,
+                # the second half of a claimed gain: a move wider than the parent's spread
+                "beyond_parent_iqr": abs(c_med - p_med) > parent["q3"] - parent["q1"],
             }
             key = f"{workload}.{name}"
             if c_med > p_med * (1 + bound) if better == "lower" else c_med < p_med * (1 - bound):
@@ -106,12 +112,15 @@ def summarize(results: dict, end_to_end: list[dict]) -> dict:
                 wide.append(key)
             if name in DETERMINISTIC:
                 identical[key] = runs["parent"] == runs["change"]
-        workloads[workload] = {"pairs": len(pairs), "metrics": metrics}
+        workloads[workload] = {"pairs": len(pairs), "ops": ops, "metrics": metrics}
     return {
         "all_runs_correct": all(
             pair[side]["correct"] for pairs in results.values() for pair in pairs for side in SIDES
         ),
-        "ops": ops,
+        "ops": {
+            count: {side: sum(w["ops"][count][side] for w in workloads.values()) for side in SIDES}
+            for count in OP_COUNTS
+        },
         "regressions_beyond_bound": regressions,
         "spread_wider_than_bound": wide,
         "identical_across_all_pairs": identical,
