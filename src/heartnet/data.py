@@ -2,7 +2,9 @@
 class codes, seeded splits), :func:`_write`, the artifact writer, and
 the program's number rules: :func:`_is_number` for a table cell or an
 integer flag, :func:`_is_integer` and :func:`_is_real` for a JSON or
-config value.
+config value, and :func:`_class_labels` for the class labels a
+:class:`Dataset`, :func:`encode_labels` or
+:func:`heartnet.evaluation.evaluate` is given.
 
 :func:`load_dataset` parses a table with one ``np.loadtxt`` call and,
 when it has bad rows, names its file and its earliest bad line.
@@ -110,13 +112,11 @@ class Dataset:
 
     def __post_init__(self):
         features = _frozen_array(self.features, np.float64)
-        labels = _frozen_array(self.labels, np.int64)
+        labels = _frozen_array(_class_labels(self.labels), np.int64)
         if features.ndim != 2 or features.shape[1] != N_ATTRIBUTES:
             raise ValidationError(f"features must be (n, {N_ATTRIBUTES}), got {features.shape}")
         if labels.shape != (features.shape[0],):
             raise ValidationError("labels length does not match feature rows")
-        if labels.size and (labels.min() < 0 or labels.max() >= N_CLASSES):
-            raise ValidationError(f"labels must lie in 0..{N_CLASSES - 1}")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 
@@ -486,12 +486,30 @@ _CLASS_CODES = np.array(
 )
 
 
-def encode_labels(labels) -> np.ndarray:
-    """Two-neuron target rows for an array of class labels 0..3."""
+def _class_labels(labels) -> np.ndarray:
+    """``labels`` as an int64 array: the one label rule.  Each label must
+    be a whole number in 0..3, in an array of an integer or float dtype;
+    anything else (a fraction, NaN, an infinity, a bool, a string) is a
+    ValidationError, never wrapped, truncated or clamped."""
     arr = np.asarray(labels)
-    if arr.size and (arr.min() < 0 or arr.max() >= N_CLASSES):
-        raise ValidationError(f"labels must lie in 0..{N_CLASSES - 1}")
-    return _CLASS_CODES[arr.astype(np.int64)]
+    # min and max are NaN if any label is, and NaN fails both bounds; an
+    # integer dtype holds only whole numbers
+    if arr.dtype.kind not in "iuf" or (
+        arr.size
+        and not (
+            arr.min() >= 0
+            and arr.max() < N_CLASSES
+            and (arr.dtype.kind != "f" or (arr == np.floor(arr)).all())
+        )
+    ):
+        raise ValidationError(f"labels must be whole numbers in 0..{N_CLASSES - 1}")
+    return arr.astype(np.int64)
+
+
+def encode_labels(labels) -> np.ndarray:
+    """Two-neuron target rows for an array of class labels 0..3
+    (:func:`_class_labels`)."""
+    return _CLASS_CODES[_class_labels(labels)]
 
 
 def decode_outputs(outputs) -> np.ndarray:

@@ -66,9 +66,10 @@ class Metrics:
 
 def evaluate(network: Network, features, labels) -> Metrics:
     """Predict every test sample in one whole-matrix forward pass and
-    tally efficiency and confusion."""
+    tally efficiency and confusion.  Each label must be a whole number in
+    0..3 (:func:`heartnet.data._class_labels`)."""
     x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    y = hdata._class_labels(labels)
     if x.shape[0] == 0:
         raise ValidationError("test set is empty")
     if x.shape[0] != y.shape[0]:

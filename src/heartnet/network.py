@@ -14,7 +14,10 @@ for input from outside the program such as a model loaded from a file
 scored against a table.  Training does not call it: the trainer's one
 per-sample kernel steps a ``(K, P)`` stack of K >= 1 parameter vectors
 through the same layer arithmetic, and ``_views`` lays out that stack's
-per-layer views as it does those of one network.
+per-layer views as it does those of one network.  It also lays out the
+layer-major copy the kernel steps m >= 2 rows of the stack on, in which
+each layer's weights and biases of all m rows are one contiguous array;
+``_layer_major`` makes that copy and ``_write_rows`` writes it back.
 """
 
 from __future__ import annotations
@@ -53,20 +56,49 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _views(flat: np.ndarray, layer_sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _views(
+    flat: np.ndarray, layer_sizes, rows: int | None = None
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The per-layer weight and bias views of ``flat``: the one statement
     of the layout ``W0, b0, W1, b1, ...`` along its last axis, each ``W``
     of shape (out, in) and row-major.  A ``(K, P)`` stack of K parameter
-    vectors gives ``(K, out, in)`` and ``(K, out)`` views."""
-    lead = flat.shape[:-1]
+    vectors gives ``(K, out, in)`` and ``(K, out)`` views, each row of
+    which lies P values from the last.
+
+    With ``rows=K``, ``flat`` is instead a 1-D stack of K vectors stored
+    layer-major: the same order ``W0, b0, W1, b1, ...``, but each part
+    holds that part of all K rows, so ``W_l`` is one contiguous
+    ``(K, out, in)`` array and ``b_l`` one contiguous ``(K, out)`` array.
+    That is the row-major stack's views, each flattened, one after the
+    other (:func:`_layer_major`).  One vector stored layer-major is
+    stored plainly."""
     weights, biases = [], []
     start = 0
     for n_in, n_out in zip(layer_sizes, layer_sizes[1:]):
-        stop = start + n_out * n_in
-        weights.append(flat[..., start:stop].reshape(lead + (n_out, n_in)))
-        biases.append(flat[..., stop : stop + n_out])
-        start = stop + n_out
+        mid = start + n_out * n_in
+        stop = mid + n_out
+        if rows is None:
+            weights.append(flat[..., start:mid].reshape(flat.shape[:-1] + (n_out, n_in)))
+            biases.append(flat[..., mid:stop])
+        else:
+            weights.append(flat[rows * start : rows * mid].reshape(rows, n_out, n_in))
+            biases.append(flat[rows * mid : rows * stop].reshape(rows, n_out))
+        start = stop
     return weights, biases
+
+
+def _layer_major(stack: np.ndarray, layer_sizes) -> np.ndarray:
+    """A layer-major copy of the ``(K, P)`` stack, laid out as
+    :func:`_views` with ``rows=K`` reads it."""
+    return np.concatenate(list(chain.from_iterable(zip(*_views(stack, layer_sizes)))), axis=None)
+
+
+def _write_rows(flat: np.ndarray, stack: np.ndarray, layer_sizes) -> None:
+    """Write the layer-major ``flat`` back into the ``(K, P)`` stack, whose
+    rows it was copied from by :func:`_layer_major`."""
+    k = len(stack)
+    parts = chain.from_iterable(zip(*_views(flat, layer_sizes, rows=k)))
+    np.concatenate([part.reshape(k, -1) for part in parts], axis=1, out=stack)
 
 
 def _n_params(layer_sizes) -> int:

@@ -33,6 +33,16 @@ layer's input, so no sample builds a transposed view.  Each sample's output
 error is kept, and every row's epoch SSE is summed once, in
 presentation order, after the last sample.
 
+A view into the row-major stack puts P values between rows, so numpy
+would run the bias add, the bias-gradient copy and the outer product in
+its slower strided loops.  So each block of samples with m >= 2 rows
+still presenting steps a layer-major copy of those rows
+(``network._layer_major``), in which each layer's weights and biases
+are one contiguous ``(m, ...)`` array, and writes them back when the
+block ends.  Only the stride between rows changes, so the bits do not.
+A one-row block, and so all of :func:`train`, is layer-major already
+and is stepped in place, with no copy.
+
 Each network's state between epochs (its checked training set,
 generator, rate, velocity, last accepted SSE and records) is one
 ``_Run`` record, and ``_Run.settle`` is the one place an epoch's SSE is
@@ -63,7 +73,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import ValidationError, _is_integer, _is_real, _write_csv
-from .network import Network, _views
+from .network import Network, _layer_major, _views, _write_rows
 
 
 class DivergenceError(RuntimeError):
@@ -225,11 +235,22 @@ def _epoch(
     sorted by sample count, largest first, so the rows still presenting
     samples at any sample index are a prefix ``[:m]`` of the stack.
 
+    The samples are stepped in blocks of equal m.  A block of m >= 2
+    rows steps a layer-major copy of those rows' params, velocity and
+    rates, made when it starts (``network._layer_major``), through
+    ``network._views(..., rows=m)``, and writes the params and velocity
+    back into their rows when it ends (``network._write_rows``); the
+    gradient and step are layer-major scratch.  A one-row block steps
+    ``params[0]`` and ``velocity[0]`` in place: one row is layer-major
+    already.  Each product sees the same operands, and each ``(out,
+    in)`` matrix keeps its layout, so the copy changes no bit.
+
     Each sample takes one forward sweep, one backward sweep and one
     momentum step, each layer one stacked product or elementwise
     operation over the active rows, mostly in place.  ``params`` is
     negated on entry and negated back when the epoch ends (an exception
-    leaves it negated; ``train_many`` passes a copy that it then drops),
+    leaves it negated, without its block's steps; ``train_many`` passes
+    a copy that it then drops),
     so each layer computes ``z = x @ -W.T + -b``, which is ``-a``
     exactly, and then the logistic
     ``1 / (1 + e^z)`` in place; the step is ``p -= v`` on the negated
@@ -256,19 +277,14 @@ def _epoch(
         x[: len(row_x), row, 0] = row_x
         t[: len(row_t), row, 0] = row_t
     misses = np.zeros_like(t)
-    grads = np.empty_like(params)
-    step = np.empty_like(params)
+    # scratch for any block's gradient and step, layer-major like its params
+    grads = np.empty(params.size)
+    step = np.empty(params.size)
     rates = np.repeat(lr[:, None], params.shape[1], axis=1)
     # 0-d float64 operands: a Python float operand is converted to an
     # array on every call, these once per epoch, with the same bits
     one = np.array(1.0)
     momentum = np.array(momentum, dtype=np.float64)
-    weights, biases = _views(params, layer_sizes)
-    weight_grads, bias_grads = _views(grads, layer_sizes)
-    # biases as (K, 1, out), to add to the (K, 1, out) layer products;
-    # reshape, not b[:, None], whose length-1 axis has stride 0 and steps slower
-    biases = [b.reshape(n_rows, 1, -1) for b in biases]
-    bias_grads = [b.reshape(n_rows, 1, -1) for b in bias_grads]
 
     np.negative(params, out=params)
     start = 0
@@ -276,20 +292,33 @@ def _epoch(
         stop = len(inputs[m - 1])
         if stop == start:
             continue
-        layers = [(w[:m].transpose(0, 2, 1), b[:m]) for w, b in zip(weights, biases)]
+        # the block steps a layer-major copy of its m rows, so each layer's
+        # weights and biases are one contiguous (m, ...) array; one row is
+        # layer-major already, and is stepped in place
+        if m == 1:
+            p, v, rate = params[0], velocity[0], rates[0]
+        else:
+            p, v, rate = (_layer_major(a[:m], layer_sizes) for a in (params, velocity, rates))
+        g, s = grads[: p.size], step[: p.size]
+        weights, biases = _views(p, layer_sizes, rows=m)
+        weight_grads, bias_grads = _views(g, layer_sizes, rows=m)
+        # biases as (m, 1, out), to add to the (m, 1, out) layer products;
+        # reshape, not b[:, None], whose length-1 axis has stride 0 and steps slower
+        biases = [b.reshape(m, 1, -1) for b in biases]
+        bias_grads = [b.reshape(m, 1, -1) for b in bias_grads]
+        layers = [(w.transpose(0, 2, 1), b) for w, b in zip(weights, biases)]
         # each bias gradient also as (m, out, 1): the outer product's left
         # operand, so no sample builds delta.transpose(0, 2, 1)
         backward = [
             (
                 layer,
-                weights[layer][:m],
-                weight_grads[layer][:m],
-                bias_grads[layer][:m],
-                bias_grads[layer][:m].transpose(0, 2, 1),
+                weights[layer],
+                weight_grads[layer],
+                bias_grads[layer],
+                bias_grads[layer].transpose(0, 2, 1),
             )
             for layer in reversed(range(len(weights)))
         ]
-        p, v, g, s, rate = params[:m], velocity[:m], grads[:m], step[:m], rates[:m]
         samples = zip(x[start:stop, :m], t[start:stop, :m], misses[start:stop, :m])
         for sample, target, miss in samples:
             out = sample
@@ -319,6 +348,9 @@ def _epoch(
             np.multiply(rate, g, out=s)
             v -= s
             p -= v  # -(p + v) for the negated p
+        if m > 1:
+            _write_rows(p, params[:m], layer_sizes)
+            _write_rows(v, velocity[:m], layer_sizes)
         start = stop
     np.negative(params, out=params)
     # cumsum adds in presentation order, as a running total would; sum

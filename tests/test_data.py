@@ -676,6 +676,11 @@ class TestWrite:
         assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
+# Labels no public call may take: out of 0..3 (never wrapped or clamped),
+# fractional (never truncated), non-finite, or not numbers at all.
+BAD_LABELS = [[4], [0, -1], [1.5, 2.7], [1.5, 2.9], [np.nan], [0, np.inf], [True], ["1"]]
+
+
 class TestClassCodes:
     def test_codebook(self):
         np.testing.assert_array_equal(
@@ -695,10 +700,9 @@ class TestClassCodes:
         np.testing.assert_array_equal(targets, [[0, 0], [1, 1], [0, 1]])
 
     def test_out_of_range_label(self):
-        with pytest.raises(ValidationError):
-            encode_labels([4])
-        with pytest.raises(ValidationError):
-            encode_labels([0, -1])
+        for labels in BAD_LABELS:
+            with pytest.raises(ValidationError, match="labels must be"):
+                encode_labels(labels)
 
     def test_decode_shape_check(self):
         with pytest.raises(ValidationError):
@@ -758,6 +762,12 @@ class TestDataset:
                 features=np.zeros((1, 13)),
                 labels=np.array([7]),
             )
+        for labels in BAD_LABELS:
+            with pytest.raises(ValidationError, match="labels must be"):
+                Dataset(features=np.zeros((len(labels), 13)), labels=labels)
+        # whole floats are labels, stored as int64
+        ds = Dataset(features=np.zeros((2, 13)), labels=[3.0, -0.0])
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [3, 0]
 
     def test_shape_agreement_enforced(self):
         with pytest.raises(ValidationError, match="labels length"):

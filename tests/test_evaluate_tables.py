@@ -1,10 +1,13 @@
 """Generated tables, and mutated model and scaler files, through
 ``heartnet evaluate``, in-process: each one is scored (exit 0) or refused
 as a data error that names the bad file (exit 3), and none ends in a
-traceback."""
+traceback.  Generated tables also go through ``heartnet train`` and
+``heartnet experiment``, which train on them (exit 0), refuse them
+(exit 3) or stop on a divergence (exit 4)."""
 
 import contextlib
 import io
+import itertools
 import json
 
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heartnet import cli
-from heartnet.cli import EXIT_DATA, EXIT_OK
+from heartnet.cli import EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK
 from heartnet.data import (
     HEART_SCHEMA,
     bundled_fixture_path,
@@ -89,14 +92,16 @@ def files(tmp_path_factory):
     return folder / "model.json", folder / "scaler.json", folder / "table.csv"
 
 
-def evaluate(data, model, scaler):
-    """``heartnet evaluate`` in-process: its exit code, stdout and stderr."""
+def run(argv):
+    """``heartnet`` in-process: its exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(
-            ["evaluate", "--data", str(data), "--model", str(model), "--scaler", str(scaler)]
-        )
+        code = cli.main([str(arg) for arg in argv])
     return code, out.getvalue(), err.getvalue()
+
+
+def evaluate(data, model, scaler):
+    return run(["evaluate", "--data", data, "--model", model, "--scaler", scaler])
 
 
 class TestEvaluateOnGeneratedTables:
@@ -111,6 +116,37 @@ class TestEvaluateOnGeneratedTables:
             assert err.splitlines()[-1].startswith(f"data error: {table}:")
         else:
             assert out.startswith("samples: ")
+
+
+class TestTrainOnGeneratedTables:
+    """ROADMAP item 13's train and experiment slice.  A 5-row table fits
+    the default grid to training sets of 3, 3, 2 and 1 rows, so
+    ``experiment`` steps stacks of tied, tiny blocks."""
+
+    @pytest.fixture(scope="class")
+    def folder(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("train")
+        (folder / "config.json").write_text('{"max_epochs": 2}', encoding="utf-8")
+        return folder
+
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    def test_trained_or_refused_naming_the_table(self, folder, command):
+        runs = itertools.count()
+
+        @settings(max_examples=80, deadline=None, derandomize=True)
+        @given(data=table_bytes())
+        def check(data):
+            table = folder / "table.csv"
+            table.write_bytes(data)
+            out_dir = folder / f"{command}{next(runs)}"
+            code, _, err = run(
+                [command, "--config", folder / "config.json", "--data", table, "--out", out_dir]
+            )
+            assert code in (EXIT_OK, EXIT_DATA, EXIT_DIVERGENCE)
+            if code == EXIT_DATA:
+                assert err.splitlines()[-1].startswith(f"data error: {table}:")
+
+        check()
 
 
 # what a mutation puts in place of one value; DELETE drops its key or element

@@ -114,6 +114,17 @@ class TestEvaluate:
         with pytest.raises(ValidationError, match="empty"):
             evaluate(net, np.zeros((0, 13)), np.zeros(0, dtype=int))
 
+    @pytest.mark.parametrize(
+        "labels",
+        [[0, 1, 2, 3, -1], [0, 1, 2, 3, 4], [0, 1, 2, 3, 1.5], [0, 1, 2, 3, np.nan]],
+        ids=["minus-one", "four", "fraction", "nan"],
+    )
+    def test_bad_label_refused(self, labels):
+        # -1 once wrapped into class 3, 4 raised IndexError, 1.5 scored as 1
+        net = new_network((13, 2), 0)
+        with pytest.raises(ValidationError, match="labels must be whole numbers"):
+            evaluate(net, np.zeros((5, 13)), labels)
+
     def test_length_mismatch(self):
         net = new_network((13, 2), 0)
         with pytest.raises(ValueError, match="sample count"):

@@ -241,7 +241,12 @@ class TestKernelMatchesReference:
     SIZES = pytest.mark.parametrize(
         "sizes", [(13, 8, 2), (13, 16, 8, 2), (13, 2)], ids=["13-8-2", "13-16-8-2", "13-2"]
     )
-    LENGTHS = pytest.mark.parametrize("lengths", [(40,), (40, 33, 33, 9)], ids=["K1", "K4-unequal"])
+    # K8-tied steps a block of 8 rows, then one that 3 rows leave at once
+    LENGTHS = pytest.mark.parametrize(
+        "lengths",
+        [(40,), (40, 33, 33, 9), (40, 40, 33, 33, 33, 9, 9, 9)],
+        ids=["K1", "K4-unequal", "K8-tied"],
+    )
 
     @SIZES
     @LENGTHS
@@ -265,7 +270,7 @@ class TestKernelMatchesReference:
         params = np.stack([new_network(sizes, seed).params for seed in range(len(lengths))])
         if data == "x800-weights":  # saturated sigmoids: e^-a overflows, y is 0.0 or 1.0
             params *= 800.0
-        lr = np.array([0.1, 0.35, 0.02, 0.9][: len(lengths)])
+        lr = np.array([0.1, 0.35, 0.02, 0.9, 0.5, 0.05, 1.5, 0.2][: len(lengths)])
         velocity = np.zeros_like(params)
         ref_params, ref_velocity = params.copy(), velocity.copy()
         offsets = np.cumsum((0, *lengths))
