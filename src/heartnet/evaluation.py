@@ -72,7 +72,7 @@ def evaluate(network: Network, features, labels) -> Metrics:
     y = hdata._class_labels(labels)
     if x.shape[0] == 0:
         raise ValidationError("test set is empty")
-    if x.shape[0] != y.shape[0]:
+    if y.shape != x.shape[:1]:
         raise ValueError("features and labels disagree on sample count")
 
     with np.errstate(over="ignore"):

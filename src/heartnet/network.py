@@ -15,9 +15,10 @@ scored against a table.  Training does not call it: the trainer's one
 per-sample kernel steps a ``(K, P)`` stack of K >= 1 parameter vectors
 through the same layer arithmetic, and ``_views`` lays out that stack's
 per-layer views as it does those of one network.  It also lays out the
-layer-major copy the kernel steps m >= 2 rows of the stack on, in which
-each layer's weights and biases of all m rows are one contiguous array;
-``_layer_major`` makes that copy and ``_write_rows`` writes it back.
+layer-major copy the kernel steps each block of m rows of the stack on,
+in which each layer's weights and biases of all m rows are one
+contiguous array; ``_layer_major`` makes that copy and ``_write_rows``
+writes it back.
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ def _views(
     With ``rows=K``, ``flat`` is instead a 1-D stack of K vectors stored
     layer-major: the same order ``W0, b0, W1, b1, ...``, but each part
     holds that part of all K rows, so ``W_l`` is one contiguous
-    ``(K, out, in)`` array and ``b_l`` one contiguous ``(K, out)`` array.
+    ``(K, out, in)`` array and ``b_l`` one contiguous ``(K, 1, out)`` row
+    vector per row, ready to add to a ``(K, 1, out)`` layer product.
     That is the row-major stack's views, each flattened, one after the
     other (:func:`_layer_major`).  One vector stored layer-major is
     stored plainly."""
@@ -82,7 +84,9 @@ def _views(
             biases.append(flat[..., mid:stop])
         else:
             weights.append(flat[rows * start : rows * mid].reshape(rows, n_out, n_in))
-            biases.append(flat[rows * mid : rows * stop].reshape(rows, n_out))
+            # reshape, not b[:, None], whose length-1 axis has stride 0 and
+            # steps slower
+            biases.append(flat[rows * mid : rows * stop].reshape(rows, 1, n_out))
         start = stop
     return weights, biases
 

@@ -26,22 +26,21 @@ kernel's scalar operands, ``1.0`` and the momentum, are float64 0-d
 arrays made once per epoch: a Python float operand is converted to an
 array on every call, while a 0-d float64 array selects the same float64
 loop with the same double (numpy 1.24 and 2 alike), so the bits do not
-change.  Likewise each layer's bias gradient is also viewed as an
-``(m, out, 1)`` column once per block of active rows, and the weight
-gradient is the outer product of that column, written first, with the
-layer's input, so no sample builds a transposed view.  Each sample's output
-error is kept, and every row's epoch SSE is summed once, in
-presentation order, after the last sample.
+change.  Each sample's output error is kept, and every row's epoch SSE
+is summed once, in presentation order, after the last sample.
 
 A view into the row-major stack puts P values between rows, so numpy
-would run the bias add, the bias-gradient copy and the outer product in
-its slower strided loops.  So each block of samples with m >= 2 rows
-still presenting steps a layer-major copy of those rows
-(``network._layer_major``), in which each layer's weights and biases
-are one contiguous ``(m, ...)`` array, and writes them back when the
-block ends.  Only the stride between rows changes, so the bits do not.
-A one-row block, and so all of :func:`train`, is layer-major already
-and is stepped in place, with no copy.
+would run the bias add and the outer product in its slower strided
+loops.  So every block of samples with the same m rows still
+presenting, a one-row block included, steps a layer-major copy of those
+rows (``network._layer_major``), in which each layer's weights and
+biases are one contiguous ``(m, ...)`` array, and writes them back when
+the block ends.  Each layer's delta is computed in that layer's bias
+gradient, which is also viewed once per block as an ``(m, out, 1)``
+column, and the weight gradient is the outer product of that column
+with the layer's input, so no sample copies a delta or builds a
+transposed view.  Only the stride between rows changes, so the bits do
+not.
 
 Each network's state between epochs (its checked training set,
 generator, rate, velocity, last accepted SSE and records) is one
@@ -235,15 +234,14 @@ def _epoch(
     sorted by sample count, largest first, so the rows still presenting
     samples at any sample index are a prefix ``[:m]`` of the stack.
 
-    The samples are stepped in blocks of equal m.  A block of m >= 2
-    rows steps a layer-major copy of those rows' params, velocity and
-    rates, made when it starts (``network._layer_major``), through
+    The samples are stepped in blocks of equal m.  Every block steps a
+    layer-major copy of its m rows' params, velocity and rates, made when
+    it starts (``network._layer_major``), through
     ``network._views(..., rows=m)``, and writes the params and velocity
     back into their rows when it ends (``network._write_rows``); the
-    gradient and step are layer-major scratch.  A one-row block steps
-    ``params[0]`` and ``velocity[0]`` in place: one row is layer-major
-    already.  Each product sees the same operands, and each ``(out,
-    in)`` matrix keeps its layout, so the copy changes no bit.
+    gradient and step are layer-major scratch.  Each product sees the
+    same operands, and each ``(out, in)`` matrix keeps its layout, so the
+    copy changes no bit.
 
     Each sample takes one forward sweep, one backward sweep and one
     momentum step, each layer one stacked product or elementwise
@@ -261,14 +259,14 @@ def _epoch(
     ``(o - t) * o * (1 - o)``, and each hidden delta is the next layer's
     weighted delta sum scaled by the local sigmoid derivative,
     ``(delta @ -W) * y * (y - 1)`` on the negated weights: the gradient of
-    SSE/2.  ``1.0`` and ``momentum`` enter as 0-d float64 arrays, and each
-    weight gradient is taken from its bias gradient's ``(m, out, 1)``
-    view after ``delta`` is written there; the arrays are made once per
-    epoch and the views once per block, not once per call (see the
-    module docstring).  Each sample's ``o - t`` is kept, and a row's SSE
-    is the running sum of its samples' squared errors, each taken with
-    the weights in effect when it was presented; a row's padding past its
-    last sample adds exactly 0.0.
+    SSE/2.  Each delta is computed in its layer's bias gradient, and each
+    weight gradient is taken from that bias gradient's ``(m, out, 1)``
+    view.  ``1.0`` and ``momentum`` enter as 0-d float64 arrays; the
+    arrays are made once per epoch and the views once per block, not once
+    per call (see the module docstring).  Each sample's ``o - t`` is
+    kept, and a row's SSE is the running sum of its samples' squared
+    errors, each taken with the weights in effect when it was presented;
+    a row's padding past its last sample adds exactly 0.0.
     """
     n_rows, n_max = params.shape[0], len(inputs[0])
     x = np.empty((n_max, n_rows, 1, inputs[0].shape[1]))
@@ -293,29 +291,23 @@ def _epoch(
         if stop == start:
             continue
         # the block steps a layer-major copy of its m rows, so each layer's
-        # weights and biases are one contiguous (m, ...) array; one row is
-        # layer-major already, and is stepped in place
-        if m == 1:
-            p, v, rate = params[0], velocity[0], rates[0]
-        else:
-            p, v, rate = (_layer_major(a[:m], layer_sizes) for a in (params, velocity, rates))
+        # weights and biases are one contiguous (m, ...) array
+        p, v, rate = (_layer_major(a[:m], layer_sizes) for a in (params, velocity, rates))
         g, s = grads[: p.size], step[: p.size]
         weights, biases = _views(p, layer_sizes, rows=m)
         weight_grads, bias_grads = _views(g, layer_sizes, rows=m)
-        # biases as (m, 1, out), to add to the (m, 1, out) layer products;
-        # reshape, not b[:, None], whose length-1 axis has stride 0 and steps slower
-        biases = [b.reshape(m, 1, -1) for b in biases]
-        bias_grads = [b.reshape(m, 1, -1) for b in bias_grads]
         layers = [(w.transpose(0, 2, 1), b) for w, b in zip(weights, biases)]
-        # each bias gradient also as (m, out, 1): the outer product's left
-        # operand, so no sample builds delta.transpose(0, 2, 1)
+        # each layer's delta is computed in its bias gradient, so the layer
+        # above writes a hidden delta into the bias gradient below it; each
+        # bias gradient is also viewed as (m, out, 1), the outer product's
+        # left operand, so no sample builds delta.transpose(0, 2, 1)
         backward = [
             (
                 layer,
                 weights[layer],
                 weight_grads[layer],
-                bias_grads[layer],
                 bias_grads[layer].transpose(0, 2, 1),
+                bias_grads[layer - 1] if layer else None,
             )
             for layer in reversed(range(len(weights)))
         ]
@@ -333,24 +325,22 @@ def _epoch(
                 activations.append(out)
             # o - t squares to the same bits as t - o
             np.subtract(out, target, out=miss)
-            delta = miss * out
+            delta = np.multiply(miss, out, out=bias_grads[-1])
             delta *= one - out
-            for layer, w, gw, gb, gb_col in backward:
+            for layer, w, gw, gb_col, gb_below in backward:
                 below = activations[layer]
-                gb[...] = delta
                 np.multiply(gb_col, below, out=gw)
                 if layer:
                     # (delta @ -W) * y * (y - 1) == (delta @ W) * y * (1 - y)
-                    delta = delta @ w
+                    delta = np.matmul(delta, w, out=gb_below)
                     delta *= below
                     delta *= below - one
             v *= momentum
             np.multiply(rate, g, out=s)
             v -= s
             p -= v  # -(p + v) for the negated p
-        if m > 1:
-            _write_rows(p, params[:m], layer_sizes)
-            _write_rows(v, velocity[:m], layer_sizes)
+        _write_rows(p, params[:m], layer_sizes)
+        _write_rows(v, velocity[:m], layer_sizes)
         start = stop
     np.negative(params, out=params)
     # cumsum adds in presentation order, as a running total would; sum

@@ -125,10 +125,17 @@ class TestEvaluate:
         with pytest.raises(ValidationError, match="labels must be whole numbers"):
             evaluate(net, np.zeros((5, 13)), labels)
 
-    def test_length_mismatch(self):
+    @pytest.mark.parametrize(
+        "n_rows, labels",
+        [(3, [0, 0]), (1, 3), (3, [[0], [1], [3]])],
+        ids=["fewer-labels", "scalar-label", "label-column"],
+    )
+    def test_length_mismatch(self, n_rows, labels):
+        # one label per row: a scalar label raised IndexError, and a label
+        # column was broadcast against the predictions into 9 counts
         net = new_network((13, 2), 0)
         with pytest.raises(ValueError, match="sample count"):
-            evaluate(net, np.zeros((3, 13)), np.zeros(2, dtype=int))
+            evaluate(net, np.zeros((n_rows, 13)), labels)
 
 
 class TestSplitSizes:

@@ -18,6 +18,10 @@ from heartnet.evaluation import evaluate
 from heartnet.network import (
     MAX_WIDTH,
     Network,
+    _layer_major,
+    _n_params,
+    _views,
+    _write_rows,
     forward,
     load_network,
     network_from_dict,
@@ -90,6 +94,25 @@ class TestNetwork:
         np.testing.assert_array_equal(net.biases[0], [4.0, 5.0])
         np.testing.assert_array_equal(net.weights[1], [[6.0, 7.0]])
         np.testing.assert_array_equal(net.biases[1], [8.0])
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "sizes", [(13, 2), (13, 8, 2), (13, 16, 8, 2)], ids=["13-2", "13-8-2", "13-16-8-2"]
+    )
+    def test_layer_major_copy_round_trips(self, sizes, k):
+        stack = np.random.default_rng(k).standard_normal((k, _n_params(sizes)))
+        flat = _layer_major(stack, sizes)
+        rebuilt = np.empty_like(stack)
+        _write_rows(flat, rebuilt, sizes)
+        assert rebuilt.tobytes() == stack.tobytes()
+        row_weights, row_biases = _views(stack, sizes)
+        weights, biases = _views(flat, sizes, rows=k)
+        for w, b, row_w, row_b in zip(weights, biases, row_weights, row_biases):
+            for r in range(k):
+                np.testing.assert_array_equal(w[r], row_w[r])
+                np.testing.assert_array_equal(b[r, 0], row_b[r])
+            # each bias a contiguous row vector, ready to add to a layer product
+            assert b.shape == (k, 1, row_b.shape[-1]) and b.flags.c_contiguous
 
     @pytest.mark.parametrize("shape", [(0,), (129,), (131,), (1, 130)])
     def test_params_of_the_wrong_shape_rejected(self, shape):
