@@ -233,11 +233,14 @@ def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
     outside 0..3 (the raw Cleveland file uses 0..4): ``strict`` rejects
     them, ``clamp`` maps them to the nearest bound and records a warning.
 
-    One ``np.loadtxt`` call parses every cell in C, and labels and
-    features are checked as whole arrays.  Only when the parse or a check
-    refuses the table does :func:`_parse_line` walk it line by line, to
-    raise the error of the earliest bad line, the first failing check of
-    that line, naming the file and the line.
+    One ``np.loadtxt`` call parses every cell in C, each ``?`` read as
+    NaN, and the parsed table is checked as a whole: it may hold no
+    infinity, no NaN but one for each ``?`` (so a cell that spells NaN is
+    refused) and no label but a whole number, under ``strict`` one in
+    0..3.  Only when the parse or a check refuses the table does
+    :func:`_parse_line` walk it line by line, to raise the error of the
+    earliest bad line, the first failing check of that line, naming the
+    file and the line.
     """
     if label_policy not in (LABELS_STRICT, LABELS_CLAMP):
         raise ValueError(f"unknown label_policy {label_policy!r}")
@@ -262,40 +265,35 @@ def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
     if not lines:
         raise ParseError(f"{path}: no data rows")
 
-    # "?" cells are read as NaN; only the lines that hold a "?" are split,
-    # and each "?" cell keeps its padding, so np.loadtxt still sees any "\r"
-    cells, marked = list(lines), {}
-    for i, line in enumerate(lines):
-        if MISSING_TOKEN in line:
-            fields = line.split(",")
-            marked[i] = [tok.strip() == MISSING_TOKEN for tok in fields]
-            cells[i] = ",".join(
-                tok.replace(MISSING_TOKEN, "nan") if gone else tok
-                for tok, gone in zip(fields, marked[i])
-            )
-    n_fields = N_ATTRIBUTES + 1
+    # Each "?" is read as " nan", which rests on two facts about np.loadtxt.
+    # It refuses whitespace inside a number, so " nan" parses only where
+    # "?" stood alone in its cell, padding aside: "-?" gives "- nan", which
+    # fails as "-?" does, where a plain "nan" would give "-nan", which
+    # parses.  And after a parse each "?" is exactly one NaN, so the NaN
+    # count differs from the "?" count iff the table spells NaN itself.
+    data = "\n".join(lines)
     try:
         # a table whose rows all have the same wrong field count parses,
         # and then fails the reshape
-        values = np.loadtxt(cells, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-        values = values.reshape(len(lines), n_fields)
+        values = np.loadtxt(
+            data.replace(MISSING_TOKEN, " nan").split("\n"),
+            delimiter=",", comments=None, dtype=np.float64, ndmin=2,
+        ).reshape(len(lines), N_ATTRIBUTES + 1)
     except ValueError:
         _raise_earliest_bad_line(path, lines, line_numbers, label_policy)
-    missing = np.zeros((len(lines), N_ATTRIBUTES), dtype=bool)
-    for i, gone in marked.items():
-        missing[i] = gone[:N_ATTRIBUTES]
-
-    features, raw_labels = values[:, :N_ATTRIBUTES], values[:, N_ATTRIBUTES]
-    # a "?" label was read as NaN, so it fails this test too
-    label_ok = np.isfinite(raw_labels) & (raw_labels == np.floor(raw_labels))
-    labels = np.where(label_ok, raw_labels, 0.0)
+    features, labels = values[:, :N_ATTRIBUTES], values[:, N_ATTRIBUTES]
+    # loadtxt also reads inf and a spelled NaN, which are neither numbers
+    # the scaler can use nor the "?" that marks a cell missing; a "?" or
+    # NaN label fails the whole-number test (!= is true for NaN, and
+    # raises no floating-point flag, as < would)
+    if (
+        np.isinf(values).any()
+        or np.isnan(values).sum() != data.count(MISSING_TOKEN)
+        or (labels != np.floor(labels)).any()
+    ):
+        _raise_earliest_bad_line(path, lines, line_numbers, label_policy)
     out_of_range = (labels < 0) | (labels >= N_CLASSES)
-    # loadtxt also reads nan, inf and -inf, which are neither numbers the
-    # scaler can use nor the "?" that marks a cell missing
-    bad = ~label_ok | ~(np.isfinite(features) | missing).all(axis=1)
-    if label_policy == LABELS_STRICT:
-        bad |= out_of_range
-    if bad.any():
+    if label_policy == LABELS_STRICT and out_of_range.any():
         _raise_earliest_bad_line(path, lines, line_numbers, label_policy)
 
     warnings = tuple(

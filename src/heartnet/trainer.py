@@ -52,10 +52,12 @@ its last accepted epoch, and a rejected epoch is dropped with its copy.
 :func:`heartnet.evaluation.run_experiment` trains all its cells in one
 call, so each architecture's split cells are one stack.
 
-The kernel steps the stack with its parameters negated, and negates
-them back when the epoch ends.  Negating an operand negates a product or
-a sum exactly under round-to-nearest, fused multiply-add or not, so
-``x @ -W.T + -b`` is bit for bit ``-(x @ W.T + b)``: the very argument
+The kernel steps each block's layer-major copy with its parameters
+negated: it negates the copy when the block starts and negates it back
+as it writes the rows back, so the caller's stack is never negated.
+Negating an operand negates a product or a sum exactly under
+round-to-nearest, fused multiply-add or not, so ``x @ -W.T + -b`` is bit
+for bit ``-(x @ W.T + b)``: the very argument
 the logistic ``1 / (1 + e^-a)`` exponentiates, with no negation call.
 The hidden delta ``(delta @ -W) * y * (y - 1)`` and the step
 ``-p - v == -(p + v)`` are likewise the plain arithmetic's bits, so every
@@ -245,10 +247,9 @@ def _epoch(
 
     Each sample takes one forward sweep, one backward sweep and one
     momentum step, each layer one stacked product or elementwise
-    operation over the active rows, mostly in place.  ``params`` is
-    negated on entry and negated back when the epoch ends (an exception
-    leaves it negated, without its block's steps; ``train_many`` passes
-    a copy that it then drops),
+    operation over the active rows, mostly in place.  Each block's copy
+    of the params is negated when ``_layer_major`` makes it and negated
+    back in its ``_write_rows`` call, and ``params`` itself never is,
     so each layer computes ``z = x @ -W.T + -b``, which is ``-a``
     exactly, and then the logistic
     ``1 / (1 + e^z)`` in place; the step is ``p -= v`` on the negated
@@ -284,7 +285,6 @@ def _epoch(
     one = np.array(1.0)
     momentum = np.array(momentum, dtype=np.float64)
 
-    np.negative(params, out=params)
     start = 0
     for m in range(n_rows, 0, -1):  # samples [start, stop) have m active rows
         stop = len(inputs[m - 1])
@@ -293,6 +293,7 @@ def _epoch(
         # the block steps a layer-major copy of its m rows, so each layer's
         # weights and biases are one contiguous (m, ...) array
         p, v, rate = (_layer_major(a[:m], layer_sizes) for a in (params, velocity, rates))
+        np.negative(p, out=p)
         g, s = grads[: p.size], step[: p.size]
         weights, biases = _views(p, layer_sizes, rows=m)
         weight_grads, bias_grads = _views(g, layer_sizes, rows=m)
@@ -339,10 +340,9 @@ def _epoch(
             np.multiply(rate, g, out=s)
             v -= s
             p -= v  # -(p + v) for the negated p
-        _write_rows(p, params[:m], layer_sizes)
+        _write_rows(np.negative(p, out=p), params[:m], layer_sizes)
         _write_rows(v, velocity[:m], layer_sizes)
         start = stop
-    np.negative(params, out=params)
     # cumsum adds in presentation order, as a running total would; sum
     # adds pairwise, which gives other bits.
     return np.cumsum(misses @ misses.swapaxes(-1, -2), axis=0)[-1, :, 0, 0]

@@ -104,7 +104,7 @@ class TestLoadDataset:
             with pytest.raises(ParseError, match=re.escape(message)):
                 load_dataset(write_csv(tmp_path, bad + "\n"))
 
-    @pytest.mark.parametrize("token", ["-?", "+?", "1?", "??"])
+    @pytest.mark.parametrize("token", ["-?", "+?", "1?", "??", "?5", "- ?"])
     def test_question_mark_in_a_longer_cell_is_non_numeric(self, tmp_path, token):
         # only a cell that is "?" alone is missing; np.loadtxt reads "-nan" as NaN,
         # so "-?" must not become "-nan" on the way
@@ -119,6 +119,20 @@ class TestLoadDataset:
         text = EXAMPLE_ROW + "\n" + bad + "\n"
         with pytest.raises(ParseError, match=f"line 2: non-finite value '{token}' in column Chol"):
             load_dataset(write_csv(tmp_path, text))
+
+    @pytest.mark.parametrize("column", ["Chol", "class"])
+    @pytest.mark.parametrize("token", ["nan", "NaN", "-nan", "+NAN"])
+    def test_spelled_nan_beside_missing_cells_names_its_cell(self, tmp_path, token, column):
+        # the fixture's six "?" cells are read as NaN; one NaN more, spelled
+        # out in a row with no "?", is refused and named all the same
+        lines = bundled_fixture_path().read_text(encoding="utf-8").split("\n")
+        assert sum(line.count("?") for line in lines) == 6 and "?" not in lines[99]
+        cells = lines[99].split(",")
+        cells[4 if column == "Chol" else 13] = token
+        lines[99] = ",".join(cells)
+        message = f"line 100: non-finite value {token!r} in column {column}"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_dataset(write_csv(tmp_path, "\n".join(lines)))
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_label_names_line(self, tmp_path, token):

@@ -1,6 +1,7 @@
 """Metrics, the proportional split fallback, and the experiment grid."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,19 @@ class TestEvaluate:
         net = new_network((13, 2), 0)
         with pytest.raises(ValueError, match="sample count"):
             evaluate(net, np.zeros((n_rows, 13)), labels)
+
+    @pytest.mark.parametrize(
+        "features, labels",
+        [(3, [0]), (np.zeros(13), [0] * 13)],
+        ids=["scalar", "one-row-vector"],
+    )
+    def test_features_must_be_a_matrix(self, features, labels):
+        # a scalar raised IndexError, and a 1-D row with 13 labels passed the
+        # sample-count check and failed on the output shape
+        net = new_network((13, 2), 0)
+        message = f"features must be a matrix of sample rows, got shape {np.shape(features)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate(net, features, labels)
 
 
 class TestSplitSizes:

@@ -233,9 +233,9 @@ def scaled_fixture():
 
 
 class TestKernelMatchesReference:
-    """The kernel steps the stack with its weights negated; every bit of
-    params, velocity and SSE must still equal the plain arithmetic of
-    ``gradient_oracle.reference_epoch``, epoch after epoch.  13-2 is a
+    """The kernel steps each block's copy with its weights negated; every
+    bit of params, velocity and SSE must still equal the plain arithmetic
+    of ``gradient_oracle.reference_epoch``, epoch after epoch.  13-2 is a
     single-layer stack, whose backward takes no hidden delta."""
 
     SIZES = pytest.mark.parametrize(
