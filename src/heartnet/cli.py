@@ -245,6 +245,15 @@ def _load_and_impute(config: RunConfig) -> Dataset:
     return dataset
 
 
+def _fit_scaler(config: RunConfig, dataset: Dataset) -> hdata.Scaler:
+    """The scaler of the whole table; a column whose span float64 cannot
+    hold is a data error naming the table."""
+    try:
+        return hdata.fit_scaler(dataset)
+    except hdata.ValidationError as exc:
+        raise hdata.ValidationError(f"{config.data}: {exc}") from None
+
+
 def _format_confusion(confusion) -> str:
     matrix = np.asarray(confusion)
     lines = ["confusion matrix (rows = true class, columns = predicted):"]
@@ -259,8 +268,8 @@ def cmd_scale(config: RunConfig, args: argparse.Namespace) -> int:
     the scaled table for inspection."""
     _require(config, "data", "out")
     dataset = _load_and_impute(config)
+    scaler = _fit_scaler(config, dataset)
     out_dir = _prepare_out_dir(config)
-    scaler = hdata.fit_scaler(dataset)
     save_scaler(scaler, out_dir / "scaler.json")
 
     scaled = scaler.transform(dataset.features)
@@ -283,10 +292,10 @@ def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
     _require(config, "data", "out")
     sizes = layer_stack(config.hidden_sizes)
     dataset = _load_and_impute(config)
+    scaler = _fit_scaler(config, dataset)
     network = new_network(sizes, config.seed)
     out_dir = _prepare_out_dir(config)
 
-    scaler = hdata.fit_scaler(dataset)
     inputs = scaler.transform(dataset.features)
     targets = hdata.encode_labels(dataset.labels)
     history = train(network, inputs, targets, config)
@@ -318,7 +327,11 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
 
     x = dataset.features
     out_of_range = int(((x < scaler.mins) | (x > scaler.maxs)).any(axis=1).sum())
-    metrics = evaluate(network, scaler.transform(x), dataset.labels)
+    try:
+        scaled = scaler.transform(x)
+    except hdata.ValidationError as exc:  # a span too small for this table's values
+        raise hdata.FormatError(f"{args.scaler}: {exc}") from None
+    metrics = evaluate(network, scaled, dataset.labels)
 
     print(f"samples: {metrics.n_test}")
     if out_of_range:
@@ -358,6 +371,7 @@ def cmd_experiment(config: RunConfig, args: argparse.Namespace) -> int:
     dataset = _load_and_impute(config)
     try:
         check_splits(len(dataset), config.splits)
+        hdata.fit_scaler(dataset)  # no split's span is wider than the table's
     except hdata.ValidationError as exc:
         raise hdata.ValidationError(f"{config.data}: {exc}") from None
     out_dir = _prepare_out_dir(config)

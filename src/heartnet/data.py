@@ -2,9 +2,11 @@
 class codes, seeded splits), :func:`_write`, the artifact writer, and
 the program's number rules: :func:`_is_number` for a table cell or an
 integer flag, :func:`_is_integer` and :func:`_is_real` for a JSON or
-config value, and :func:`_class_labels` for the class labels a
+config value, :func:`_class_labels` for the class labels a
 :class:`Dataset`, :func:`encode_labels` or
-:func:`heartnet.evaluation.evaluate` is given.
+:func:`heartnet.evaluation.evaluate` is given, and :func:`_sample_rows`
+for a matrix of samples: the training set, the features ``evaluate``
+scores and the network outputs :func:`decode_outputs` reads.
 
 :func:`load_dataset` parses a table with one ``np.loadtxt`` call and,
 when it has bad rows, names its file and its earliest bad line.
@@ -19,6 +21,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -363,7 +366,9 @@ def _write(path, fill) -> None:
             fill(handle)
         os.replace(temporary, path)
     except BaseException as exc:
-        temporary.unlink(missing_ok=True)
+        # unlink fails too where the open did, as under a regular file
+        with contextlib.suppress(OSError):
+            temporary.unlink()
         if isinstance(exc, OSError) and exc.filename == str(temporary):
             exc.filename = str(path)  # name the file the caller asked for
         raise
@@ -384,7 +389,10 @@ class Scaler:
 
     In-range inputs land in [0, 1]; others are extrapolated, not clipped.
     Degenerate (constant) columns map to 0.0 and invert back to their
-    single observed value.
+    single observed value.  A span ``max - min`` that float64 cannot
+    hold is refused when the scaler is built, and a finite value that
+    scales to a non-finite one (a span so small that dividing by it
+    overflows) is refused by ``transform``; either error names the column.
     """
 
     mins: np.ndarray
@@ -397,7 +405,15 @@ class Scaler:
             raise ValidationError("scaler needs one min and one max for each column of the table")
         if not (np.isfinite(mins).all() and np.isfinite(maxs).all()):
             raise ValidationError("scaler bounds must be finite for every column")
-        if (maxs - mins < 0).any():
+        with np.errstate(over="ignore"):
+            span = maxs - mins
+        if not np.isfinite(span).all():
+            j = int(np.flatnonzero(~np.isfinite(span))[0])
+            raise ValidationError(
+                f"column {HEART_SCHEMA[j].name}: span {maxs[j]} - {mins[j]} "
+                f"is more than float64 holds"
+            )
+        if (span < 0).any():
             raise ValidationError("scaler delta must be >= 0 for every column")
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
@@ -422,8 +438,18 @@ class Scaler:
         x = self._checked(features)
         delta = self.maxs - self.mins
         flat = delta == 0.0
-        scaled = (x - self.mins) / np.where(flat, 1.0, delta)
+        with np.errstate(over="ignore"):
+            scaled = (x - self.mins) / np.where(flat, 1.0, delta)
         scaled[..., flat] = 0.0
+        if not np.isfinite(scaled).all():  # NaN and infinite cells stay as they are
+            overflowed = np.argwhere(~np.isfinite(scaled) & np.isfinite(x))
+            if overflowed.size:
+                cell = tuple(overflowed[0])  # (column,) of a row, (row, column) of a matrix
+                j = cell[-1]
+                raise ValidationError(
+                    f"column {HEART_SCHEMA[j].name}: value {x[cell]} scales to "
+                    f"{scaled[cell]} by the span {self.mins[j]}..{self.maxs[j]}"
+                )
         return scaled
 
     def inverse_transform(self, scaled) -> np.ndarray:
@@ -452,8 +478,9 @@ def save_scaler(scaler: Scaler, path) -> None:
 
 def load_scaler(path) -> Scaler:
     """Read a :func:`save_scaler` file.  A bound that is not a finite JSON
-    number, a ``min`` above its ``max``, or columns other than the table's
-    13 in order are a :class:`FormatError` naming the file."""
+    number, a ``min`` above its ``max``, a span ``max - min`` that float64
+    cannot hold, or columns other than the table's 13 in order are a
+    :class:`FormatError` naming the file."""
     payload = _read_json(path, FormatError)
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: expected a JSON object of columns")
@@ -474,7 +501,10 @@ def load_scaler(path) -> Scaler:
     if len(bounds) != N_ATTRIBUTES:
         raise FormatError(f"{path}: {len(bounds)} columns but the table has {N_ATTRIBUTES}")
     mins, maxs = np.array(bounds, dtype=np.float64).T
-    return Scaler(mins, maxs)
+    try:
+        return Scaler(mins, maxs)
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # Four classes on two output neurons: the code is the label's two-bit
@@ -504,6 +534,22 @@ def _class_labels(labels) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _sample_rows(values, width: int, name: str) -> np.ndarray:
+    """``values`` as a contiguous float64 ``(n, width)`` matrix of finite
+    numbers: the one rule for a matrix of samples.  Any other shape, or a
+    NaN or infinite cell, is a ValidationError naming ``name`` and the
+    shape, or the first bad cell in row order."""
+    shape = np.shape(values)  # read first: ascontiguousarray makes a scalar (1,)
+    if len(shape) != 2 or shape[1] != width:
+        raise ValidationError(f"{name} must be (n, {width}), got shape {shape}")
+    rows = np.ascontiguousarray(values, dtype=np.float64)
+    if not np.isfinite(rows).all():
+        row, column = np.argwhere(~np.isfinite(rows))[0]
+        value = rows[row, column]
+        raise ValidationError(f"non-finite {name} in row {row}, column {column}: {value}")
+    return rows
+
+
 def encode_labels(labels) -> np.ndarray:
     """Two-neuron target rows for an array of class labels 0..3
     (:func:`_class_labels`)."""
@@ -513,14 +559,8 @@ def encode_labels(labels) -> np.ndarray:
 def decode_outputs(outputs) -> np.ndarray:
     """Class labels of an (n, 2) matrix of output rows: threshold each
     output neuron at 0.5 (ties round up) and invert the class code.  A
-    non-finite output has no class and is rejected."""
-    out = np.asarray(outputs, dtype=np.float64)
-    if out.ndim != 2 or out.shape[1] != 2:
-        raise ValidationError(f"expected rows of 2 output values, got shape {out.shape}")
-    if not np.isfinite(out).all():
-        bad = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
-        raise ValidationError(f"non-finite network output in row {bad}: {out[bad].tolist()}")
-    bits = (out >= 0.5).astype(np.int64)
+    non-finite output has no class and is rejected (:func:`_sample_rows`)."""
+    bits = (_sample_rows(outputs, 2, "network output") >= 0.5).astype(np.int64)
     return 2 * bits[:, 0] + bits[:, 1]
 
 

@@ -66,13 +66,12 @@ class Metrics:
 
 def evaluate(network: Network, features, labels) -> Metrics:
     """Predict every test sample in one whole-matrix forward pass and
-    tally efficiency and confusion.  ``features`` is a matrix with one
-    row per sample, and each label must be a whole number in 0..3
-    (:func:`heartnet.data._class_labels`)."""
-    x = np.asarray(features, dtype=np.float64)
+    tally efficiency and confusion.  ``features`` is a matrix of finite
+    values with one row per sample, as wide as the network's input layer
+    (:func:`heartnet.data._sample_rows`), and each label must be a whole
+    number in 0..3 (:func:`heartnet.data._class_labels`)."""
+    x = hdata._sample_rows(features, network.layer_sizes[0], "features")
     y = hdata._class_labels(labels)
-    if x.ndim != 2:
-        raise ValueError(f"features must be a matrix of sample rows, got shape {x.shape}")
     if x.shape[0] == 0:
         raise ValidationError("test set is empty")
     if y.shape != x.shape[:1]:

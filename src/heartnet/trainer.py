@@ -73,7 +73,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import ValidationError, _is_integer, _is_real, _write_csv
+from .data import ValidationError, _is_integer, _is_real, _sample_rows, _write_csv
 from .network import Network, _layer_major, _views, _write_rows
 
 
@@ -176,26 +176,15 @@ def adapt_learning_rate(
 
 
 def _check_training_set(network: Network, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
-    """``inputs`` and ``targets`` as contiguous float64 matrices, checked
-    against the network's input and output widths and each other, with
-    every value finite."""
-    x = np.ascontiguousarray(inputs, dtype=np.float64)
-    t = np.ascontiguousarray(targets, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != network.layer_sizes[0]:
-        raise ValueError(
-            f"inputs must be (n, {network.layer_sizes[0]}), got {x.shape}"
-        )
-    if t.ndim != 2 or t.shape[1] != network.layer_sizes[-1]:
-        raise ValueError(
-            f"targets must be (n, {network.layer_sizes[-1]}), got {t.shape}"
-        )
+    """``inputs`` and ``targets`` as contiguous float64 matrices of finite
+    values (:func:`heartnet.data._sample_rows`), as wide as the network's
+    input and output layers, with one target row per input row."""
+    x = _sample_rows(inputs, network.layer_sizes[0], "inputs")
+    t = _sample_rows(targets, network.layer_sizes[-1], "targets")
     if x.shape[0] == 0:
         raise ValidationError("training set is empty")
     if t.shape[0] != x.shape[0]:
         raise ValueError("inputs and targets disagree on sample count")
-    for name, values in (("inputs", x), ("targets", t)):
-        if not np.isfinite(values).all():
-            raise ValueError(f"{name} must be finite (no NaN or infinity)")
     return x, t
 
 
@@ -391,7 +380,9 @@ def train_many(
     of this module, which :func:`train` runs for one.
 
     ``networks[i]`` trains on ``training_sets[i]``, an ``(inputs,
-    targets)`` pair, and the result holds each network's history.  Each
+    targets)`` pair of matrices of finite values as wide as its input and
+    output layers (:func:`heartnet.data._sample_rows`), with one target
+    row per input row, and the result holds each network's history.  Each
     network is one ``_Run`` record, with its own shuffle generator,
     learning rate, velocity and records, and ``_Run.settle`` makes its
     accept/reject decision; one that reaches the target or diverges

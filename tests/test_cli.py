@@ -7,11 +7,13 @@ import math
 import re
 import tempfile
 from dataclasses import asdict, fields
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heartnet import cli
 from heartnet.cli import (
@@ -434,6 +436,128 @@ class TestEveryConfigValue:
             assert left == sorted(["config.json", value if key == "out" else "out"])
 
 
+# the values a flag is drawn from, by its argparse dest: each good one,
+# then odd ones; "{n}" becomes a number no earlier run used
+GOOD_FLAG_VALUES = {
+    "config": ["two_epochs.json"],
+    "data": ["table.csv"],
+    "out": ["out{n}"],
+    "model": ["trained/model.json"],
+    "scaler": ["trained/scaler.json"],
+    "json_out": ["metrics{n}.json"],
+    "seed": ["0", "3"],
+    "layers": ["13,8,2", "13,2", "13,16,8,2"],
+}
+ODD_PATHS = ["", ".", " ", "-", "--", "absent.csv", "absent/deeper/file", "table.csv/below"]
+ODD_FLAG_VALUES = {
+    # none of these is a config that trains, so no run trains past 2 epochs
+    "config": ["table.csv", "trained/model.json", "list.json"],
+    "data": ["trained/model.json", "bad_cell.csv"],
+    "out": ["table.csv", "new/deeper/out{n}"],
+    "model": ["table.csv", "trained/scaler.json"],
+    "scaler": ["trained/model.json", "wide_span_scaler.json"],
+    "json_out": ["trained", "absent/metrics.json"],
+    "seed": ["-1", "-0", "+4", " 2 ", "1_0", "１", "1.5", "0x10", "nan", "", "9" * 30],
+    "layers": ["", "13,,2", "13,1025,2", "x", "13, 8, 2", "-1", "13,8", "１３,2", "13,0,2",
+               "2,8,13", "13,8,2,", "13,4,4,4,4,2"],
+    "imputation": ["zeros", "", "DROP"],
+    "label_policy": ["none", ""],
+}
+# the last stderr line of a run that exits non-zero starts with one of these
+ERROR_PREFIXES = ("config error:", "data error:", "training diverged:", "i/o error:")
+ARGPARSE_ERROR = re.compile(r"heartnet( \w+)?: error: ")
+
+
+def subcommand_flags(command):
+    """The flags of ``heartnet <command>`` as its parser defines them:
+    (option, dest, choices, takes a value), --help left out."""
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (action.option_strings[0], action.dest, action.choices, action.nargs != 0)
+        for action in subparsers.choices[command]._actions
+        if action.option_strings and action.dest != "help"
+    ]
+
+
+class TestEveryFlag:
+    """ROADMAP item 13's flags slice.  Command lines for each subcommand,
+    built from the parser's own flags, repeated ones included, with good
+    and odd values for the path flags, ``--seed``, ``--layers`` and the
+    choice flags, run through ``main``: each ends in a documented exit
+    code with no exception, a failing one's last stderr line starts with
+    a documented prefix, and a config error names its flag."""
+
+    @pytest.fixture(scope="class")
+    def folder(self, tmp_path_factory):
+        """The files the flag values name: a 2-epoch config, a 30-row
+        table, a table with a bad cell, and a model and scaler trained on
+        the table."""
+        folder = tmp_path_factory.mktemp("flags")
+        with open(FIXTURE, encoding="utf-8") as fixture:
+            lines = [next(fixture) for _ in range(30)]
+        (folder / "table.csv").write_text("".join(lines), encoding="utf-8")
+        (folder / "bad_cell.csv").write_text("".join(lines[:3]) + "1,x\n", encoding="utf-8")
+        (folder / "two_epochs.json").write_text('{"max_epochs": 2}', encoding="utf-8")
+        (folder / "list.json").write_text("[]", encoding="utf-8")
+        bounds = {col.name: {"min": 0, "max": 1} for col in cli.hdata.HEART_SCHEMA}
+        bounds["Chol"] = {"min": -1.5e308, "max": 1.5e308}
+        (folder / "wide_span_scaler.json").write_text(json.dumps(bounds), encoding="utf-8")
+        assert main(["train", "--config", str(folder / "two_epochs.json"),
+                     "--data", str(folder / "table.csv"), "--out", str(folder / "trained")]) == 0
+        return folder
+
+    @pytest.mark.parametrize("command", ["train", "experiment", "evaluate", "scale"])
+    def test_documented_exit_and_message(self, folder, monkeypatch, capsys, command):
+        monkeypatch.chdir(folder)
+        flags = subcommand_flags(command)
+        runs = count()
+
+        @st.composite
+        def command_line(draw):
+            """The 2-epoch config, then each good file flag the command
+            needs (most of the time), then up to 4 flags drawn with
+            repeats, each with a good or an odd value; a later --config
+            wins only with a value that cannot train."""
+            argv = [command, "--config", "two_epochs.json"]
+            for option, dest, _, _ in flags:
+                if dest in ("data", "out", "model", "scaler") and draw(st.integers(0, 5)):
+                    argv += [option, GOOD_FLAG_VALUES[dest][0]]
+            for option, dest, choices, takes_value in draw(
+                st.lists(st.sampled_from(flags), max_size=4)
+            ):
+                argv.append(option)
+                if takes_value:
+                    odd = ODD_FLAG_VALUES.get(dest, []) + (ODD_PATHS if dest in cli._PATH_FLAGS else [])
+                    good = list(choices or GOOD_FLAG_VALUES[dest])
+                    argv.append(draw(st.sampled_from(good) | st.sampled_from(odd)))
+            n = str(next(runs))
+            return [arg.replace("{n}", n) for arg in argv]
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(argv=command_line())
+        def check(argv):
+            code = main(argv)
+            assert code in {EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_DIVERGENCE, EXIT_IO}
+            err = capsys.readouterr().err
+            if code == EXIT_OK:
+                return
+            last = err.splitlines()[-1]
+            assert last.startswith(ERROR_PREFIXES) or ARGPARSE_ERROR.match(last), last
+            if last.startswith("config error:"):
+                # by its flag, its config key, the config file it is in,
+                # or as a required setting no flag gave
+                names = {name for option, dest, _, _ in flags if option in argv
+                         for name in (option, dest)}
+                names |= {"hidden_sizes"} if "--layers" in argv else set()
+                names |= {argv[i + 1] for i, arg in enumerate(argv[:-1]) if arg == "--config"}
+                assert "missing required setting" in last or any(
+                    name and name in last for name in names
+                ), last
+
+        check()
+
+
 class TestRepeatedCalls:
     """``main`` may be called many times in one process; it builds its
     parser on the first call and every call answers as the first did."""
@@ -528,6 +652,22 @@ class TestTrain:
             assert (out / name).exists()
         printed = capsys.readouterr().out
         assert "final sse" in printed and "epochs" in printed
+
+    @pytest.mark.parametrize("command", ["scale", "train", "experiment"])
+    def test_column_span_float64_cannot_hold_is_data_error(self, tmp_path, capsys, command):
+        # max - min of the Chol column overflowed: a RuntimeWarning, and
+        # NaN inputs refused without naming the table
+        rows = [line.split(",") for line in bundled_fixture_path().read_text().splitlines()]
+        rows[0][4], rows[1][4] = "-1.5e308", "1.5e308"
+        table = tmp_path / "wide.csv"
+        table.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+        out = tmp_path / "o"
+        code = main([command, "--config", quick_config(tmp_path), "--data", str(table),
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        message = "column Chol: span 1.5e+308 - -1.5e+308 is more than float64 holds"
+        assert capsys.readouterr().err.splitlines()[-1] == f"data error: {table}: {message}"
+        assert not out.exists()
 
     def test_missing_data_file_is_io_error(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o")])
@@ -679,6 +819,29 @@ class TestEvaluate:
         assert code == EXIT_DATA
         assert capsys.readouterr().err == f"data error: {bad}: column 'Age' has min 5 > max 1\n"
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ((-1.5e308, 1.5e308),
+             "column Chol: span 1.5e+308 - -1.5e+308 is more than float64 holds"),
+            ((0, 1e-307), "column Chol: value 219.0 scales to inf by the span 0.0..1e-307"),
+        ],
+        ids=["span-too-wide", "span-too-small"],
+    )
+    def test_scaler_span_float64_cannot_scale_by_is_data_error(
+        self, trained, tmp_path, capsys, bounds, message
+    ):
+        # max - min overflowed, or dividing by it did: every Chol scaled to 0
+        # or to inf, with a RuntimeWarning, and the run exited 0
+        scaler = json.loads((trained / "scaler.json").read_text(encoding="utf-8"))
+        scaler["Chol"] = dict(zip(("min", "max"), bounds))
+        bad = tmp_path / "bad_scaler.json"
+        bad.write_text(json.dumps(scaler), encoding="utf-8")
+        code = main(["evaluate", "--model", str(trained / "model.json"),
+                     "--scaler", str(bad), "--data", FIXTURE])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == f"data error: {bad}: {message}"
+
     def test_binary_flag_adds_line(self, trained, capsys):
         main(["evaluate", "--model", str(trained / "model.json"),
               "--scaler", str(trained / "scaler.json"),
@@ -714,6 +877,17 @@ class TestEvaluate:
         assert code == EXIT_IO
         assert capsys.readouterr().err.endswith(
             f"i/o error: [Errno 2] No such file or directory: '{dest}'\n"
+        )
+
+    def test_json_out_under_a_regular_file_names_the_target(self, trained, tmp_path, capsys):
+        dest = tmp_path / "table.csv" / "m.json"
+        dest.parent.write_text("1\n", encoding="utf-8")
+        code = main(["evaluate", "--model", str(trained / "model.json"),
+                     "--scaler", str(trained / "scaler.json"),
+                     "--data", FIXTURE, "--json-out", str(dest)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err.endswith(
+            f"i/o error: [Errno 20] Not a directory: '{dest}'\n"
         )
 
     def test_scaler_column_count_mismatch_is_data_error(self, trained, tmp_path, capsys):

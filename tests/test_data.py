@@ -597,6 +597,33 @@ class TestScaler:
         with pytest.raises(ValidationError, match="bounds must be finite"):
             Scaler(mins, maxs)
 
+    def test_span_float64_cannot_hold_rejected(self):
+        # max - min overflowed, and every Chol scaled to 0 or NaN
+        message = "column Chol: span 1.5e+308 - -1.5e+308 is more than float64 holds"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            scaler_with(Chol=(-1.5e308, 1.5e308))
+        assert scaler_with(Chol=(-8e307, 8e307)).maxs[4] == 8e307
+
+    @pytest.mark.parametrize("span", [1e-307, 5e-324])
+    def test_value_scaled_past_float64_rejected(self, span):
+        # dividing by the span overflowed, and the row scaled to inf
+        scaler = scaler_with(Chol=(0.0, span))
+        message = f"column Chol: value 200.0 scales to inf by the span 0.0..{span!r}"
+        for values in (row_with(Chol=200.0), [row_with(Chol=0.0), row_with(Chol=200.0)]):
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                scaler.transform(values)
+        # a value in range scales as before; NaN and infinite cells pass through
+        rows = [row_with(Chol=span), row_with(Chol=0.0, Age=np.nan, Sex=-np.inf)]
+        scaled = scaler.transform(rows)
+        assert scaled[0, 4] == 1.0
+        assert np.isnan(scaled[1, 0]) and scaled[1, 1] == -np.inf
+
+    def test_load_rejects_a_span_float64_cannot_hold(self, tmp_path):
+        path = tmp_path / "scaler.json"
+        path.write_text(json.dumps(bounds_with(Chol=(-1.5e308, 1.5e308))), encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: column Chol: span")):
+            load_scaler(path)
+
     def test_bounds_per_name_checked(self):
         # one min and one max for each of the table's 13 columns, no more, no fewer
         for mins, maxs in ((np.zeros(12), np.ones(12)), (np.zeros(13), np.ones(12)),
@@ -670,6 +697,15 @@ class TestWrite:
             hdata._write_json(target, {})
         assert caught.value.filename == str(target)
 
+    def test_error_under_a_regular_file_names_the_target(self, tmp_path):
+        # the temporary file's unlink failed as its open had, and the error
+        # named the temporary file, pid and all
+        (tmp_path / "table.csv").write_text("1\n", encoding="utf-8")
+        target = tmp_path / "table.csv" / "m.json"
+        with pytest.raises(NotADirectoryError) as caught:
+            hdata._write_json(target, {})
+        assert caught.value.filename == str(target)
+
     def test_fifo_is_written_in_place(self, tmp_path):
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
@@ -719,9 +755,9 @@ class TestClassCodes:
                 encode_labels(labels)
 
     def test_decode_shape_check(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=re.escape("got shape (2,)")):
             decode_outputs([0.1, 0.2])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=re.escape("got shape (1, 3)")):
             decode_outputs([[0.1, 0.2, 0.3]])
 
     def test_non_finite_output_has_no_class(self):

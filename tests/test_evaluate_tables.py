@@ -149,9 +149,12 @@ class TestTrainOnGeneratedTables:
         check()
 
 
-# what a mutation puts in place of one value; DELETE drops its key or element
+# what a mutation puts in place of one value; DELETE drops its key or element.
+# A max of 5e-324 over a min of 0 is a span too small to scale by.
 DELETE = object()
-REPLACEMENTS = [None, True, 0, -1, 1.5, -0.0, 1e308, 10**400, "", "1", [], [[None]], {}, DELETE]
+REPLACEMENTS = [
+    None, True, 0, -1, 1.5, -0.0, 1e308, 5e-324, 10**400, "", "1", [], [[None]], {}, DELETE,
+]
 
 
 def value_paths(value, prefix=()):

@@ -2,6 +2,7 @@
 
 import csv
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -140,16 +141,30 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "features, labels",
-        [(3, [0]), (np.zeros(13), [0] * 13)],
-        ids=["scalar", "one-row-vector"],
+        [(3, [0]), (np.zeros(13), [0] * 13), (np.zeros((2, 12)), [0, 1])],
+        ids=["scalar", "one-row-vector", "too-narrow"],
     )
     def test_features_must_be_a_matrix(self, features, labels):
         # a scalar raised IndexError, and a 1-D row with 13 labels passed the
         # sample-count check and failed on the output shape
         net = new_network((13, 2), 0)
-        message = f"features must be a matrix of sample rows, got shape {np.shape(features)}"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        message = f"features must be (n, 13), got shape {np.shape(features)}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             evaluate(net, features, labels)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_is_named(self, value):
+        # a NaN feature was reported as a non-finite network output, and an
+        # infinite one escaped the forward pass as a RuntimeWarning
+        features = np.full((2, 13), 0.5)
+        features[1, 4] = value
+        for cells in (np.full((2, 13), value), features):
+            row, column = np.argwhere(~np.isfinite(cells))[0]
+            message = f"non-finite features in row {row}, column {column}: {value}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match=re.escape(message)):
+                    evaluate(new_network((13, 2), 0), cells, [0, 1])
 
 
 class TestSplitSizes:

@@ -225,21 +225,6 @@ class TestForward:
         with pytest.raises(ValueError, match="shape"):
             forward(net, rows[:, :12])
 
-    def test_worker_count_invariance(self, under_blas_threads):
-        # a layer wide enough that a threaded BLAS can split its products
-        runs = under_blas_threads("""
-            import hashlib
-            import numpy as np
-            from heartnet.network import forward, new_network
-            net = new_network((13, 1024, 2), 7)
-            rows = np.random.default_rng(0).uniform(0, 1, (303, 13))
-            for out in (*forward(net, rows[0]), forward(net, rows)[-1]):
-                print(hashlib.sha256(out.tobytes()).hexdigest())
-        """)
-        first, *rest = runs.values()
-        assert len(first) == 4
-        assert all(lines == first for lines in rest)
-
 
 class TestSse:
     """The SSE of a sample, as the epoch that presents it reports it."""
@@ -303,22 +288,6 @@ class TestBackward:
         delta = (out - target) * out * (1.0 - out)
         np.testing.assert_array_equal(grads[-2:], delta)
         np.testing.assert_array_equal(grads[-8:-2].reshape(2, 3), np.outer(delta, acts[-2]))
-
-    def test_worker_count_invariance(self, under_blas_threads):
-        runs = under_blas_threads("""
-            import hashlib
-            import numpy as np
-            from gradient_oracle import kernel_epoch
-            from heartnet.network import new_network
-            net = new_network((13, 1024, 2), 9)
-            x = np.random.default_rng(2).uniform(0, 1, (1, 13))
-            velocity = np.zeros_like(net.params)  # ends at minus the gradient
-            kernel_epoch(net, x, np.array([[1.0, 0.0]]), velocity, 1.0, 0.0)
-            print(hashlib.sha256(velocity.tobytes()).hexdigest())
-        """)
-        first, *rest = runs.values()
-        assert len(first) == 1
-        assert all(lines == first for lines in rest)
 
 
 class TestSerialization:

@@ -3,6 +3,7 @@ loop, checked against hand values, a plain-float reference epoch and a
 scripted replay of the loop."""
 
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -288,13 +289,17 @@ class TestKernelMatchesReference:
 
 
 def non_finite_sets():
-    """(inputs, targets, name of the bad one) for a 13-x-2 network."""
+    """(inputs, targets, the message that refuses them) for a 13-x-2 network."""
     x, t = heart_like(n=3)
     nan_input, inf_input, nan_target = x.copy(), x.copy(), t.copy()
     nan_input[1, 4] = np.nan
     inf_input[0, 0] = -np.inf
     nan_target[2, 1] = np.nan
-    return [(nan_input, t, "inputs"), (inf_input, t, "inputs"), (x, nan_target, "targets")]
+    return [
+        (nan_input, t, "non-finite inputs in row 1, column 4: nan"),
+        (inf_input, t, "non-finite inputs in row 0, column 0: -inf"),
+        (x, nan_target, "non-finite targets in row 2, column 1: nan"),
+    ]
 
 
 def count_epoch_calls(monkeypatch):
@@ -454,25 +459,6 @@ class TestTrain:
         assert hist_a == hist_b
         np.testing.assert_array_equal(net_a.params, net_b.params)
 
-    def test_worker_count_invariance(self, under_blas_threads):
-        runs = under_blas_threads("""
-            import hashlib
-            import numpy as np
-            from heartnet.network import new_network
-            from heartnet.trainer import TrainConfig, train
-            rng = np.random.default_rng(3)
-            x = rng.uniform(0, 1, (12, 13))
-            labels = rng.integers(0, 4, 12)
-            t = np.column_stack([labels // 2, labels % 2]).astype(float)
-            net = new_network((13, 1024, 2), 6)
-            hist = train(net, x, t, TrainConfig(max_epochs=5, target_sse=0.0))
-            print(hashlib.sha256(net.params.tobytes()).hexdigest())
-            print(repr(hist))
-        """)
-        first, *rest = runs.values()
-        assert len(first) == 2
-        assert all(lines == first for lines in rest)
-
     def test_weights_stay_views_of_params(self, tmp_path):
         def assert_views(net):
             for arr in net.weights + net.biases:
@@ -497,15 +483,17 @@ class TestTrain:
 
     def test_input_validation(self):
         net = new_network((13, 8, 2), 0)
-        with pytest.raises(ValueError, match="inputs"):
+        message = "inputs must be (n, 13), got shape (4, 12)"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             train(net, np.zeros((4, 12)), np.zeros((4, 2)), TrainConfig())
-        with pytest.raises(ValueError, match="targets"):
+        message = "targets must be (n, 2), got shape (4, 3)"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             train(net, np.zeros((4, 13)), np.zeros((4, 3)), TrainConfig())
         with pytest.raises(ValidationError, match="empty"):
             train(net, np.zeros((0, 13)), np.zeros((0, 2)), TrainConfig())
         before = net.params.copy()
-        for inputs, targets, name in non_finite_sets():
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
+        for inputs, targets, message in non_finite_sets():
+            with pytest.raises(ValidationError, match=re.escape(message)):
                 train(net, inputs, targets, TrainConfig(max_epochs=2))
         assert net.params.tobytes() == before.tobytes()
 
@@ -620,18 +608,19 @@ class TestTrainMany:
         assert train_many([], [], cfg) == []
         with pytest.raises(ValueError, match="2 training sets"):
             train_many([net], [heart_like(), heart_like()], cfg)
-        with pytest.raises(ValueError, match="inputs"):
+        message = "inputs must be (n, 13), got shape (4, 12)"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             train_many([net], [(np.zeros((4, 12)), np.zeros((4, 2)))], cfg)
         with pytest.raises(ValidationError, match="empty"):
             train_many([net], [(np.zeros((0, 13)), np.zeros((0, 2)))], cfg)
         before = net.params.copy()
         bad_sets = [
-            (np.full(6, 0.5), np.ones((6, 2)), "inputs must be"),
+            (np.full(6, 0.5), np.ones((6, 2)), "inputs must be (n, 13), got shape (6,)"),
             (np.full((6, 13), 0.5), np.ones((5, 2)), "sample count"),
-            *((x, t, f"{name} must be finite") for x, t, name in non_finite_sets()),
+            *non_finite_sets(),
         ]
         for inputs, targets, message in bad_sets:
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=re.escape(message)):
                 train_many([net, new_network((13, 8, 2), 1)], [heart_like(), (inputs, targets)], cfg)
         assert net.params.tobytes() == before.tobytes()
 
@@ -695,3 +684,48 @@ class TestHistory:
             assert accepted_s == ("true" if record.accepted else "false")
         assert epochs == sorted(epochs)
         assert len(set(epochs)) == len(epochs)
+
+
+class TestBlasThreads:
+    """The package starts no workers; the one thing that can split its
+    work is a threaded BLAS, so each computation here runs the same under
+    1 and 2 BLAS threads, in one interpreter per count, with a layer wide
+    enough that BLAS can split its products."""
+
+    def test_same_bits_for_each_thread_count(self, under_blas_threads):
+        runs = under_blas_threads("""
+            import hashlib
+            import numpy as np
+            from gradient_oracle import kernel_epoch
+            from heartnet.network import forward, new_network
+            from heartnet.trainer import TrainConfig, train
+
+            def digest(array):
+                print(hashlib.sha256(array.tobytes()).hexdigest())
+
+            # forward: each layer of one row, and the output of 303 rows
+            net = new_network((13, 1024, 2), 7)
+            rows = np.random.default_rng(0).uniform(0, 1, (303, 13))
+            for out in (*forward(net, rows[0]), forward(net, rows)[-1]):
+                digest(out)
+
+            # one sample's gradient
+            net = new_network((13, 1024, 2), 9)
+            x = np.random.default_rng(2).uniform(0, 1, (1, 13))
+            velocity = np.zeros_like(net.params)  # ends at minus the gradient
+            kernel_epoch(net, x, np.array([[1.0, 0.0]]), velocity, 1.0, 0.0)
+            digest(velocity)
+
+            # a 5-epoch run: its weights and its history
+            rng = np.random.default_rng(3)
+            x = rng.uniform(0, 1, (12, 13))
+            labels = rng.integers(0, 4, 12)
+            t = np.column_stack([labels // 2, labels % 2]).astype(float)
+            net = new_network((13, 1024, 2), 6)
+            hist = train(net, x, t, TrainConfig(max_epochs=5, target_sse=0.0))
+            digest(net.params)
+            print(repr(hist))
+        """)
+        first, *rest = runs.values()
+        assert len(first) == 7
+        assert all(lines == first for lines in rest)

@@ -13,8 +13,9 @@ wrapped at ``COLUMNS=80``), so two checkouts compare with ``diff -r``::
     PYTHONPATH=<change>/src python tools/cli_runs.py <dir-b>
     diff -r <dir-a> <dir-b>
 
-``heartnet`` must come from a ``PYTHONPATH`` entry, never from an
-installed copy.  Exit status: 0 when every run exits with the code
+``heartnet`` must come from a ``PYTHONPATH`` entry: a checkout's
+``src``, or the ``site-packages`` of an installed copy named on purpose,
+never an installed copy found by default.  Exit status: 0 when every run exits with the code
 listed for it, no run that fails on its config or data (exit 2 or 3)
 leaves its ``--out`` behind, a diverged run (exit 4) leaves only its
 ``effective_config.json``, and each rerun of an earlier run's config,
@@ -105,6 +106,17 @@ RUNS = TRAIN_RUNS + [
     ("scaler-swapped-columns",
      ["evaluate", "--data", "heart.csv", "--model", f"{TRAINED}/model.json",
       "--scaler", "swapped_scaler.json"], 3),
+    # max - min of Chol is more than a float64 holds
+    ("scaler-span-too-wide",
+     ["evaluate", "--data", "heart.csv", "--model", f"{TRAINED}/model.json",
+      "--scaler", "wide_span_scaler.json"], 3),
+    # dividing a Chol value by max - min overflows
+    ("scaler-span-too-small",
+     ["evaluate", "--data", "heart.csv", "--model", f"{TRAINED}/model.json",
+      "--scaler", "small_span_scaler.json"], 3),
+    # the table's own Chol span is more than a float64 holds: no scaler fits it
+    ("table-span-too-wide",
+     ["train", "--config", "few.json", "--data", "wide_chol_span.csv"], 3),
     ("model-12-inputs",
      ["evaluate", "--data", "heart.csv", "--model", "model_12_inputs.json",
       "--scaler", f"{TRAINED}/scaler.json"], 3),
@@ -140,6 +152,9 @@ RUNS = TRAIN_RUNS + [
     ("initial-lr-infinite", ["train", "--config", "lr_infinite.json", "--data", "heart.csv"], 2),
     ("lr-increase-infinite",
      ["train", "--config", "lr_increase_infinite.json", "--data", "heart.csv"], 2),
+    # heart.csv is a regular file, so nothing can be written under it
+    ("json-out-under-a-file",
+     ["evaluate", "--data", "heart.csv", *MODEL_AND_SCALER, "--json-out", "heart.csv/m.json"], 5),
     # "" names no file; it is refused before the model is read
     ("json-out-empty", ["evaluate", "--data", "heart.csv", *MODEL_AND_SCALER, "--json-out", ""], 2),
     ("diverges", ["train", "--config", "diverge.json", "--data", "heart.csv"], 4),
@@ -152,8 +167,9 @@ RUNS = TRAIN_RUNS + [
 
 # What a failing run leaves at its --out, by exit code: a run refused for
 # its config or data stops before --out is made, but a diverged train or
-# experiment has already written its echo.
-LEFT_BEHIND = {2: None, 3: None, 4: ["effective_config.json"]}
+# experiment has already written its echo.  The one i/o error run is an
+# evaluate, which has no --out.
+LEFT_BEHIND = {2: None, 3: None, 4: ["effective_config.json"], 5: None}
 
 # rerun -> the earlier run whose model.json and history.csv it must write byte for byte
 RERUNS = {
@@ -205,6 +221,8 @@ def _write_inputs(heartnet) -> None:
                        ("record_separator_cell", f"{chol[0]}\x1e{chol[1:]}"),
                        ("signed_missing_cell", "-?")):
         write_table(f"{name}.csv", [*rows[:4], [*rows[4][:4], cell, *rows[4][5:]], *rows[5:]])
+    write_table("wide_chol_span.csv", [[*rows[0][:4], "-1.5e308", *rows[0][5:]],
+                                       [*rows[1][:4], "1.5e308", *rows[1][5:]], *rows[2:]])
     write_table("form_feed.csv",
                 [[*rows[0][:-1], rows[0][-1] + "\f"], *rows[1:4],
                  [*rows[4][:4], "high", *rows[4][5:]], *rows[5:]])
@@ -216,6 +234,10 @@ def _write_inputs(heartnet) -> None:
     names[0], names[3] = names[3], names[0]  # Age <-> Trestbps
     swapped = {name: {"min": 0, "max": 1} for name in names}
     Path("swapped_scaler.json").write_text(json.dumps(swapped), encoding="utf-8")
+    for name, chol in (("wide_span", (-1.5e308, 1.5e308)), ("small_span", (0, 1e-307))):
+        bounds = {col.name: {"min": 0, "max": 1} for col in heartnet.HEART_SCHEMA}
+        bounds["Chol"] = dict(zip(("min", "max"), chol))
+        Path(f"{name}_scaler.json").write_text(json.dumps(bounds), encoding="utf-8")
     heartnet.network.save_network(heartnet.network.new_network((12, 8, 2), 0),
                                   "model_12_inputs.json")
 
