@@ -225,6 +225,12 @@ class TestForward:
         with pytest.raises(ValueError, match="shape"):
             forward(net, rows[:, :12])
 
+    def test_worker_count_invariance(self, blas_thread_digests):
+        runs = blas_thread_digests["forward"]
+        first, *rest = runs.values()
+        assert len(first) == 4
+        assert all(lines == first for lines in rest)
+
 
 class TestSse:
     """The SSE of a sample, as the epoch that presents it reports it."""
@@ -288,6 +294,12 @@ class TestBackward:
         delta = (out - target) * out * (1.0 - out)
         np.testing.assert_array_equal(grads[-2:], delta)
         np.testing.assert_array_equal(grads[-8:-2].reshape(2, 3), np.outer(delta, acts[-2]))
+
+    def test_worker_count_invariance(self, blas_thread_digests):
+        runs = blas_thread_digests["backward"]
+        first, *rest = runs.values()
+        assert len(first) == 1
+        assert all(lines == first for lines in rest)
 
 
 class TestSerialization:

@@ -459,6 +459,12 @@ class TestTrain:
         assert hist_a == hist_b
         np.testing.assert_array_equal(net_a.params, net_b.params)
 
+    def test_worker_count_invariance(self, blas_thread_digests):
+        runs = blas_thread_digests["train"]
+        first, *rest = runs.values()
+        assert len(first) == 2
+        assert all(lines == first for lines in rest)
+
     def test_weights_stay_views_of_params(self, tmp_path):
         def assert_views(net):
             for arr in net.weights + net.biases:
@@ -685,47 +691,3 @@ class TestHistory:
         assert epochs == sorted(epochs)
         assert len(set(epochs)) == len(epochs)
 
-
-class TestBlasThreads:
-    """The package starts no workers; the one thing that can split its
-    work is a threaded BLAS, so each computation here runs the same under
-    1 and 2 BLAS threads, in one interpreter per count, with a layer wide
-    enough that BLAS can split its products."""
-
-    def test_same_bits_for_each_thread_count(self, under_blas_threads):
-        runs = under_blas_threads("""
-            import hashlib
-            import numpy as np
-            from gradient_oracle import kernel_epoch
-            from heartnet.network import forward, new_network
-            from heartnet.trainer import TrainConfig, train
-
-            def digest(array):
-                print(hashlib.sha256(array.tobytes()).hexdigest())
-
-            # forward: each layer of one row, and the output of 303 rows
-            net = new_network((13, 1024, 2), 7)
-            rows = np.random.default_rng(0).uniform(0, 1, (303, 13))
-            for out in (*forward(net, rows[0]), forward(net, rows)[-1]):
-                digest(out)
-
-            # one sample's gradient
-            net = new_network((13, 1024, 2), 9)
-            x = np.random.default_rng(2).uniform(0, 1, (1, 13))
-            velocity = np.zeros_like(net.params)  # ends at minus the gradient
-            kernel_epoch(net, x, np.array([[1.0, 0.0]]), velocity, 1.0, 0.0)
-            digest(velocity)
-
-            # a 5-epoch run: its weights and its history
-            rng = np.random.default_rng(3)
-            x = rng.uniform(0, 1, (12, 13))
-            labels = rng.integers(0, 4, 12)
-            t = np.column_stack([labels // 2, labels % 2]).astype(float)
-            net = new_network((13, 1024, 2), 6)
-            hist = train(net, x, t, TrainConfig(max_epochs=5, target_sse=0.0))
-            digest(net.params)
-            print(repr(hist))
-        """)
-        first, *rest = runs.values()
-        assert len(first) == 7
-        assert all(lines == first for lines in rest)
