@@ -259,8 +259,12 @@ def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
             f"{path}: line {line_no}: not UTF-8 text (byte 0x{raw[exc.start]:02x})"
         ) from None
     stripped = list(map(str.strip, text.split("\n")))
-    line_numbers = [line_no for line_no, line in enumerate(stripped, start=1) if line]
     lines = list(filter(None, stripped))
+    # a row's line number is its index + 1, unless a blank line comes before it
+    if all(stripped[: len(lines)]):
+        line_numbers = range(1, len(lines) + 1)
+    else:
+        line_numbers = [line_no for line_no, line in enumerate(stripped, start=1) if line]
     start = 0
     while start < len(lines) and _looks_like_header(_tokens(lines[start])):
         start += 1
@@ -311,16 +315,43 @@ def load_dataset(path, label_policy: str = LABELS_CLAMP) -> Dataset:
     )
 
 
+def _column_median(values: np.ndarray) -> float:
+    """``np.median(values)`` of a column of finite values, with its bits
+    wherever it is finite, and the midpoint, not infinity, where the sum
+    of the two middle values overflows."""
+    n, half = values.size, values.size // 2
+    # np.median's own partition, its trailing -1 included (so tied +-0.0
+    # land where they do there), and its mean: np.add.reduce of the
+    # middle value(s) over their count, which gives +0.0 for [-0.0]
+    kth = [half, -1] if n % 2 else [half - 1, half, -1]
+    middle = np.partition(values, kth)[half - 1 + n % 2 : half + 1]
+    with np.errstate(over="ignore"):
+        total = np.add.reduce(middle)
+    if math.isinf(total):  # middle values whose sum overflows halve exactly
+        return float(np.add.reduce(middle / 2))
+    return float(total / middle.size)
+
+
 def _column_mode(values: np.ndarray) -> float:
-    # Ties go to the smallest value; a zero mode keeps the sign it first has.
-    uniques, counts = np.unique(values, return_counts=True)
-    mode = uniques[np.argmax(counts)]
-    return float(values[values == mode][0])
+    """The most frequent of ``values``, counted in one pass over them
+    sorted: a tie goes to the smallest value, and a zero keeps the sign
+    it first has in ``values``."""
+    ordered = np.sort(values)
+    # where each run of equal values starts, and where the last one ends
+    starts = np.concatenate(
+        ([0], (ordered[1:] != ordered[:-1]).nonzero()[0] + 1, [ordered.size])
+    )
+    mode = ordered[starts[(starts[1:] - starts[:-1]).argmax()]]  # the first longest run
+    return float(values[(values == mode).argmax()])  # the first value equal to it
 
 
 def impute(dataset: Dataset, policy: str = IMPUTE_MEDIAN_MODE) -> Dataset:
     """Resolve missing (NaN) cells, either by dropping their rows or by
-    filling with the column median (continuous) / mode (categorical).
+    filling a column's gaps from its observed values: a continuous
+    column's with their median, ``np.median``'s value computed without
+    overflow (:func:`_column_median`), and a categorical column's with
+    their mode, the most frequent value, where a tie goes to the smallest
+    value and a zero keeps the sign it first has (:func:`_column_mode`).
 
     Rows without missing values are returned bit-identical.
     """
@@ -336,7 +367,7 @@ def impute(dataset: Dataset, policy: str = IMPUTE_MEDIAN_MODE) -> Dataset:
         present = features[~col_missing, j]
         if present.size == 0:
             raise ImputationError(f"column {col.name} has no observed values")
-        fill = _column_mode(present) if col.kind == CATEGORICAL else float(np.median(present))
+        fill = _column_mode(present) if col.kind == CATEGORICAL else _column_median(present)
         features[col_missing, j] = fill
     return replace(dataset, features=features)
 

@@ -80,8 +80,10 @@ def evaluate(network: Network, features, labels) -> Metrics:
     with np.errstate(over="ignore"):
         outputs = forward(network, x)[-1]
     predicted = hdata.decode_outputs(outputs)
-    confusion = np.zeros((hdata.N_CLASSES, hdata.N_CLASSES), dtype=np.int64)
-    np.add.at(confusion, (y, predicted), 1)
+    # one count per (true, predicted) pair, cell true * 4 + predicted
+    confusion = np.bincount(
+        hdata.N_CLASSES * y + predicted, minlength=hdata.N_CLASSES**2
+    ).reshape(hdata.N_CLASSES, hdata.N_CLASSES)
     n_test = int(y.shape[0])
     n_correct = int(np.trace(confusion))
     return Metrics(

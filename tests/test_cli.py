@@ -47,6 +47,18 @@ def quick_config(tmp_path, **extra):
     return write_config(tmp_path, payload)
 
 
+def overflowing_chol_table(tmp_path):
+    """The fixture with Chol missing on line 1 and 1.6e308 / 1.7e308,
+    alternating, on the other lines: the two middle values' sum overflows,
+    their midpoint 1.65e308 does not."""
+    rows = [line.split(",") for line in bundled_fixture_path().read_text("utf-8").splitlines()]
+    for line_no, cells in enumerate(rows, start=1):
+        cells[4] = "?" if line_no == 1 else ("1.6e308" if line_no % 2 == 0 else "1.7e308")
+    path = tmp_path / "overflowing_chol.csv"
+    path.write_text("".join(",".join(cells) + "\n" for cells in rows), encoding="utf-8")
+    return str(path)
+
+
 class TestConfigPlumbing:
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, {"learning_rate": 0.1})
@@ -632,6 +644,16 @@ class TestScale:
         assert table[0][5] == "Fbs"
         assert {row[5] for row in table[1:]} == {"0.0"}
 
+    def test_median_fill_whose_sum_overflows(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["scale", "--data", overflowing_chol_table(tmp_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.count("\n") == 13  # the 13 clamped labels only
+        chol = json.loads((out / "scaler.json").read_text(encoding="utf-8"))["Chol"]
+        assert chol == {"min": 1.6e308, "max": 1.7e308}
+        with (out / "scaled.csv").open(encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert float(rows[1][4]) == pytest.approx(0.5)  # filled with the midpoint
+
     def test_effective_config_reruns_under_train(self, tmp_path):
         out = tmp_path / "out"
         path = quick_config(tmp_path)
@@ -764,6 +786,16 @@ class TestEvaluate:
         assert "confusion matrix" in printed
         assert "binary" not in printed
         assert "note:" not in printed  # scored on the table the scaler was fitted on
+
+    def test_median_fill_whose_sum_overflows(self, trained, tmp_path, capsys):
+        code = main(["evaluate", "--model", str(trained / "model.json"),
+                     "--scaler", str(trained / "scaler.json"),
+                     "--data", overflowing_chol_table(tmp_path)])
+        assert code == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[:2] == [
+            "samples: 303", "note: 303 samples fell outside the scaler's fitted range",
+        ]
 
     def test_rows_outside_the_fitted_range_are_counted(self, tmp_path, capsys):
         lines = bundled_fixture_path().read_text(encoding="utf-8").splitlines()

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,15 @@ class TestLoadDataset:
             ds.features[0, 0] = 1.0
 
 
+# Values for a column to fill from: a few drawn often, for ties, +-0.0,
+# subnormals and values whose sum overflows, or any finite float.
+FILL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1.0, 3.0, 1e308, -1e308,
+                     sys.float_info.max, -sys.float_info.max]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
 class TestImpute:
     def make(self, tmp_path, rows):
         return load_dataset(write_csv(tmp_path, "\n".join(rows) + "\n"))
@@ -393,6 +403,32 @@ class TestImpute:
                 else:
                     expected[gaps, j] = np.median(present)
         assert impute(ds, hdata.IMPUTE_MEDIAN_MODE).features.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(column=st.lists(FILL_VALUES, min_size=1, max_size=40))
+    @example(column=[-0.0])  # np.median signs a zero as the sum inside its mean does
+    @example(column=[-0.0, -0.0])
+    @example(column=[1.6e308, 1.7e308])  # the sum overflows, the midpoint does not
+    @example(column=[-1.7e308, 3.0, -1.6e308, -1.7e308])
+    @example(column=[7.0, -0.0, 7.0, 0.0])  # a tie: the smallest, signed as first seen
+    def test_fills_match_np_median_and_np_unique_bit_for_bit(self, column):
+        # the same values in Chol (continuous) and Thal (categorical), then a gap in both
+        values = np.array(column, dtype=np.float64)
+        features = np.zeros((len(values) + 1, 13))
+        features[:-1, 4] = features[:-1, 12] = values
+        features[-1, [4, 12]] = np.nan
+        ds = Dataset(features=features, labels=np.zeros(len(features), dtype=int))
+        filled = impute(ds, hdata.IMPUTE_MEDIAN_MODE).features[-1]
+
+        with np.errstate(over="ignore"):
+            median = np.median(values)
+        if not np.isfinite(median):  # the two middle values' sum overflows
+            middle = np.sort(values)[(len(values) - 1) // 2 : len(values) // 2 + 1]
+            median = float(sum(map(Fraction, middle.tolist())) / 2)  # rounded once
+        uniques, counts = np.unique(values, return_counts=True)
+        mode = values[values == uniques[np.argmax(counts)]][0]
+        assert np.float64(filled[4]).tobytes() == np.float64(median).tobytes()
+        assert np.float64(filled[12]).tobytes() == np.float64(mode).tobytes()
 
     def test_unknown_policy(self, tmp_path):
         ds = self.make(tmp_path, [EXAMPLE_ROW])

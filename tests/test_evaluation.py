@@ -83,6 +83,17 @@ class TestEvaluate:
         )
         assert metrics.confusion.sum() == metrics.n_test == len(ds)
 
+        # generated rows and labels, tallied by np.add.at: the network never
+        # predicts class 1 on these rows, and the second labels never hold class 2
+        rng = np.random.default_rng(4)
+        x = rng.normal(scale=4.0, size=(200, 13))
+        predicted = [decode_row(forward(net, row)[-1]) for row in x]
+        assert sorted(set(predicted)) == [0, 2, 3]
+        for labels in (rng.integers(0, 4, len(x)), rng.choice([0, 1, 3], len(x))):
+            tally = np.zeros((4, 4), dtype=np.int64)
+            np.add.at(tally, (labels, predicted), 1)
+            np.testing.assert_array_equal(evaluate(net, x, labels).confusion, tally)
+
     def test_matches_per_row_predict_on_fixture(self):
         ds = impute(load_dataset(bundled_fixture_path()))
         x = fit_scaler(ds).transform(ds.features)

@@ -87,6 +87,11 @@ RUNS = TRAIN_RUNS + [
     ("evaluate-drop", ["evaluate", "--data", "heart.csv", "--impute", "drop", *MODEL_AND_SCALER], 0),
     ("scale", ["scale", "--data", "heart.csv"], 0),
     ("scale-constant-column", ["scale", "--data", "constant_fbs.csv"], 0),
+    # Chol's two middle values sum past float64's range; the median fill is
+    # their midpoint, which is finite
+    ("scale-overflowing-median", ["scale", "--data", "overflowing_chol.csv"], 0),
+    ("evaluate-overflowing-median",
+     ["evaluate", "--data", "overflowing_chol.csv", *MODEL_AND_SCALER], 0),
     ("evaluate-json-out",
      ["evaluate", "--data", "heart.csv", "--binary", *MODEL_AND_SCALER,
       "--json-out", "evaluate-json-out.json"], 0),
@@ -223,6 +228,9 @@ def _write_inputs(heartnet) -> None:
         write_table(f"{name}.csv", [*rows[:4], [*rows[4][:4], cell, *rows[4][5:]], *rows[5:]])
     write_table("wide_chol_span.csv", [[*rows[0][:4], "-1.5e308", *rows[0][5:]],
                                        [*rows[1][:4], "1.5e308", *rows[1][5:]], *rows[2:]])
+    write_table("overflowing_chol.csv",
+                [[*cells[:4], "?" if i == 0 else ("1.6e308", "1.7e308")[i % 2 == 0], *cells[5:]]
+                 for i, cells in enumerate(rows)])
     write_table("form_feed.csv",
                 [[*rows[0][:-1], rows[0][-1] + "\f"], *rows[1:4],
                  [*rows[4][:4], "high", *rows[4][5:]], *rows[5:]])
