@@ -160,8 +160,9 @@ def run_experiment(
     or 0 test rows are refused before any work.  Every split is prepared
     before any network trains.  Then all cells train in one
     :func:`~heartnet.trainer.train_many` call, in one epoch loop with one
-    stack per architecture, with the same results as one
-    :func:`~heartnet.trainer.train` per cell.  If cells diverge, the
+    stack of both architectures' cells and one kernel call per epoch,
+    with the same results as one :func:`~heartnet.trainer.train` per
+    cell.  If cells diverge, the
     :class:`~heartnet.trainer.DivergenceError` raised is that of the
     first of them in grid order, as if the cells had trained one by one.
     """

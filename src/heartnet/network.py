@@ -12,17 +12,17 @@ operation.  Each layer of a forward sweep is one matrix product.
 :func:`forward` runs one row or a matrix of rows through the layers,
 for input from outside the program such as a model loaded from a file
 scored against a table.  Training does not call it: the trainer's one
-per-sample kernel steps a ``(K, P)`` stack of K >= 1 parameter vectors
-through the same layer arithmetic, and ``_views`` lays out that stack's
-per-layer views as it does those of one network.  It also lays out the
-layer-major copy the kernel steps each block of m rows of the stack on,
-in which each layer's weights and biases of all m rows are one
-contiguous array; ``_layer_major`` makes that copy and ``_write_rows``
-writes it back.
+per-sample kernel steps a stack of parameter vectors of any layer sizes
+through the same layer arithmetic, one block of rows at a time, each
+block copied into the layout :func:`_block_views` states.  That layout
+puts each shape's weights for each layer in one contiguous array, and
+each level's biases (layers counted from the output layer) of every
+shape in one contiguous run, so one call can step a level of all shapes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -57,52 +57,91 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _views(
-    flat: np.ndarray, layer_sizes, rows: int | None = None
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _views(flat: np.ndarray, layer_sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The per-layer weight and bias views of ``flat``: the one statement
     of the layout ``W0, b0, W1, b1, ...`` along its last axis, each ``W``
     of shape (out, in) and row-major.  A ``(K, P)`` stack of K parameter
     vectors gives ``(K, out, in)`` and ``(K, out)`` views, each row of
-    which lies P values from the last.
-
-    With ``rows=K``, ``flat`` is instead a 1-D stack of K vectors stored
-    layer-major: the same order ``W0, b0, W1, b1, ...``, but each part
-    holds that part of all K rows, so ``W_l`` is one contiguous
-    ``(K, out, in)`` array and ``b_l`` one contiguous ``(K, 1, out)`` row
-    vector per row, ready to add to a ``(K, 1, out)`` layer product.
-    That is the row-major stack's views, each flattened, one after the
-    other (:func:`_layer_major`).  One vector stored layer-major is
-    stored plainly."""
+    which lies P values from the last."""
     weights, biases = [], []
     start = 0
     for n_in, n_out in zip(layer_sizes, layer_sizes[1:]):
         mid = start + n_out * n_in
         stop = mid + n_out
-        if rows is None:
-            weights.append(flat[..., start:mid].reshape(flat.shape[:-1] + (n_out, n_in)))
-            biases.append(flat[..., mid:stop])
-        else:
-            weights.append(flat[rows * start : rows * mid].reshape(rows, n_out, n_in))
-            # reshape, not b[:, None], whose length-1 axis has stride 0 and
-            # steps slower
-            biases.append(flat[rows * mid : rows * stop].reshape(rows, 1, n_out))
+        weights.append(flat[..., start:mid].reshape(flat.shape[:-1] + (n_out, n_in)))
+        biases.append(flat[..., mid:stop])
         start = stop
     return weights, biases
 
 
-def _layer_major(stack: np.ndarray, layer_sizes) -> np.ndarray:
-    """A layer-major copy of the ``(K, P)`` stack, laid out as
-    :func:`_views` with ``rows=K`` reads it."""
-    return np.concatenate(list(chain.from_iterable(zip(*_views(stack, layer_sizes)))), axis=None)
+def _block_views(flat: np.ndarray, shapes, counts):
+    """The views of a block: ``counts[s]`` parameter vectors of layer sizes
+    ``shapes[s]`` for each s, stored in the 1-D ``flat`` as the trainer's
+    kernel steps them.  Returns ``(weights, biases, levels)``.
+
+    ``flat`` holds first each shape's weights layer by layer, ``W_l`` of
+    all its rows one contiguous ``(count, out, in)`` array
+    (``weights[s][l]``), and then the biases level by level, from the
+    deepest level to the output layer's, level 0.  A level holds layer
+    ``L - 1 - level`` of each shape of L layers that has it, in shape
+    order, each a contiguous ``(count, 1, out)`` row vector per row
+    (``biases[s][l]``), ready to add to a ``(count, 1, out)`` layer
+    product; ``levels[level]`` is all of it, one 1-D run.  A buffer laid
+    out like one level's biases holds anything else kept per neuron of
+    that level, such as its activations or deltas."""
+    weights, start = [], 0
+    for sizes, count in zip(shapes, counts):
+        weights.append([])
+        for n_in, n_out in zip(sizes, sizes[1:]):
+            stop = start + count * n_out * n_in
+            weights[-1].append(flat[start:stop].reshape(count, n_out, n_in))
+            start = stop
+    biases = [[None] * (len(sizes) - 1) for sizes in shapes]
+    levels = []
+    for level in reversed(range(max(len(sizes) for sizes in shapes) - 1)):
+        level_start = start
+        for sizes, count, layers in zip(shapes, counts, biases):
+            layer = len(sizes) - 2 - level
+            if layer >= 0:
+                stop = start + count * sizes[layer + 1]
+                # reshape, not b[:, None], whose length-1 axis has stride 0
+                # and steps slower
+                layers[layer] = flat[start:stop].reshape(count, 1, sizes[layer + 1])
+                start = stop
+        levels.insert(0, flat[level_start:start])
+    return weights, biases, levels
 
 
-def _write_rows(flat: np.ndarray, stack: np.ndarray, layer_sizes) -> None:
-    """Write the layer-major ``flat`` back into the ``(K, P)`` stack, whose
-    rows it was copied from by :func:`_layer_major`."""
-    k = len(stack)
-    parts = chain.from_iterable(zip(*_views(flat, layer_sizes, rows=k)))
-    np.concatenate([part.reshape(k, -1) for part in parts], axis=1, out=stack)
+@functools.lru_cache(maxsize=16)
+def _block_layout(shapes: tuple[tuple[int, ...], ...]):
+    """Where each entry of a stack of rows goes in the block layout.
+
+    Row r of the stack is a parameter vector of layer sizes ``shapes[r]``,
+    and the rows are stored one after another.  Returns ``(kinds, members,
+    source, owner)``: the distinct shapes in stack order, the rows of
+    each in stack order, and, for each entry of the stack laid out by
+    :func:`_block_views` for ``kinds`` with all rows, its index into that
+    storage and its row.  The first m rows of the stack are a prefix of
+    each shape's rows, and the shapes they hold a prefix of ``kinds``, so
+    a block of them is laid out as the stack is, with the other rows'
+    entries left out.
+
+    A training run steps the same stack epoch after epoch, so the layout
+    is kept for the next call, read-only."""
+    kinds = tuple(dict.fromkeys(shapes))
+    members = tuple(
+        tuple(row for row, sizes in enumerate(shapes) if sizes == kind) for kind in kinds
+    )
+    starts = np.array([0, *map(_n_params, shapes)]).cumsum()
+    source = np.empty(starts[-1], dtype=np.intp)
+    weights, biases, _ = _block_views(source, kinds, [len(rows) for rows in members])
+    for kind, rows, block_weights, block_biases in zip(kinds, members, weights, biases):
+        row_weights, row_biases = _views(starts[rows, None] + np.arange(_n_params(kind)), kind)
+        for part, row_part in zip(block_weights + block_biases, row_weights + row_biases):
+            part[...] = row_part.reshape(part.shape)
+    owner = np.searchsorted(starts, source, side="right") - 1
+    source.flags.writeable = owner.flags.writeable = False
+    return kinds, members, source, owner
 
 
 def _n_params(layer_sizes) -> int:

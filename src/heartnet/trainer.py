@@ -14,32 +14,46 @@ array operation.
 
 One epoch loop, :func:`train_many`, trains one network or several of
 any shapes; :func:`train` is that loop for one.  Every epoch of every
-network goes through one per-sample kernel, ``_epoch``.  Each epoch
-stacks copies of the parameter vectors and velocities of one shape's
-K >= 1 networks still training as the rows of ``(K, P)`` arrays, one
-stack and one ``_epoch`` call per shape, and each forward, backward and
-momentum step is one stacked numpy call over the rows still presenting
-samples.  Per-sample cost is bound by numpy's per-call overhead, so one
-call for K networks is cheaper than K calls, and the fewer calls and
-temporaries a sample takes, the faster it runs.  For the same reason the
-kernel's scalar operands, ``1.0`` and the momentum, are float64 0-d
-arrays made once per epoch: a Python float operand is converted to an
-array on every call, while a 0-d float64 array selects the same float64
-loop with the same double (numpy 1.24 and 2 alike), so the bits do not
-change.  Each sample's output error is kept, and every row's epoch SSE
-is summed once, in presentation order, after the last sample.
+network goes through one per-sample kernel, ``_epoch``, in one call per
+epoch: each epoch stacks copies of the parameter vectors and velocities
+of the K >= 1 networks still training, whatever their shapes, one after
+another, and each step of a sample is a few stacked numpy calls over
+the rows still presenting samples.  Per-sample cost is bound by numpy's
+per-call overhead, so one call for K networks is cheaper than K calls,
+and the fewer calls and temporaries a sample takes, the faster it runs.
+For the same reason the kernel's scalar operands, ``1.0`` and the
+momentum, are float64 0-d arrays made once per epoch: a Python float
+operand is converted to an array on every call, while a 0-d float64
+array selects the same float64 loop with the same double (numpy 1.24
+and 2 alike), so the bits do not change.  Each sample's output error is
+kept, and every row's epoch SSE is summed once, in presentation order,
+after the last sample.
 
-A view into the row-major stack puts P values between rows, so numpy
-would run the bias add and the outer product in its slower strided
-loops.  So every block of samples with the same m rows still
-presenting, a one-row block included, steps a layer-major copy of those
-rows (``network._layer_major``), in which each layer's weights and
-biases are one contiguous ``(m, ...)`` array, and writes them back when
-the block ends.  Each layer's delta is computed in that layer's bias
-gradient, which is also viewed once per block as an ``(m, out, 1)``
-column, and the weight gradient is the outer product of that column
-with the layer's input, so no sample copies a delta or builds a
-transposed view.  Only the stride between rows changes, so the bits do
+A matrix product needs operands of one shape, so the products of a
+sample stay one call per shape: each layer's product with its input,
+the product that starts the delta of the layer below, and the outer
+product that is a weight gradient.  Everything else is elementwise and
+does not care which network a value belongs to.  So the kernel steps
+the stack in the block layout of ``network._block_views``: each shape's
+weights of one layer are one contiguous ``(m, out, in)`` array, and the
+biases are laid out level by level, a level being the layers that far
+below the output layer, so each level's biases of every shape are one
+1-D run.  The activations and deltas of a level are laid out as its
+biases, so the bias add, the logistic, the output error and its
+scaling, and each hidden delta's scaling are one call per level over
+all shapes, and the momentum step is one set of calls over the whole
+block.  A stack of one shape takes the same calls, one product of
+each kind per layer.
+
+The rows still presenting samples change only between blocks of
+samples, one block per distinct sample count, and each block steps a
+copy of its m rows in that layout, gathered when it starts and
+scattered back when it ends; the epoch copies the stack into the layout
+once, and back once.  Each layer's delta is computed in that layer's
+bias gradient, which is also viewed once per block as an ``(m, out,
+1)`` column, and the weight gradient is the outer product of that
+column with the layer's input, so no sample copies a delta or builds a
+transposed view.  Only where a value is stored changes, so the bits do
 not.
 
 Each network's state between epochs (its checked training set,
@@ -50,11 +64,11 @@ back and says whether the run trains on.  Only an accepted epoch's row
 is written back into its network, so a network's ``params`` always hold
 its last accepted epoch, and a rejected epoch is dropped with its copy.
 :func:`heartnet.evaluation.run_experiment` trains all its cells in one
-call, so each architecture's split cells are one stack.
+call, so the cells of both architectures are one stack.
 
-The kernel steps each block's layer-major copy with its parameters
-negated: it negates the copy when the block starts and negates it back
-as it writes the rows back, so the caller's stack is never negated.
+The kernel steps its copy of the stack with the parameters negated: it
+negates the copy when it makes it and negates it back as it writes the
+rows back, so the caller's stack is never negated.
 Negating an operand negates a product or a sum exactly under
 round-to-nearest, fused multiply-add or not, so ``x @ -W.T + -b`` is bit
 for bit ``-(x @ W.T + b)``: the very argument
@@ -67,14 +81,14 @@ a result that lands exactly on zero can differ, in the sign of that zero.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .data import ValidationError, _is_integer, _is_real, _sample_rows, _write_csv
-from .network import Network, _layer_major, _views, _write_rows
+from .network import Network, _block_layout, _block_views
 
 
 class DivergenceError(RuntimeError):
@@ -210,7 +224,7 @@ def train(
 def _epoch(
     params: np.ndarray,
     velocity: np.ndarray,
-    layer_sizes: tuple[int, ...],
+    shapes: list[tuple[int, ...]],
     inputs: list[np.ndarray],
     targets: list[np.ndarray],
     lr: np.ndarray,
@@ -218,57 +232,65 @@ def _epoch(
 ) -> np.ndarray:
     """One epoch of every network in the stack; returns each one's epoch SSE.
 
-    Row ``r`` of ``params`` (and of ``velocity``) is one network's
-    parameter vector, laid out for ``layer_sizes`` by ``network._views``.
-    ``inputs[r]`` and ``targets[r]`` are row r's samples in presentation
-    order, at least one per row; nothing is checked here.  The rows are
-    sorted by sample count, largest first, so the rows still presenting
-    samples at any sample index are a prefix ``[:m]`` of the stack.
+    ``params`` (and ``velocity``, laid out alike) holds the rows'
+    parameter vectors one after another, row ``r`` laid out for the layer
+    sizes ``shapes[r]`` as ``network._views`` reads it; rows of any shapes
+    may mix.  ``inputs[r]`` and ``targets[r]`` are row r's samples in
+    presentation order, at least one per row; nothing is checked here.
+    The rows are sorted by sample count, largest first, so the rows still
+    presenting samples at any sample index are a prefix ``[:m]`` of the
+    stack.
 
-    The samples are stepped in blocks of equal m.  Every block steps a
-    layer-major copy of its m rows' params, velocity and rates, made when
-    it starts (``network._layer_major``), through
-    ``network._views(..., rows=m)``, and writes the params and velocity
-    back into their rows when it ends (``network._write_rows``); the
-    gradient and step are layer-major scratch.  Each product sees the
-    same operands, and each ``(out, in)`` matrix keeps its layout, so the
-    copy changes no bit.
+    The epoch copies the stack into the layout of ``network._block_views``
+    (``network._block_layout``), its params negated, and writes it back
+    when it ends.  The samples are stepped in blocks of equal m, each on
+    a copy of the m rows, gathered when the block starts and scattered
+    back when it ends; the gradient, step and layer outputs are scratch
+    in the same layout.  Each product sees the same operands, and each
+    ``(out, in)`` matrix keeps its layout, so the copies change no bit.
 
     Each sample takes one forward sweep, one backward sweep and one
-    momentum step, each layer one stacked product or elementwise
-    operation over the active rows, mostly in place.  Each block's copy
-    of the params is negated when ``_layer_major`` makes it and negated
-    back in its ``_write_rows`` call, and ``params`` itself never is,
-    so each layer computes ``z = x @ -W.T + -b``, which is ``-a``
-    exactly, and then the logistic
-    ``1 / (1 + e^z)`` in place; the step is ``p -= v`` on the negated
-    ``p``.  The velocity is not negated.  See the module docstring for
-    why these are the bits of the plain ``sigmoid(x @ W.T + b)``
-    arithmetic, which ``tests/gradient_oracle.py:reference_epoch``
-    keeps and the tests compare against.  The output delta is
-    ``(o - t) * o * (1 - o)``, and each hidden delta is the next layer's
-    weighted delta sum scaled by the local sigmoid derivative,
-    ``(delta @ -W) * y * (y - 1)`` on the negated weights: the gradient of
-    SSE/2.  Each delta is computed in its layer's bias gradient, and each
-    weight gradient is taken from that bias gradient's ``(m, out, 1)``
-    view.  ``1.0`` and ``momentum`` enter as 0-d float64 arrays; the
-    arrays are made once per epoch and the views once per block, not once
-    per call (see the module docstring).  Each sample's ``o - t`` is
-    kept, and a row's SSE is the running sum of its samples' squared
-    errors, each taken with the weights in effect when it was presented;
-    a row's padding past its last sample adds exactly 0.0.
+    momentum step, in place.  The matrix products are one call per shape
+    and layer: ``z = x @ -W.T``, the ``delta @ -W`` that starts the
+    delta of the layer below, and the weight gradient, the outer product
+    of the delta's ``(m, out, 1)`` view with the layer's input.  Every
+    elementwise call is one per level, over the 1-D run of that level of
+    every shape: the bias add, after which ``z`` is exactly ``-a``, and
+    the logistic ``1 / (1 + e^z)`` in place; the output error ``o - t``
+    and the output delta ``(o - t) * o * (1 - o)``; and each hidden
+    delta's scaling by the local sigmoid derivative, ``(delta @ -W) * y
+    * (y - 1)`` on the negated weights: the gradient of SSE/2.  Each
+    delta is computed in its layer's bias gradient.  The momentum step
+    is four calls over the block, with ``p -= v`` on the negated ``p``;
+    the velocity is not negated.  See the module docstring for why these
+    are the bits of the plain ``sigmoid(x @ W.T + b)`` arithmetic, which
+    ``tests/gradient_oracle.py:reference_epoch`` keeps and the tests
+    compare against.  ``1.0`` and ``momentum`` enter as 0-d float64
+    arrays; the arrays are made once per epoch and the views once per
+    block, not once per call (see the module docstring).  Each sample's
+    ``o - t`` is kept, and a row's SSE is the running sum of its samples'
+    squared errors, each taken with the weights in effect when it was
+    presented; a row's padding past its last sample adds exactly 0.0.
     """
-    n_rows, n_max = params.shape[0], len(inputs[0])
-    x = np.empty((n_max, n_rows, 1, inputs[0].shape[1]))
-    t = np.empty((n_max, n_rows, 1, targets[0].shape[1]))
-    for row, (row_x, row_t) in enumerate(zip(inputs, targets)):
-        x[: len(row_x), row, 0] = row_x
-        t[: len(row_t), row, 0] = row_t
+    n_rows, n_max = len(shapes), len(inputs[0])
+    # the stack in block layout: entry i is params[source[i]], of row owner[i]
+    kinds, members, source, owner = _block_layout(tuple(shapes))
+    stack_p = np.negative(params[source])
+    stack_v = velocity[source]
+    stack_rates = lr[owner]
+    # scratch for any block's gradient, step and layer outputs, laid out
+    # like its params
+    grads, step, activations = np.empty((3, params.size))
+    # each shape's inputs; the targets and output errors of all rows in
+    # the layout of the output level
+    xs = [np.empty((n_max, len(rows), 1, kind[0])) for kind, rows in zip(kinds, members)]
+    ts = [np.empty((n_max, len(rows), 1, kind[-1])) for kind, rows in zip(kinds, members)]
+    for x, t, rows in zip(xs, ts, members):
+        for j, row in enumerate(rows):
+            x[: len(inputs[row]), j, 0] = inputs[row]
+            t[: len(targets[row]), j, 0] = targets[row]
+    t = np.concatenate([t.reshape(n_max, -1) for t in ts], axis=1)
     misses = np.zeros_like(t)
-    # scratch for any block's gradient and step, layer-major like its params
-    grads = np.empty(params.size)
-    step = np.empty(params.size)
-    rates = np.repeat(lr[:, None], params.shape[1], axis=1)
     # 0-d float64 operands: a Python float operand is converted to an
     # array on every call, these once per epoch, with the same bits
     one = np.array(1.0)
@@ -279,62 +301,89 @@ def _epoch(
         stop = len(inputs[m - 1])
         if stop == start:
             continue
-        # the block steps a layer-major copy of its m rows, so each layer's
-        # weights and biases are one contiguous (m, ...) array
-        p, v, rate = (_layer_major(a[:m], layer_sizes) for a in (params, velocity, rates))
-        np.negative(p, out=p)
+        # the first m rows: a prefix of each shape's rows, and the shapes
+        # with any rows among them a prefix of kinds
+        counts = [bisect.bisect_left(rows, m) for rows in members]
+        block_counts = [count for count in counts if count]
+        n_inputs = len(block_counts)
+        block_shapes = kinds[:n_inputs]
+        keep = owner < m
+        p, v, rate = stack_p[keep], stack_v[keep], stack_rates[keep]
         g, s = grads[: p.size], step[: p.size]
-        weights, biases = _views(p, layer_sizes, rows=m)
-        weight_grads, bias_grads = _views(g, layer_sizes, rows=m)
-        layers = [(w.transpose(0, 2, 1), b) for w, b in zip(weights, biases)]
-        # each layer's delta is computed in its bias gradient, so the layer
-        # above writes a hidden delta into the bias gradient below it; each
-        # bias gradient is also viewed as (m, out, 1), the outer product's
-        # left operand, so no sample builds delta.transpose(0, 2, 1)
-        backward = [
-            (
-                layer,
-                weights[layer],
-                weight_grads[layer],
-                bias_grads[layer].transpose(0, 2, 1),
-                bias_grads[layer - 1] if layer else None,
-            )
-            for layer in reversed(range(len(weights)))
-        ]
-        samples = zip(x[start:stop, :m], t[start:stop, :m], misses[start:stop, :m])
-        for sample, target, miss in samples:
-            out = sample
-            activations = [out]
-            for w_t, b in layers:
+        weights, _, levels = _block_views(p, block_shapes, block_counts)
+        weight_grads, bias_grads, deltas = _block_views(g, block_shapes, block_counts)
+        _, outs, out_levels = _block_views(activations[: p.size], block_shapes, block_counts)
+        # operands[i] is the sample's input row of block shape i; the
+        # other operands are layer outputs, which stay put
+        operands = [None] * n_inputs
+        forward = [[] for _ in levels]
+        hidden = [[] for _ in levels]
+        outer = []
+        for i, kind in enumerate(block_shapes):
+            below = i
+            for layer, (w, out, gb) in enumerate(zip(weights[i], outs[i], bias_grads[i])):
+                level = len(kind) - 2 - layer
+                forward[level].append((below, w.transpose(0, 2, 1), out))
+                if layer:
+                    # the layer writes the delta of the layer below into
+                    # that layer's bias gradient
+                    hidden[level].append((gb, w, bias_grads[i][layer - 1]))
+                # each bias gradient is also viewed as (m, out, 1), the outer
+                # product's left operand, so no sample transposes a delta
+                outer.append((gb.transpose(0, 2, 1), below, weight_grads[i][layer]))
+                operands.append(out)
+                below = len(operands) - 1
+        forward = list(zip(forward, out_levels, levels))[::-1]  # deepest level first
+        # from the output level down, each level but the deepest starts the
+        # deltas of the level below
+        backward = list(zip(hidden, deltas[1:], out_levels[1:]))
+        output, output_delta = out_levels[0], deltas[0]
+        keep_out = keep[-t.shape[1] :]  # the output level ends the layout
+        block_t = t[start:stop, keep_out]
+        block_misses = np.empty_like(block_t)
+        samples = zip(*(x[start:stop, :count] for x, count in zip(xs, block_counts)))
+        for operands[:n_inputs], target, miss in zip(samples, block_t, block_misses):
+            for products, z, b in forward:
+                for below, w_t, out in products:
+                    # out positionally: matmul's out= keyword costs more
+                    np.matmul(operands[below], w_t, out)
                 # -(x @ W.T + b), so its exp is the e^-a of 1 / (1 + e^-a)
-                z = out @ w_t
                 z += b
                 np.exp(z, out=z)
                 z += one
-                out = np.divide(one, z, out=z)
-                activations.append(out)
+                np.divide(one, z, out=z)
             # o - t squares to the same bits as t - o
-            np.subtract(out, target, out=miss)
-            delta = np.multiply(miss, out, out=bias_grads[-1])
-            delta *= one - out
-            for layer, w, gw, gb_col, gb_below in backward:
-                below = activations[layer]
-                np.multiply(gb_col, below, out=gw)
-                if layer:
-                    # (delta @ -W) * y * (y - 1) == (delta @ W) * y * (1 - y)
-                    delta = np.matmul(delta, w, out=gb_below)
-                    delta *= below
-                    delta *= below - one
+            np.subtract(output, target, out=miss)
+            np.multiply(miss, output, out=output_delta)
+            output_delta *= one - output
+            for steps, delta, y in backward:
+                for gb, w, gb_below in steps:
+                    np.matmul(gb, w, gb_below)
+                # (delta @ -W) * y * (y - 1) == (delta @ W) * y * (1 - y)
+                delta *= y
+                delta *= y - one
+            # the weight gradients read the deltas, and no delta reads them
+            for gb_col, below, gw in outer:
+                np.multiply(gb_col, operands[below], out=gw)
             v *= momentum
             np.multiply(rate, g, out=s)
             v -= s
             p -= v  # -(p + v) for the negated p
-        _write_rows(np.negative(p, out=p), params[:m], layer_sizes)
-        _write_rows(v, velocity[:m], layer_sizes)
+        stack_p[keep], stack_v[keep] = p, v
+        misses[start:stop, keep_out] = block_misses
         start = stop
+    params[source] = np.negative(stack_p, out=stack_p)
+    velocity[source] = stack_v
     # cumsum adds in presentation order, as a running total would; sum
     # adds pairwise, which gives other bits.
-    return np.cumsum(misses @ misses.swapaxes(-1, -2), axis=0)[-1, :, 0, 0]
+    sse = np.empty(n_rows)
+    column = 0
+    for kind, rows in zip(kinds, members):
+        width = len(rows) * kind[-1]
+        miss = misses[:, column : column + width].reshape(n_max, len(rows), 1, kind[-1])
+        sse[list(rows)] = np.cumsum(miss @ miss.swapaxes(-1, -2), axis=0)[-1, :, 0, 0]
+        column += width
+    return sse
 
 
 @dataclass
@@ -388,10 +437,10 @@ def train_many(
     accept/reject decision; one that reaches the target or diverges
     trains no further epoch, so its weights and records do not depend on
     its stack-mates.  A network may appear once, and each training set is
-    checked once, before any weight moves.  Every epoch steps the runs
-    still training with one ``_epoch`` call per shape, on a fresh stack
-    of copies of that shape's networks, largest training set first (ties
-    keep their given order).
+    checked once, before any weight moves.  Every epoch steps all the
+    runs still training, whatever their shapes, with one ``_epoch`` call
+    on a fresh stack of copies of their networks, largest training set
+    first (ties keep their given order).
 
     When every network has stopped, the :class:`DivergenceError` of the
     first diverged network in the given order is raised, after the other
@@ -418,26 +467,27 @@ def train_many(
         for net, (x, t) in zip(networks, training_sets)
     ]
 
-    # By shape, then largest training set first; ties keep their given order.
-    active = sorted(runs, key=lambda run: (run.network.layer_sizes, -len(run.inputs)))
+    # Largest training set first; ties keep their given order.
+    active = sorted(runs, key=lambda run: -len(run.inputs))
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.max_epochs + 1):
-            training = []
-            for sizes, group in itertools.groupby(active, key=lambda run: run.network.layer_sizes):
-                stack = list(group)
-                orders = [run.rng.permutation(len(run.inputs)) for run in stack]
-                inputs = [run.inputs[order] for run, order in zip(stack, orders)]
-                targets = [run.targets[order] for run, order in zip(stack, orders)]
-                params = np.stack([run.network.params for run in stack])
-                velocity = np.stack([run.velocity for run in stack])
-                lrs = np.array([run.lr for run in stack], dtype=np.float64)
-                epoch_sse = _epoch(params, velocity, sizes, inputs, targets, lrs, config.momentum)
-                for row, run in enumerate(stack):
-                    if run.settle(epoch, float(epoch_sse[row]), params[row], velocity[row], config):
-                        training.append(run)
-            active = training  # a subsequence, so still sorted
             if not active:
                 break
+            orders = [run.rng.permutation(len(run.inputs)) for run in active]
+            inputs = [run.inputs[order] for run, order in zip(active, orders)]
+            targets = [run.targets[order] for run, order in zip(active, orders)]
+            params = np.concatenate([run.network.params for run in active])
+            velocity = np.concatenate([run.velocity for run in active])
+            lrs = np.array([run.lr for run in active], dtype=np.float64)
+            shapes = [run.network.layer_sizes for run in active]
+            epoch_sse = _epoch(params, velocity, shapes, inputs, targets, lrs, config.momentum)
+            training, start = [], 0
+            for run, sse in zip(active, epoch_sse.tolist()):
+                stop = start + run.network.params.size
+                if run.settle(epoch, sse, params[start:stop], velocity[start:stop], config):
+                    training.append(run)
+                start = stop
+            active = training  # a subsequence, so still sorted
 
     diverged = [run.diverged_at for run in runs if run.diverged_at is not None]
     if diverged:

@@ -29,9 +29,9 @@ def kernel_epoch(network, inputs, targets, velocity, lr, momentum):
     alike, are updated in place.  Nothing is checked first.
     """
     (sse,) = _epoch(
-        network.params[None],
-        velocity[None],
-        network.layer_sizes,
+        network.params,
+        velocity,
+        [network.layer_sizes],
         [inputs],
         [targets],
         np.array([lr], dtype=np.float64),
@@ -41,11 +41,15 @@ def kernel_epoch(network, inputs, targets, velocity, lr, momentum):
 
 
 def reference_epoch(params, velocity, layer_sizes, inputs, targets, lr, momentum):
-    """``heartnet.trainer._epoch`` as plain arithmetic: the same arguments,
-    the same in-place updates of ``params`` and ``velocity`` and the same
-    returned SSEs, each layer written as ``sigmoid(x @ W.T + b)`` on the
-    weights as stored, and each hidden delta as
-    ``(delta @ W) * y * (1 - y)``.  The kernel must match it bit for bit.
+    """``heartnet.trainer._epoch`` of a stack of one shape as plain
+    arithmetic: the same arguments, but ``params`` and ``velocity`` are
+    ``(K, P)`` stacks of rows of the one ``layer_sizes``; the same
+    in-place updates of them and the same returned SSEs, each layer
+    written as ``sigmoid(x @ W.T + b)`` on the weights as stored, and each
+    hidden delta as ``(delta @ W) * y * (1 - y)``.  The kernel must match
+    it bit for bit, on each shape's rows of a stack of several shapes too,
+    but for the sign of a step that is exactly zero (see the trainer's
+    module docstring): at momentum 0 that step is the velocity.
     """
     n_rows, n_max = params.shape[0], len(inputs[0])
     x = np.empty((n_max, n_rows, 1, inputs[0].shape[1]))

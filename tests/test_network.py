@@ -18,10 +18,10 @@ from heartnet.evaluation import evaluate
 from heartnet.network import (
     MAX_WIDTH,
     Network,
-    _layer_major,
+    _block_layout,
+    _block_views,
     _n_params,
     _views,
-    _write_rows,
     forward,
     load_network,
     network_from_dict,
@@ -100,19 +100,62 @@ class TestNetwork:
         "sizes", [(13, 2), (13, 8, 2), (13, 16, 8, 2)], ids=["13-2", "13-8-2", "13-16-8-2"]
     )
     def test_layer_major_copy_round_trips(self, sizes, k):
+        # the block layout the kernel steps: each layer's weights, then
+        # each level's biases, of all k rows in one contiguous array
         stack = np.random.default_rng(k).standard_normal((k, _n_params(sizes)))
-        flat = _layer_major(stack, sizes)
+        kinds, members, source, owner = _block_layout((sizes,) * k)
+        assert (kinds, members) == ((sizes,), (tuple(range(k)),))
+        flat = stack.reshape(-1)[source]
         rebuilt = np.empty_like(stack)
-        _write_rows(flat, rebuilt, sizes)
+        rebuilt.reshape(-1)[source] = flat
         assert rebuilt.tobytes() == stack.tobytes()
+        np.testing.assert_array_equal(owner, source // _n_params(sizes))
         row_weights, row_biases = _views(stack, sizes)
-        weights, biases = _views(flat, sizes, rows=k)
+        (weights,), (biases,), levels = _block_views(flat, [sizes], [k])
         for w, b, row_w, row_b in zip(weights, biases, row_weights, row_biases):
             for r in range(k):
                 np.testing.assert_array_equal(w[r], row_w[r])
                 np.testing.assert_array_equal(b[r, 0], row_b[r])
             # each bias a contiguous row vector, ready to add to a layer product
             assert b.shape == (k, 1, row_b.shape[-1]) and b.flags.c_contiguous
+        # level 0 is the output layer's biases, and the levels end the layout
+        for level, b in zip(levels, reversed(biases)):
+            assert level.base is flat and np.shares_memory(level, b)
+            np.testing.assert_array_equal(level, b.reshape(-1))
+        assert np.concatenate([*(w.reshape(-1) for w in weights), *reversed(levels)]).tobytes() \
+            == flat.tobytes()
+
+    def test_block_layout_of_mixed_shapes(self):
+        shapes = ((13, 16, 8, 2), (13, 2), (5, 3, 4), (13, 8, 2), (13, 2), (13, 16, 8, 2))
+        rows = [np.random.default_rng(r).standard_normal(_n_params(sizes))
+                for r, sizes in enumerate(shapes)]
+        kinds, members, source, owner = _block_layout(shapes)
+        assert kinds == ((13, 16, 8, 2), (13, 2), (5, 3, 4), (13, 8, 2))
+        assert members == ((0, 5), (1, 4), (2,), (3,))
+        stored = np.concatenate(rows)
+        flat = stored[source]
+        assert sorted(source) == list(range(stored.size))
+        row_of_stored = np.repeat(np.arange(len(rows)), [row.size for row in rows])
+        np.testing.assert_array_equal(owner, row_of_stored[source])
+        # a block keeps the first m rows of the stack: a prefix of each
+        # shape's rows, laid out as the whole stack is
+        for m in range(len(shapes), 0, -1):
+            counts = [sum(row < m for row in kind_rows) for kind_rows in members]
+            block = [(kind, count) for kind, count in zip(kinds, counts) if count]
+            weights, biases, levels = _block_views(flat[owner < m], *zip(*block))
+            assert len(levels) == max(len(kind) for kind, _ in block) - 1
+            for (kind, count), kind_rows, w_parts, b_parts in zip(block, members, weights, biases):
+                for j, row in enumerate(kind_rows[:count]):
+                    row_weights, row_biases = _views(rows[row], kind)
+                    for w, b, row_w, row_b in zip(w_parts, b_parts, row_weights, row_biases):
+                        assert w.shape[0] == b.shape[0] == count
+                        np.testing.assert_array_equal(w[j], row_w)
+                        np.testing.assert_array_equal(b[j, 0], row_b)
+            # a level holds the layer that far below the output layer of
+            # every shape that has it, in shape order
+            for level, run in enumerate(levels):
+                parts = [b[-1 - level].reshape(-1) for b in biases if level < len(b)]
+                np.testing.assert_array_equal(run, np.concatenate(parts))
 
     @pytest.mark.parametrize("shape", [(0,), (129,), (131,), (1, 130)])
     def test_params_of_the_wrong_shape_rejected(self, shape):

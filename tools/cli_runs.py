@@ -84,6 +84,9 @@ RUNS = TRAIN_RUNS + [
      ["experiment", "--config", "one_split.json", "--data", "heart.csv"], 0),
     ("experiment-drop",
      ["experiment", "--config", "few.json", "--data", "heart.csv", "--impute", "drop"], 0),
+    # a 1-layer and a 3-layer network in one stack: levels of unequal depth
+    ("experiment-13-16-8-2",
+     ["experiment", "--config", "few.json", "--data", "heart.csv", "--layers", "13,16,8,2"], 0),
     ("evaluate-drop", ["evaluate", "--data", "heart.csv", "--impute", "drop", *MODEL_AND_SCALER], 0),
     ("scale", ["scale", "--data", "heart.csv"], 0),
     ("scale-constant-column", ["scale", "--data", "constant_fbs.csv"], 0),
