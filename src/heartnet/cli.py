@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage or config error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -24,12 +25,12 @@ from .data import DataError, Dataset, _read_json, load_dataset, load_scaler, sav
 from .evaluation import (
     DEFAULT_GRID,
     DEFAULT_HIDDEN_SIZES,
-    check_splits,
+    _prepare_cells,
+    _run_cells,
     evaluate,
     export_report,
     format_report,
     layer_stack,
-    run_experiment,
 )
 from .network import _validate_layer_sizes, load_network, new_network, save_network
 from .trainer import DivergenceError, TrainConfig, train, write_history_csv
@@ -232,26 +233,25 @@ def _prepare_out_dir(config: RunConfig) -> Path:
     return out_dir
 
 
+@contextlib.contextmanager
+def _naming_table(config: RunConfig):
+    """Put the table's path in front of a data error raised inside: the
+    one place an error about the table's values names the table."""
+    try:
+        yield
+    except DataError as exc:
+        raise type(exc)(f"{config.data}: {exc}") from None
+
+
 def _load_and_impute(config: RunConfig) -> Dataset:
     dataset = load_dataset(config.data, label_policy=config.label_policy)
     for warning in dataset.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    try:
+    with _naming_table(config):
         dataset = hdata.impute(dataset, config.imputation)
         if not len(dataset):
             raise hdata.ImputationError("every row has a missing cell, so no row is left")
-    except hdata.ImputationError as exc:
-        raise hdata.ImputationError(f"{config.data}: {exc}") from None
     return dataset
-
-
-def _fit_scaler(config: RunConfig, dataset: Dataset) -> hdata.Scaler:
-    """The scaler of the whole table; a column whose span float64 cannot
-    hold is a data error naming the table."""
-    try:
-        return hdata.fit_scaler(dataset)
-    except hdata.ValidationError as exc:
-        raise hdata.ValidationError(f"{config.data}: {exc}") from None
 
 
 def _format_confusion(confusion) -> str:
@@ -268,7 +268,8 @@ def cmd_scale(config: RunConfig, args: argparse.Namespace) -> int:
     the scaled table for inspection."""
     _require(config, "data", "out")
     dataset = _load_and_impute(config)
-    scaler = _fit_scaler(config, dataset)
+    with _naming_table(config):
+        scaler = hdata.fit_scaler(dataset)
     out_dir = _prepare_out_dir(config)
     save_scaler(scaler, out_dir / "scaler.json")
 
@@ -292,7 +293,8 @@ def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
     _require(config, "data", "out")
     sizes = layer_stack(config.hidden_sizes)
     dataset = _load_and_impute(config)
-    scaler = _fit_scaler(config, dataset)
+    with _naming_table(config):
+        scaler = hdata.fit_scaler(dataset)
     network = new_network(sizes, config.seed)
     out_dir = _prepare_out_dir(config)
 
@@ -361,7 +363,10 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(config: RunConfig, args: argparse.Namespace) -> int:
-    """Run the split-grid comparison of single vs multi layer networks."""
+    """Run the split-grid comparison of single vs multi layer networks:
+    :func:`~heartnet.evaluation.run_experiment`'s two steps, with
+    ``--out`` created between them, so every data error it raises comes
+    before ``--out`` exists."""
     _require(config, "data", "out")
     if not config.hidden_sizes:
         raise ConfigError(
@@ -369,20 +374,11 @@ def cmd_experiment(config: RunConfig, args: argparse.Namespace) -> int:
             "one; experiment needs at least one hidden layer"
         )
     dataset = _load_and_impute(config)
-    try:
-        check_splits(len(dataset), config.splits)
-        hdata.fit_scaler(dataset)  # no split's span is wider than the table's
-    except hdata.ValidationError as exc:
-        raise hdata.ValidationError(f"{config.data}: {exc}") from None
+    with _naming_table(config):
+        cells = _prepare_cells(dataset, config.splits, config, config.hidden_sizes)
     out_dir = _prepare_out_dir(config)
 
-    report = run_experiment(
-        dataset,
-        splits=config.splits,
-        config=config,
-        hidden_sizes=config.hidden_sizes,
-        imputation_policy=config.imputation,
-    )
+    report = _run_cells(cells, config, len(dataset), config.imputation)
     export_report(report, out_dir / "report.csv")
     print(format_report(report, binary=args.binary))
     print(f"wrote {out_dir / 'report.csv'}")

@@ -2,7 +2,8 @@
 class codes, seeded splits), :func:`_write`, the artifact writer, and
 the program's number rules: :func:`_is_number` for a table cell or an
 integer flag, :func:`_is_integer` and :func:`_is_real` for a JSON or
-config value, :func:`_class_labels` for the class labels a
+config value, :func:`_numbers` for an array of numbers,
+:func:`_class_labels` for the class labels a
 :class:`Dataset`, :func:`encode_labels` or
 :func:`heartnet.evaluation.evaluate` is given, and :func:`_sample_rows`
 for a matrix of samples: the training set, the features ``evaluate``
@@ -545,35 +546,47 @@ _CLASS_CODES = np.array(
 )
 
 
+def _numbers(values, name: str) -> np.ndarray:
+    """``values`` as an array of an integer or float dtype: the rule both
+    :func:`_class_labels` and :func:`_sample_rows` start from.  A ragged
+    sequence, which has no shape, and any other dtype (bool, complex,
+    string, object) are a ValidationError naming ``name``; converted, a
+    string ``"1_0"`` would read as 10 and a complex value would lose its
+    imaginary part."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy makes no array of a ragged sequence
+        raise ValidationError(f"{name} is a ragged sequence, with no shape") from None
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must be integers or floats, got dtype {arr.dtype}")
+    return arr
+
+
 def _class_labels(labels) -> np.ndarray:
     """``labels`` as an int64 array: the one label rule.  Each label must
-    be a whole number in 0..3, in an array of an integer or float dtype;
-    anything else (a fraction, NaN, an infinity, a bool, a string) is a
-    ValidationError, never wrapped, truncated or clamped."""
-    arr = np.asarray(labels)
+    be a whole number in 0..3, in an array of an integer or float dtype
+    (:func:`_numbers`); anything else (a fraction, NaN, an infinity, a
+    bool, a string) is a ValidationError, never wrapped, truncated or
+    clamped."""
+    arr = _numbers(labels, "labels")
     # min and max are NaN if any label is, and NaN fails both bounds; an
     # integer dtype holds only whole numbers
-    if arr.dtype.kind not in "iuf" or (
-        arr.size
-        and not (
-            arr.min() >= 0
-            and arr.max() < N_CLASSES
-            and (arr.dtype.kind != "f" or (arr == np.floor(arr)).all())
-        )
-    ):
+    whole = arr.dtype.kind != "f" or (arr == np.floor(arr)).all()
+    if arr.size and not (arr.min() >= 0 and arr.max() < N_CLASSES and whole):
         raise ValidationError(f"labels must be whole numbers in 0..{N_CLASSES - 1}")
     return arr.astype(np.int64)
 
 
 def _sample_rows(values, width: int, name: str) -> np.ndarray:
     """``values`` as a contiguous float64 ``(n, width)`` matrix of finite
-    numbers: the one rule for a matrix of samples.  Any other shape, or a
-    NaN or infinite cell, is a ValidationError naming ``name`` and the
-    shape, or the first bad cell in row order."""
-    shape = np.shape(values)  # read first: ascontiguousarray makes a scalar (1,)
-    if len(shape) != 2 or shape[1] != width:
-        raise ValidationError(f"{name} must be (n, {width}), got shape {shape}")
-    rows = np.ascontiguousarray(values, dtype=np.float64)
+    numbers: the one rule for a matrix of samples.  A ragged sequence or a
+    dtype other than integer or float (:func:`_numbers`), any other shape,
+    or a NaN or infinite cell is a ValidationError naming ``name`` and the
+    dtype, the shape, or the first bad cell in row order."""
+    rows = _numbers(values, name)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValidationError(f"{name} must be (n, {width}), got shape {rows.shape}")
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
     if not np.isfinite(rows).all():
         row, column = np.argwhere(~np.isfinite(rows))[0]
         value = rows[row, column]

@@ -140,6 +140,64 @@ def check_splits(n_instances: int, splits) -> None:
                 )
 
 
+@dataclass(frozen=True)
+class _PreparedCell:
+    """One (split, architecture) grid entry, ready to train: its report
+    fields up to the architecture, its fresh network, its scaled training
+    inputs with their target rows, and its scaled held-out rows with their
+    labels."""
+
+    entry: tuple[int, int, int, int, str]
+    network: Network
+    training_set: tuple[np.ndarray, np.ndarray]
+    test_set: tuple[np.ndarray, np.ndarray]
+
+
+def _prepare_cells(dataset: Dataset, splits, config: TrainConfig,
+                   hidden_sizes) -> list[_PreparedCell]:
+    """The first step of :func:`run_experiment`: every check, and every
+    split drawn and scaled, with no network trained.  One
+    :class:`_PreparedCell` per grid entry, in grid order: each split's
+    single-layer cell, then its multi-layer one."""
+    if not hidden_sizes:
+        raise ValueError("hidden_sizes is empty: the multi-layer network needs a hidden layer")
+    if dataset.has_missing_values:
+        raise ValidationError("dataset has missing cells; impute before running")
+    check_splits(len(dataset), splits)
+    # the table's own bounds first: a column whose span float64 cannot
+    # hold is refused with the bounds a scaler of the whole table names
+    fit_scaler(dataset)
+    architectures = ((ARCH_SINGLE, layer_stack()), (ARCH_MULTI, layer_stack(hidden_sizes)))
+    cells = []
+    for requested in splits:
+        n_train, n_test = fit_split_sizes(len(dataset), *requested)
+        train_set, test_set = hdata.split(dataset, n_train, n_test, config.seed)
+        scaler = fit_scaler(train_set)
+        training_set = (scaler.transform(train_set.features), encode_labels(train_set.labels))
+        test = (scaler.transform(test_set.features), test_set.labels)
+        cells += [_PreparedCell((*requested, n_train, n_test, architecture),
+                                new_network(sizes, config.seed), training_set, test)
+                  for architecture, sizes in architectures]
+    return cells
+
+
+def _run_cells(cells: list[_PreparedCell], config: TrainConfig, n_instances: int,
+               imputation_policy: str) -> ExperimentReport:
+    """The second step of :func:`run_experiment`: train every prepared
+    cell in one :func:`~heartnet.trainer.train_many` call, score each on
+    its held-out rows and report them in grid order."""
+    histories = train_many([c.network for c in cells], [c.training_set for c in cells], config)
+    results = []
+    for cell, history in zip(cells, histories):
+        metrics = evaluate(cell.network, *cell.test_set)
+        results.append(ExperimentCell(
+            *cell.entry, efficiency_pct=metrics.efficiency_pct,
+            binary_efficiency_pct=metrics.binary_efficiency_pct,
+            final_sse=history.final_sse, epochs_run=history.epochs_run,
+        ))
+    return ExperimentReport(tuple(results), n_instances, imputation_policy, config.seed)
+
+
 def run_experiment(
     dataset: Dataset,
     splits=DEFAULT_GRID,
@@ -152,59 +210,28 @@ def run_experiment(
 
     Per split: partition with the run seed, fit the scaler on the training
     portion only, train each network from a fresh seeded start, and
-    evaluate on the held-out rows.  Oversized split requests are rescaled
-    to the available instance count and marked in the report.
+    evaluate on the held-out rows, scaled by that same scaler.  Oversized
+    split requests are rescaled to the available instance count and
+    marked in the report.
 
-    Empty ``hidden_sizes`` (the multi-layer network would be the
-    single-layer one), an empty grid and a split that leaves 0 training
-    or 0 test rows are refused before any work.  Every split is prepared
-    before any network trains.  Then all cells train in one
-    :func:`~heartnet.trainer.train_many` call, in one epoch loop with one
-    stack of both architectures' cells and one kernel call per epoch,
-    with the same results as one :func:`~heartnet.trainer.train` per
-    cell.  If cells diverge, the
+    The run has two steps.  The first makes every check and prepares
+    every cell before any network trains: empty ``hidden_sizes`` (the
+    multi-layer network would be the single-layer one) is a ValueError,
+    and missing cells, an empty grid, a split that leaves 0 training or 0
+    test rows, a column whose span over the table float64 cannot hold, and
+    a held-out value that its split's training scaler scales past float64
+    are each a :class:`~heartnet.data.ValidationError`.  The second trains
+    all cells in one :func:`~heartnet.trainer.train_many` call, in one
+    epoch loop with one stack of both architectures' cells and one kernel
+    call per epoch, with the same results as one
+    :func:`~heartnet.trainer.train` per cell.  If cells diverge, the
     :class:`~heartnet.trainer.DivergenceError` raised is that of the
     first of them in grid order, as if the cells had trained one by one.
+    The ``heartnet experiment`` command runs the first step, creates its
+    ``--out`` directory, then runs the second.
     """
-    if not hidden_sizes:
-        raise ValueError("hidden_sizes is empty: the multi-layer network needs a hidden layer")
-    if dataset.has_missing_values:
-        raise ValidationError("dataset has missing cells; impute before running")
-    check_splits(len(dataset), splits)
-    architectures = ((ARCH_SINGLE, layer_stack()), (ARCH_MULTI, layer_stack(hidden_sizes)))
-    # one entry per cell, in grid order: each split's single, then multi
-    grid, networks, training_sets, test_sets = [], [], [], []
-    for requested_train, requested_test in splits:
-        n_train, n_test = fit_split_sizes(len(dataset), requested_train, requested_test)
-        train_set, test_set = hdata.split(dataset, n_train, n_test, config.seed)
-        scaler = fit_scaler(train_set)
-        training_set = (scaler.transform(train_set.features), encode_labels(train_set.labels))
-        test = (scaler.transform(test_set.features), test_set.labels)
-        for architecture, sizes in architectures:
-            grid.append((requested_train, requested_test, n_train, n_test, architecture))
-            networks.append(new_network(sizes, config.seed))
-            training_sets.append(training_set)
-            test_sets.append(test)
-
-    histories = train_many(networks, training_sets, config)
-    cells = []
-    for entry, net, test, history in zip(grid, networks, test_sets, histories):
-        metrics = evaluate(net, *test)
-        cells.append(
-            ExperimentCell(
-                *entry,
-                efficiency_pct=metrics.efficiency_pct,
-                binary_efficiency_pct=metrics.binary_efficiency_pct,
-                final_sse=history.final_sse,
-                epochs_run=history.epochs_run,
-            )
-        )
-    return ExperimentReport(
-        cells=tuple(cells),
-        n_instances=len(dataset),
-        imputation_policy=imputation_policy,
-        seed=config.seed,
-    )
+    cells = _prepare_cells(dataset, splits, config, hidden_sizes)
+    return _run_cells(cells, config, len(dataset), imputation_policy)
 
 
 def export_report(report: ExperimentReport, path) -> None:

@@ -217,12 +217,11 @@ def forward(network: Network, features) -> list[np.ndarray]:
     """Run one input row of shape (inputs,), or every row of an
     (n, inputs) matrix, through every layer; returns each layer's
     activations, index 0 being the input itself."""
-    x = np.ascontiguousarray(features, dtype=np.float64)
+    shape = np.shape(features)  # read first: ascontiguousarray makes a scalar (1,)
     n_inputs = network.layer_sizes[0]
-    if x.ndim not in (1, 2) or x.shape[-1] != n_inputs:
-        raise ValueError(
-            f"input must have shape ({n_inputs},) or (n, {n_inputs}), got {x.shape}"
-        )
+    if len(shape) not in (1, 2) or shape[-1:] != (n_inputs,):
+        raise ValueError(f"input must have shape ({n_inputs},) or (n, {n_inputs}), got {shape}")
+    x = np.ascontiguousarray(features, dtype=np.float64)
     activations = [x]
     for layer_weights, layer_biases in zip(network.weights, network.biases):
         x = sigmoid(x @ layer_weights.T + layer_biases)

@@ -1138,6 +1138,23 @@ class TestExperiment:
         assert capsys.readouterr().err == f"data error: {data}: {problem}\n"
         assert not out.exists()
 
+    def test_held_out_value_its_split_cannot_scale(self, tmp_path, capsys):
+        # Chol is 200 on line 8, 5e-324 on lines 1, 4, 7, ... and 0 elsewhere:
+        # the table's span holds, but a split that holds line 8 out has the
+        # span 0..5e-324. That was refused after --out was made, without
+        # naming the table.
+        rows = [line.split(",") for line in bundled_fixture_path().read_text("utf-8").splitlines()]
+        for line_no, cells in enumerate(rows, start=1):
+            cells[4] = "200" if line_no == 8 else ("5e-324" if line_no % 3 == 1 else "0")
+        data, out = tmp_path / "tiny_chol_span.csv", tmp_path / "o"
+        data.write_text("".join(",".join(cells) + "\n" for cells in rows), encoding="utf-8")
+        code = main(["experiment", "--config", quick_config(tmp_path), "--data", str(data),
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        message = "column Chol: value 200.0 scales to inf by the span 0.0..5e-324"
+        assert capsys.readouterr().err.splitlines()[-1] == f"data error: {data}: {message}"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, payload", [(["--layers", "13,2"], {}), ([], {"hidden_sizes": []})]
     )

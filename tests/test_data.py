@@ -36,6 +36,9 @@ from heartnet.data import (
     save_scaler,
     split,
 )
+from heartnet.evaluation import evaluate
+from heartnet.network import new_network
+from heartnet.trainer import TrainConfig, train
 
 # the worked example row used throughout: a 63-year-old male, class 0
 EXAMPLE_ROW = "63,1,1,145,233,1,2,150,0,2.3,3,0,6,0"
@@ -808,6 +811,58 @@ class TestClassCodes:
         outputs[0] = [0.5, 0.5]  # ties round up
         by_hand = [2 * int(high >= 0.5) + int(low >= 0.5) for high, low in outputs]
         np.testing.assert_array_equal(decode_outputs(outputs), by_hand)
+
+
+def not_numbers(shape):
+    """(id, value, the dtype named in its refusal) of each kind of array
+    the sample and label rules refuse, shaped ``shape``; a ragged one has
+    no dtype."""
+    ragged = [[0.5] * shape[-1], [0.5]] if len(shape) == 2 else [[0], [1, 2]]
+    return [
+        ("bool", np.ones(shape, dtype=bool), "bool"),
+        ("underscore-string", np.full(shape, "1_0"), "<U3"),  # float() reads 10.0
+        ("complex", np.full(shape, 1 + 1j), "complex128"),
+        ("object-string", np.full(shape, "x", dtype=object), "object"),
+        ("ragged", ragged, None),
+    ]
+
+
+def refusal(name, dtype):
+    """The message refusing argument ``name`` of dtype ``dtype`` (None: ragged)."""
+    if dtype is None:
+        return f"{name} is a ragged sequence, with no shape"
+    return f"{name} must be integers or floats, got dtype {dtype}"
+
+
+class TestNotNumbers:
+    """A bool, string, complex or object array, or a ragged sequence, is
+    refused naming the argument: never converted (``"1_0"`` read as 10,
+    an imaginary part dropped) nor left to numpy's own error."""
+
+    @pytest.mark.parametrize("case", not_numbers((2, 13)), ids=lambda case: case[0])
+    def test_train(self, case):
+        _, inputs, dtype = case
+        net = new_network((13, 2), 0)
+        with pytest.raises(ValidationError, match=re.escape(refusal("inputs", dtype))):
+            train(net, inputs, np.zeros((2, 2)), TrainConfig(max_epochs=1))
+
+    @pytest.mark.parametrize("case", not_numbers((2, 13)), ids=lambda case: case[0])
+    def test_evaluate(self, case):
+        _, features, dtype = case
+        with pytest.raises(ValidationError, match=re.escape(refusal("features", dtype))):
+            evaluate(new_network((13, 2), 0), features, [0, 1])
+
+    @pytest.mark.parametrize("case", not_numbers((2, 2)), ids=lambda case: case[0])
+    def test_decode_outputs(self, case):
+        _, outputs, dtype = case
+        with pytest.raises(ValidationError, match=re.escape(refusal("network output", dtype))):
+            decode_outputs(outputs)
+
+    @pytest.mark.parametrize("case", not_numbers((2,)), ids=lambda case: case[0])
+    def test_encode_labels(self, case):
+        _, labels, dtype = case
+        with pytest.raises(ValidationError, match=re.escape(refusal("labels", dtype))):
+            encode_labels(labels)
 
 
 class TestSplit:

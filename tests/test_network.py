@@ -259,6 +259,10 @@ class TestForward:
         net = new_network((13, 2), 0)
         with pytest.raises(ValueError, match="shape"):
             forward(net, np.zeros(12))
+        # the shape is read before the conversion, which makes either (1,)
+        for scalar in (5.0, None):
+            with pytest.raises(ValueError, match=re.escape("got ()")):
+                forward(net, scalar)
 
     def test_rows_match_per_sample_forward(self):
         net = new_network((13, 8, 2), 4)

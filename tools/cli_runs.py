@@ -125,6 +125,10 @@ RUNS = TRAIN_RUNS + [
     # the table's own Chol span is more than a float64 holds: no scaler fits it
     ("table-span-too-wide",
      ["train", "--config", "few.json", "--data", "wide_chol_span.csv"], 3),
+    # the table's Chol span holds, but a split that holds out the one 200
+    # scales it by the span 0..5e-324 of its training rows, to inf
+    ("held-out-span-too-small",
+     ["experiment", "--config", "few.json", "--data", "tiny_chol_span.csv"], 3),
     ("model-12-inputs",
      ["evaluate", "--data", "heart.csv", "--model", "model_12_inputs.json",
       "--scaler", f"{TRAINED}/scaler.json"], 3),
@@ -231,6 +235,9 @@ def _write_inputs(heartnet) -> None:
         write_table(f"{name}.csv", [*rows[:4], [*rows[4][:4], cell, *rows[4][5:]], *rows[5:]])
     write_table("wide_chol_span.csv", [[*rows[0][:4], "-1.5e308", *rows[0][5:]],
                                        [*rows[1][:4], "1.5e308", *rows[1][5:]], *rows[2:]])
+    write_table("tiny_chol_span.csv",
+                [[*cells[:4], "200" if i == 7 else ("5e-324", "0", "0")[i % 3], *cells[5:]]
+                 for i, cells in enumerate(rows)])
     write_table("overflowing_chol.csv",
                 [[*cells[:4], "?" if i == 0 else ("1.6e308", "1.7e308")[i % 2 == 0], *cells[5:]]
                  for i, cells in enumerate(rows)])
