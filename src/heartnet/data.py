@@ -425,6 +425,9 @@ class Scaler:
     hold is refused when the scaler is built, and a finite value that
     scales to a non-finite one (a span so small that dividing by it
     overflows) is refused by ``transform``; either error names the column.
+    ``transform`` and ``inverse_transform`` take integers or floats only
+    (:func:`_numbers`): a bool, string, complex or object array, or a
+    ragged sequence, is a ValidationError naming the argument.
     """
 
     mins: np.ndarray
@@ -455,8 +458,10 @@ class Scaler:
         flat = self.maxs - self.mins == 0.0
         return tuple(col.name for col, is_flat in zip(HEART_SCHEMA, flat) if is_flat)
 
-    def _checked(self, values) -> np.ndarray:
-        x = np.asarray(values, dtype=np.float64)
+    def _checked(self, values, name: str) -> np.ndarray:
+        """``values`` as float64, an array of integers or floats
+        (:func:`_numbers`) of one row or a matrix of 13 columns."""
+        x = np.asarray(_numbers(values, name), dtype=np.float64)
         if x.ndim not in (1, 2):
             raise ValidationError(f"expected a row or a matrix of features, got shape {x.shape}")
         if x.shape[-1] != N_ATTRIBUTES:
@@ -467,7 +472,7 @@ class Scaler:
 
     def transform(self, features) -> np.ndarray:
         """Scale one row of 13 values or an (n, 13) matrix."""
-        x = self._checked(features)
+        x = self._checked(features, "features")
         delta = self.maxs - self.mins
         flat = delta == 0.0
         with np.errstate(over="ignore"):
@@ -486,7 +491,7 @@ class Scaler:
 
     def inverse_transform(self, scaled) -> np.ndarray:
         """Map one scaled row or a matrix of them back to feature values."""
-        y = self._checked(scaled)
+        y = self._checked(scaled, "scaled")
         delta = self.maxs - self.mins
         return np.where(delta == 0.0, self.mins, y * delta + self.mins)
 
@@ -547,8 +552,10 @@ _CLASS_CODES = np.array(
 
 
 def _numbers(values, name: str) -> np.ndarray:
-    """``values`` as an array of an integer or float dtype: the rule both
-    :func:`_class_labels` and :func:`_sample_rows` start from.  A ragged
+    """``values`` as an array of an integer or float dtype: the rule
+    :func:`_class_labels`, :func:`_sample_rows`, :class:`Scaler`'s
+    ``transform`` and ``inverse_transform`` and
+    :func:`heartnet.network.forward` start from.  A ragged
     sequence, which has no shape, and any other dtype (bool, complex,
     string, object) are a ValidationError naming ``name``; converted, a
     string ``"1_0"`` would read as 10 and a complex value would lose its

@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .data import FormatError, _is_integer, _is_real, _read_json, _write_json
+from .data import FormatError, _is_integer, _is_real, _numbers, _read_json, _write_json
 
 LOGISTIC_SIGMOID = "logistic-sigmoid"
 MODEL_FORMAT_VERSION = 1
@@ -216,12 +216,16 @@ def new_network(layer_sizes, seed: int) -> Network:
 def forward(network: Network, features) -> list[np.ndarray]:
     """Run one input row of shape (inputs,), or every row of an
     (n, inputs) matrix, through every layer; returns each layer's
-    activations, index 0 being the input itself."""
-    shape = np.shape(features)  # read first: ascontiguousarray makes a scalar (1,)
+    activations, index 0 being the input itself.  ``features`` must be
+    integers or floats (:func:`heartnet.data._numbers`); anything else is
+    a ValidationError naming it."""
+    # None is refused for its shape, (), as a scalar is, not for its dtype
+    x = None if features is None else _numbers(features, "features")
+    shape = np.shape(x)  # read first: ascontiguousarray makes a scalar (1,)
     n_inputs = network.layer_sizes[0]
     if len(shape) not in (1, 2) or shape[-1:] != (n_inputs,):
         raise ValueError(f"input must have shape ({n_inputs},) or (n, {n_inputs}), got {shape}")
-    x = np.ascontiguousarray(features, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     activations = [x]
     for layer_weights, layer_biases in zip(network.weights, network.biases):
         x = sigmoid(x @ layer_weights.T + layer_biases)

@@ -19,10 +19,17 @@ epoch: each epoch stacks copies of the parameter vectors and velocities
 of the K >= 1 networks still training, whatever their shapes, one after
 another, and each step of a sample is a few stacked numpy calls over
 the rows still presenting samples.  Per-sample cost is bound by numpy's
-per-call overhead, so one call for K networks is cheaper than K calls,
-and the fewer calls and temporaries a sample takes, the faster it runs.
-For the same reason the kernel's scalar operands, ``1.0`` and the
-momentum, are float64 0-d arrays made once per epoch: a Python float
+per-call overhead and by the Python around each call, so one call for
+K networks is cheaper than K calls, and the fewer calls, temporaries
+and interpreter steps a sample takes, the faster it runs.  The sample
+loop is therefore straight-line source generated for each block
+structure (``_sample_step``): every numpy call of a sample in order,
+each operand a local name, with no loop over layers or levels and no
+lookup of ``np`` or of a keyword per call.  It is compiled once per
+structure, the layer count of each of the block's shapes, from shape,
+layer and level indices alone, and it makes the calls the loops would,
+so the bits are those of the loops.  The kernel's scalar operand
+``1.0`` is a float64 0-d array made once per epoch: a Python float
 operand is converted to an array on every call, while a 0-d float64
 array selects the same float64 loop with the same double (numpy 1.24
 and 2 alike), so the bits do not change.  Each sample's output error is
@@ -38,12 +45,14 @@ the stack in the block layout of ``network._block_views``: each shape's
 weights of one layer are one contiguous ``(m, out, in)`` array, and the
 biases are laid out level by level, a level being the layers that far
 below the output layer, so each level's biases of every shape are one
-1-D run.  The activations and deltas of a level are laid out as its
-biases, so the bias add, the logistic, the output error and its
-scaling, and each hidden delta's scaling are one call per level over
-all shapes, and the momentum step is one set of calls over the whole
-block.  A stack of one shape takes the same calls, one product of
-each kind per layer.
+1-D run.  The activations, their ``y - 1`` and the deltas of a level are
+laid out as its biases, so the bias add, the logistic, the output error
+and its scaling, and each hidden delta's scaling are one call per level
+over all shapes; ``y - 1`` is one call over every level, and the
+momentum step is three calls over the whole block.  A stack of one
+shape takes the same calls, one product of each kind per layer: 22
+calls for a 13-8-2 sample, 24 for a step of the default grid's 13-2 and
+13-8-2 stack.
 
 The rows still presenting samples change only between blocks of
 samples, one block per distinct sample count, and each block steps a
@@ -53,8 +62,10 @@ once, and back once.  Each layer's delta is computed in that layer's
 bias gradient, which is also viewed once per block as an ``(m, out,
 1)`` column, and the weight gradient is the outer product of that
 column with the layer's input, so no sample copies a delta or builds a
-transposed view.  Only where a value is stored changes, so the bits do
-not.
+transposed view.  The velocity and the gradient are the two rows of one
+``(2, n)`` array, so a single multiply by the ``(2, n)`` factor
+``[momentum; rate]`` scales both.  Only where a value is stored
+changes, so the bits do not.
 
 Each network's state between epochs (its checked training set,
 generator, rate, velocity, last accepted SSE and records) is one
@@ -68,20 +79,25 @@ call, so the cells of both architectures are one stack.
 
 The kernel steps its copy of the stack with the parameters negated: it
 negates the copy when it makes it and negates it back as it writes the
-rows back, so the caller's stack is never negated.
-Negating an operand negates a product or a sum exactly under
-round-to-nearest, fused multiply-add or not, so ``x @ -W.T + -b`` is bit
-for bit ``-(x @ W.T + b)``: the very argument
-the logistic ``1 / (1 + e^-a)`` exponentiates, with no negation call.
-The hidden delta ``(delta @ -W) * y * (y - 1)`` and the step
+rows back, so the caller's stack is never negated.  It also stores every
+delta, and so every gradient, negated.  Negating an operand negates a
+product or a sum exactly under round-to-nearest, fused multiply-add or
+not, and IEEE defines ``a - b`` as ``a + (-b)``.  So ``x @ -W.T + -b`` is
+bit for bit ``-(x @ W.T + b)``: the very argument the logistic
+``1 / (1 + e^-a)`` exponentiates, with no negation call.  The negated
+output delta ``(o - t) * o * (o - 1)``, the negated hidden delta
+``(delta @ -W) * y * (y - 1)`` of a negated ``delta``, the velocity
+``momentum * v + rate * g`` of a negated ``g`` and the step
 ``-p - v == -(p + v)`` are likewise the plain arithmetic's bits, so every
-weight, SSE and artifact is the same as with the weights as stored; only
-a result that lands exactly on zero can differ, in the sign of that zero.
+weight, SSE and artifact is the same as with the weights and deltas as
+they are; only a result that lands exactly on zero can differ, in the
+sign of that zero.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -221,6 +237,82 @@ def train(
     return train_many([network], [(inputs, targets)], config)[0]
 
 
+# The names of the views a step takes, in the order it takes them: per
+# level (lists over the levels, as _block_views' levels: the biases, the
+# deltas, the outputs and the outputs minus one), then per shape and layer
+# (lists over the shapes of lists over the layers: each W.T and W, the
+# outputs, the bias gradients, the same as (m, out, 1) columns, and the
+# weight gradients).
+_LEVEL_VIEWS = ("b", "d", "z", "m")
+_LAYER_VIEWS = ("wt", "w", "y", "gb", "gbt", "gw")
+
+
+@functools.lru_cache(maxsize=16)
+def _sample_step(depths: tuple[int, ...]):
+    """The sample loop of a block whose shape ``i`` has ``depths[i]``
+    weight layers, as straight-line source compiled once and kept for the
+    next block of the same structure.
+
+    The loop body is every numpy call of one sample, in order, and every
+    operand is a local: each list of views is a positional argument,
+    unpacked into names once per block.  The source is built from shape,
+    layer and level indices alone; layer ``l`` of shape ``i`` is at level
+    ``depths[i] - 1 - l``.  ``_epoch`` says what each call computes.
+    """
+    n_levels, shapes = max(depths), range(len(depths))
+
+    def below(i, layer):  # the input of a layer of shape i
+        return f"x{i}" if layer == 0 else f"y{i}_{layer - 1}"
+
+    def unpack(names):  # "a, b, " unpacks a sequence of any length >= 1
+        return "".join(f"{name}, " for name in names)
+
+    body = []
+    for level in reversed(range(n_levels)):  # deepest level first
+        for i in shapes:
+            layer = depths[i] - 1 - level
+            if layer >= 0:
+                body.append(f"matmul({below(i, layer)}, wt{i}_{layer}, y{i}_{layer})")
+        z = f"z{level}"
+        body += [f"add({z}, b{level}, {z})", f"exp({z}, {z})", f"add({z}, one, {z})",
+                 f"divide(one, {z}, {z})"]
+    body += ["subtract(z0, target, miss)", "subtract(y_all, one, m_all)",
+             "multiply(miss, z0, d0)", "multiply(d0, m0, d0)"]
+    for level in range(1, n_levels):  # the layers at level - 1 start its deltas
+        for i in shapes:
+            layer = depths[i] - level
+            if layer >= 1:
+                body.append(f"matmul(gb{i}_{layer}, w{i}_{layer}, gb{i}_{layer - 1})")
+        body += [f"multiply(d{level}, z{level}, d{level})",
+                 f"multiply(d{level}, m{level}, d{level})"]
+    for i in shapes:
+        body += [f"multiply(gbt{i}_{layer}, {below(i, layer)}, gw{i}_{layer})"
+                 for layer in range(depths[i])]
+    body += ["multiply(velocity_grad, factor, velocity_grad)", "add(v, g, v)",
+             "subtract(p, v, p)"]
+
+    samples, inputs = (", ".join(f"{name}{i}" for i in shapes) for name in ("x", "xs"))
+    head = ["v, g = velocity_grad", f"{inputs}, = xs"]
+    head += [unpack(f"{view}{level}" for level in range(n_levels)) + f"= {view}"
+             for view in _LEVEL_VIEWS]
+    for view in _LAYER_VIEWS:
+        layers = (f"({unpack(f'{view}{i}_{layer}' for layer in range(depths[i]))})"
+                  for i in shapes)
+        head.append(unpack(layers) + f"= {view}")
+    source = "\n    ".join([
+        "def step(xs, targets, misses, one, velocity_grad, factor, p, y_all, m_all, "
+        + ", ".join(_LEVEL_VIEWS + _LAYER_VIEWS)
+        + ", matmul=np.matmul, add=np.add, exp=np.exp, divide=np.divide, "
+        "subtract=np.subtract, multiply=np.multiply):",
+        *head,
+        f"for {samples}, target, miss in zip({inputs}, targets, misses):",
+        *("    " + line for line in body),
+    ])
+    namespace = {"np": np}
+    exec(compile(source, f"<sample step of depths {depths}>", "exec"), namespace)
+    return namespace["step"]
+
+
 def _epoch(
     params: np.ndarray,
     velocity: np.ndarray,
@@ -245,32 +337,40 @@ def _epoch(
     (``network._block_layout``), its params negated, and writes it back
     when it ends.  The samples are stepped in blocks of equal m, each on
     a copy of the m rows, gathered when the block starts and scattered
-    back when it ends; the gradient, step and layer outputs are scratch
-    in the same layout.  Each product sees the same operands, and each
-    ``(out, in)`` matrix keeps its layout, so the copies change no bit.
+    back when it ends; the velocity and the gradient are the two rows of
+    one ``(2, n)`` array, and the layer outputs and their ``y - 1`` are
+    scratch in the same layout.  Each product sees the same operands, and
+    each ``(out, in)`` matrix keeps its layout, so the copies change no
+    bit.  Each block's samples run through ``_sample_step`` of the
+    block's structure, the sample loop as straight-line source.
 
     Each sample takes one forward sweep, one backward sweep and one
     momentum step, in place.  The matrix products are one call per shape
     and layer: ``z = x @ -W.T``, the ``delta @ -W`` that starts the
     delta of the layer below, and the weight gradient, the outer product
     of the delta's ``(m, out, 1)`` view with the layer's input.  Every
-    elementwise call is one per level, over the 1-D run of that level of
-    every shape: the bias add, after which ``z`` is exactly ``-a``, and
-    the logistic ``1 / (1 + e^z)`` in place; the output error ``o - t``
-    and the output delta ``(o - t) * o * (1 - o)``; and each hidden
-    delta's scaling by the local sigmoid derivative, ``(delta @ -W) * y
-    * (y - 1)`` on the negated weights: the gradient of SSE/2.  Each
-    delta is computed in its layer's bias gradient.  The momentum step
-    is four calls over the block, with ``p -= v`` on the negated ``p``;
-    the velocity is not negated.  See the module docstring for why these
-    are the bits of the plain ``sigmoid(x @ W.T + b)`` arithmetic, which
-    ``tests/gradient_oracle.py:reference_epoch`` keeps and the tests
-    compare against.  ``1.0`` and ``momentum`` enter as 0-d float64
-    arrays; the arrays are made once per epoch and the views once per
-    block, not once per call (see the module docstring).  Each sample's
-    ``o - t`` is kept, and a row's SSE is the running sum of its samples'
-    squared errors, each taken with the weights in effect when it was
-    presented; a row's padding past its last sample adds exactly 0.0.
+    other call is one per level, over the 1-D run of that level of every
+    shape, or one over the block: the bias add, after which ``z`` is
+    exactly ``-a``, and the logistic ``1 / (1 + e^z)`` in place; the
+    output error ``o - t``; ``y - 1`` of every level's outputs in one
+    call; the negated output delta ``(o - t) * o * (o - 1)``; and each
+    negated hidden delta's scaling by the local sigmoid derivative,
+    ``(delta @ -W) * y * (y - 1)`` on the negated weights and delta: the
+    gradient of SSE/2, negated.  Each delta is computed in its layer's
+    bias gradient.  The momentum step is three calls over the block: one
+    multiply of the velocity and gradient rows by ``[momentum; rate]``,
+    ``v += g`` (``momentum * v - rate * gradient``, as ``g`` is negated),
+    and ``p -= v`` on the negated ``p``; the velocity is not negated.
+    That is 22 calls for a 13-8-2 sample.  See the module docstring for
+    why these are the bits of the plain ``sigmoid(x @ W.T + b)``
+    arithmetic, which ``tests/gradient_oracle.py:reference_epoch`` keeps
+    and the tests compare against.  ``1.0`` enters as a 0-d float64
+    array; it is made once per epoch, and the views and the step's
+    arguments once per block, not once per call (see the module
+    docstring).  Each sample's ``o - t`` is kept, and a row's SSE is the
+    running sum of its samples' squared errors, each taken with the
+    weights in effect when it was presented; a row's padding past its
+    last sample adds exactly 0.0.
     """
     n_rows, n_max = len(shapes), len(inputs[0])
     # the stack in block layout: entry i is params[source[i]], of row owner[i]
@@ -278,9 +378,9 @@ def _epoch(
     stack_p = np.negative(params[source])
     stack_v = velocity[source]
     stack_rates = lr[owner]
-    # scratch for any block's gradient, step and layer outputs, laid out
+    # scratch for any block's layer outputs y and their y - 1, laid out
     # like its params
-    grads, step, activations = np.empty((3, params.size))
+    activations = np.empty((2, params.size))
     # each shape's inputs; the targets and output errors of all rows in
     # the layout of the output level
     xs = [np.empty((n_max, len(rows), 1, kind[0])) for kind, rows in zip(kinds, members)]
@@ -291,10 +391,9 @@ def _epoch(
             t[: len(targets[row]), j, 0] = targets[row]
     t = np.concatenate([t.reshape(n_max, -1) for t in ts], axis=1)
     misses = np.zeros_like(t)
-    # 0-d float64 operands: a Python float operand is converted to an
-    # array on every call, these once per epoch, with the same bits
+    # a 0-d float64 operand: a Python float operand is converted to an
+    # array on every call, this once per epoch, with the same bits
     one = np.array(1.0)
-    momentum = np.array(momentum, dtype=np.float64)
 
     start = 0
     for m in range(n_rows, 0, -1):  # samples [start, stop) have m active rows
@@ -305,71 +404,35 @@ def _epoch(
         # with any rows among them a prefix of kinds
         counts = [bisect.bisect_left(rows, m) for rows in members]
         block_counts = [count for count in counts if count]
-        n_inputs = len(block_counts)
-        block_shapes = kinds[:n_inputs]
+        block_shapes = kinds[: len(block_counts)]
         keep = owner < m
-        p, v, rate = stack_p[keep], stack_v[keep], stack_rates[keep]
-        g, s = grads[: p.size], step[: p.size]
+        p = stack_p[keep]
+        # the velocity and the gradient, scaled by one multiply by
+        # [momentum; rate]
+        velocity_grad, factor = np.empty((2, 2, p.size))
+        velocity_grad[0], factor[0], factor[1] = stack_v[keep], momentum, stack_rates[keep]
+        y, y_minus_one = activations[:, : p.size]
         weights, _, levels = _block_views(p, block_shapes, block_counts)
-        weight_grads, bias_grads, deltas = _block_views(g, block_shapes, block_counts)
-        _, outs, out_levels = _block_views(activations[: p.size], block_shapes, block_counts)
-        # operands[i] is the sample's input row of block shape i; the
-        # other operands are layer outputs, which stay put
-        operands = [None] * n_inputs
-        forward = [[] for _ in levels]
-        hidden = [[] for _ in levels]
-        outer = []
-        for i, kind in enumerate(block_shapes):
-            below = i
-            for layer, (w, out, gb) in enumerate(zip(weights[i], outs[i], bias_grads[i])):
-                level = len(kind) - 2 - layer
-                forward[level].append((below, w.transpose(0, 2, 1), out))
-                if layer:
-                    # the layer writes the delta of the layer below into
-                    # that layer's bias gradient
-                    hidden[level].append((gb, w, bias_grads[i][layer - 1]))
-                # each bias gradient is also viewed as (m, out, 1), the outer
-                # product's left operand, so no sample transposes a delta
-                outer.append((gb.transpose(0, 2, 1), below, weight_grads[i][layer]))
-                operands.append(out)
-                below = len(operands) - 1
-        forward = list(zip(forward, out_levels, levels))[::-1]  # deepest level first
-        # from the output level down, each level but the deepest starts the
-        # deltas of the level below
-        backward = list(zip(hidden, deltas[1:], out_levels[1:]))
-        output, output_delta = out_levels[0], deltas[0]
+        weight_grads, bias_grads, deltas = _block_views(velocity_grad[1], block_shapes, block_counts)
+        _, outs, out_levels = _block_views(y, block_shapes, block_counts)
+        below_one = _block_views(y_minus_one, block_shapes, block_counts)[2]
+        n_biases = sum(map(len, levels))  # the levels end the layout
         keep_out = keep[-t.shape[1] :]  # the output level ends the layout
         block_t = t[start:stop, keep_out]
         block_misses = np.empty_like(block_t)
-        samples = zip(*(x[start:stop, :count] for x, count in zip(xs, block_counts)))
-        for operands[:n_inputs], target, miss in zip(samples, block_t, block_misses):
-            for products, z, b in forward:
-                for below, w_t, out in products:
-                    # out positionally: matmul's out= keyword costs more
-                    np.matmul(operands[below], w_t, out)
-                # -(x @ W.T + b), so its exp is the e^-a of 1 / (1 + e^-a)
-                z += b
-                np.exp(z, out=z)
-                z += one
-                np.divide(one, z, out=z)
-            # o - t squares to the same bits as t - o
-            np.subtract(output, target, out=miss)
-            np.multiply(miss, output, out=output_delta)
-            output_delta *= one - output
-            for steps, delta, y in backward:
-                for gb, w, gb_below in steps:
-                    np.matmul(gb, w, gb_below)
-                # (delta @ -W) * y * (y - 1) == (delta @ W) * y * (1 - y)
-                delta *= y
-                delta *= y - one
-            # the weight gradients read the deltas, and no delta reads them
-            for gb_col, below, gw in outer:
-                np.multiply(gb_col, operands[below], out=gw)
-            v *= momentum
-            np.multiply(rate, g, out=s)
-            v -= s
-            p -= v  # -(p + v) for the negated p
-        stack_p[keep], stack_v[keep] = p, v
+        step = _sample_step(tuple(len(kind) - 1 for kind in block_shapes))
+        step(
+            [x[start:stop, :count] for x, count in zip(xs, block_counts)],
+            block_t, block_misses, one, velocity_grad, factor, p,
+            y[-n_biases:], y_minus_one[-n_biases:], levels, deltas, out_levels, below_one,
+            [[w.transpose(0, 2, 1) for w in shape_weights] for shape_weights in weights],
+            weights, outs, bias_grads,
+            # each bias gradient is also viewed as (m, out, 1), the outer
+            # product's left operand, so no sample transposes a delta
+            [[gb.transpose(0, 2, 1) for gb in shape_grads] for shape_grads in bias_grads],
+            weight_grads,
+        )
+        stack_p[keep], stack_v[keep] = p, velocity_grad[0]
         misses[start:stop, keep_out] = block_misses
         start = stop
     params[source] = np.negative(stack_p, out=stack_p)

@@ -37,7 +37,7 @@ from heartnet.data import (
     split,
 )
 from heartnet.evaluation import evaluate
-from heartnet.network import new_network
+from heartnet.network import forward, new_network
 from heartnet.trainer import TrainConfig, train
 
 # the worked example row used throughout: a 63-year-old male, class 0
@@ -863,6 +863,32 @@ class TestNotNumbers:
         _, labels, dtype = case
         with pytest.raises(ValidationError, match=re.escape(refusal("labels", dtype))):
             encode_labels(labels)
+
+    # a row and a matrix of each kind, and a row of None, which numpy would
+    # read as NaN were it converted
+    FEATURES = pytest.mark.parametrize(
+        "case",
+        [(f"{form}-{kind}", values, dtype)
+         for form, shape in (("row", (13,)), ("matrix", (2, 13)))
+         for kind, values, dtype in not_numbers(shape)]
+        + [("row-none", np.array([None] * 13), "object")],
+        ids=lambda case: case[0],
+    )
+
+    @FEATURES
+    def test_forward(self, case):
+        _, features, dtype = case
+        with pytest.raises(ValidationError, match=re.escape(refusal("features", dtype))):
+            forward(new_network((13, 8, 2), 0), features)
+
+    @FEATURES
+    def test_scaler_transform(self, case):
+        _, features, dtype = case
+        scaler = fit_scaler(impute(load_dataset(bundled_fixture_path())))
+        with pytest.raises(ValidationError, match=re.escape(refusal("features", dtype))):
+            scaler.transform(features)
+        with pytest.raises(ValidationError, match=re.escape(refusal("scaled", dtype))):
+            scaler.inverse_transform(features)
 
 
 class TestSplit:

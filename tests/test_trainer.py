@@ -234,13 +234,17 @@ def scaled_fixture():
 
 
 class TestKernelMatchesReference:
-    """The kernel steps each block's copy with its weights negated; every
-    bit of params, velocity and SSE must still equal the plain arithmetic
-    of ``gradient_oracle.reference_epoch``, epoch after epoch.  13-2 is a
-    single-layer stack, whose backward takes no hidden delta."""
+    """The kernel steps each block's copy with its weights and deltas
+    negated, through a sample loop generated for the block's structure;
+    every bit of params, velocity and SSE must still equal the plain
+    arithmetic of ``gradient_oracle.reference_epoch``, epoch after epoch.
+    13-2 is a single-layer stack, whose backward takes no hidden delta."""
 
+    # 13-6-5-4-2 is network.MAX_LAYERS deep: a step of four levels
     SIZES = pytest.mark.parametrize(
-        "sizes", [(13, 8, 2), (13, 16, 8, 2), (13, 2)], ids=["13-8-2", "13-16-8-2", "13-2"]
+        "sizes",
+        [(13, 8, 2), (13, 16, 8, 2), (13, 2), (13, 6, 5, 4, 2)],
+        ids=["13-8-2", "13-16-8-2", "13-2", "13-6-5-4-2"],
     )
     # K8-tied steps a block of 8 rows, then one that 3 rows leave at once
     LENGTHS = pytest.mark.parametrize(

@@ -87,6 +87,9 @@ RUNS = TRAIN_RUNS + [
     # a 1-layer and a 3-layer network in one stack: levels of unequal depth
     ("experiment-13-16-8-2",
      ["experiment", "--config", "few.json", "--data", "heart.csv", "--layers", "13,16,8,2"], 0),
+    # a 1-layer and a 4-layer network in one stack: the deepest structure
+    ("experiment-13-6-5-4-2",
+     ["experiment", "--config", "few.json", "--data", "heart.csv", "--layers", "13,6,5,4,2"], 0),
     ("evaluate-drop", ["evaluate", "--data", "heart.csv", "--impute", "drop", *MODEL_AND_SCALER], 0),
     ("scale", ["scale", "--data", "heart.csv"], 0),
     ("scale-constant-column", ["scale", "--data", "constant_fbs.csv"], 0),
